@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import GDD
+from .core import GDD, components_of
 from .roots import UnityRoot, discrete_log_nonpositive
 
 Matrix = tuple[tuple[int, ...], ...]
@@ -84,22 +84,9 @@ def _submatrix(a: Matrix, keep: list[int]) -> Matrix:
 
 def _blocks(a: Matrix) -> list[list[int]]:
     n = len(a)
-    seen = [False] * n
-    out = []
-    for s in range(n):
-        if seen[s]:
-            continue
-        comp, stack = [], [s]
-        seen[s] = True
-        while stack:
-            v = stack.pop()
-            comp.append(v)
-            for u in range(n):
-                if not seen[u] and a[v][u] != 0:
-                    seen[u] = True
-                    stack.append(u)
-        out.append(sorted(comp))
-    return out
+    return components_of(
+        [[u for u in range(n) if u != v and a[v][u] != 0] for v in range(n)]
+    )
 
 
 def is_indecomposable(a: Matrix) -> bool:
@@ -252,23 +239,23 @@ def build_affine_gdd(family: AffineFamily, q: UnityRoot) -> GDD:
         return GDD(m, diag, edges)
     if name == "B1_N":
         g = _path([1] * (N - 1) + [2], [-1] * (N - 2) + [-2], q)
-        return _attach(g, 1, q, q ** -1)
+        return g.add_vertex(q, [(1, q ** -1)])
     if name == "C1_N":
         return _path([1] + [2] * (N - 1) + [1], [-2] * N, q)
     if name == "D1_N":
         g = _path([1] * (N - 1), [-1] * (N - 2), q)
-        g = _attach(g, 1, q, q ** -1)
-        return _attach(g, N - 3, q, q ** -1)
+        g = g.add_vertex(q, [(1, q ** -1)])
+        return g.add_vertex(q, [(N - 3, q ** -1)])
     if name == "E1_6":
         g = _path([1] * 5, [-1] * 4, q)
-        g = _attach(g, 2, q, q ** -1)
-        return _attach(g, 5, q, q ** -1)
+        g = g.add_vertex(q, [(2, q ** -1)])
+        return g.add_vertex(q, [(5, q ** -1)])
     if name == "E1_7":
         g = _path([1] * 7, [-1] * 6, q)
-        return _attach(g, 3, q, q ** -1)
+        return g.add_vertex(q, [(3, q ** -1)])
     if name == "E1_8":
         g = _path([1] * 8, [-1] * 7, q)
-        return _attach(g, 5, q, q ** -1)
+        return g.add_vertex(q, [(5, q ** -1)])
     if name == "F1_4":
         return _path([1, 1, 1, 2, 2], [-1, -1, -2, -2], q)
     if name == "G1_2":
@@ -279,7 +266,7 @@ def build_affine_gdd(family: AffineFamily, q: UnityRoot) -> GDD:
         return _path([4] + [2] * (N - 1) + [1], [-4] + [-2] * (N - 1), q)
     if name == "A2_2N-1":
         g = _path([2] * (N - 1) + [1], [-2] * (N - 1), q)
-        return _attach(g, 1, q ** 2, q ** -2)
+        return g.add_vertex(q ** 2, [(1, q ** -2)])
     if name == "D2_N+1":
         return _path([2] + [1] * (N - 1) + [2], [-2] + [-1] * (N - 2) + [-2], q)
     if name == "E2_6":
@@ -287,12 +274,6 @@ def build_affine_gdd(family: AffineFamily, q: UnityRoot) -> GDD:
     if name == "D3_4":
         return _path([3, 3, 1], [-3, -3], q)
     raise ValueError(f"unknown family {name}")
-
-
-def _attach(g: GDD, at: int, diag: UnityRoot, edge: UnityRoot) -> GDD:
-    edges = dict(g.edges)
-    edges[(at, g.rank)] = edge
-    return GDD(g.modulus, g.diag + (diag,), edges)
 
 
 def _reference_matrix(name: str, rank: int) -> Matrix | None:

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .core import GDD
-from .roots import UnityRoot, minus_one, one
+from .roots import UnityRoot, minus_one
 
 
 @dataclass(frozen=True)
@@ -44,25 +44,32 @@ def _labels(g: GDD, order: list[int]) -> tuple[list[UnityRoot], list[UnityRoot]]
     return diag, ties
 
 
-def is_simple_chain(g: GDD) -> bool:
-    """Check the simple-chain conditions; rank 1 always qualifies."""
+def chain_condition_failures(g: GDD) -> list[int]:
+    """Positions along the chain order where the simple-chain conditions
+    fail; rank 1 never fails."""
     order = g.chain_order()
     if order is None:
         raise ValueError("not a chain")
     n = len(order)
     if n == 1:
-        return True
+        return []
     d, t = _labels(g, order)
-    for end, adj in ((0, t[0]), (n - 1, t[-1])):
-        if not ((d[end] * adj).is_one or d[end].is_minus_one):
-            return False
+    bad = []
+    if not ((d[0] * t[0]).is_one or d[0].is_minus_one):
+        bad.append(0)
     for i in range(1, n - 1):
-        left, right = t[i - 1], t[i]
-        branch_minus_one = d[i].is_minus_one and (left * right).is_one
-        branch_inverse = (d[i] * left).is_one and (d[i] * right).is_one
+        branch_minus_one = d[i].is_minus_one and (t[i - 1] * t[i]).is_one
+        branch_inverse = (d[i] * t[i - 1]).is_one and (d[i] * t[i]).is_one
         if not (branch_minus_one or branch_inverse):
-            return False
-    return True
+            bad.append(i)
+    if not ((d[-1] * t[-1]).is_one or d[-1].is_minus_one):
+        bad.append(n - 1)
+    return bad
+
+
+def is_simple_chain(g: GDD) -> bool:
+    """Check the simple-chain conditions; rank 1 always qualifies."""
+    return not chain_condition_failures(g)
 
 
 def chain_profile(g: GDD) -> set[ChainProfile]:
@@ -103,14 +110,13 @@ def oriented_profile(g: GDD, order: list[int]) -> ChainProfile | None:
     return ChainProfile(q, frozenset(index), end=order[-1])
 
 
-def _end_options(q: UnityRoot, in_index: bool):
-    """(d_n, t_n) choices at the oriented end for the given membership of n."""
+def _end_options(q: UnityRoot, in_index: bool | None):
+    """(d_n, t_n) choices at the oriented end for the given membership of n;
+    None accepts both memberships."""
     opts = set()
-    if in_index:
+    if in_index is not False:
         opts.add((minus_one(q.modulus), q))
-        if q.is_minus_one:
-            opts.add((q, q ** -1))
-    elif not q.is_minus_one:
+    if in_index is None or in_index == q.is_minus_one:
         opts.add((q, q ** -1))
     return opts
 
@@ -148,6 +154,36 @@ def _assemble(modulus: int, d: list[UnityRoot], t: list[UnityRoot]) -> GDD:
     )
 
 
+def _build_chains(
+    n: int, q: UnityRoot, modulus: int, want: frozenset[int] | None
+) -> set[GDD]:
+    """Rank-n simple chains with fixed parameter q at vertex n-1 and index
+    set ``want`` (None: any index set)."""
+
+    def member(i: int) -> bool | None:
+        return None if want is None else i in want
+
+    if n == 1:
+        out = {GDD(modulus, (minus_one(modulus),))}
+        if not q.is_minus_one and not want:
+            out.add(GDD(modulus, (q,)))
+        return out
+    results: set[GDD] = set()
+
+    def extend(i: int, d_suffix: list[UnityRoot], t_suffix: list[UnityRoot]):
+        # d_suffix / t_suffix hold labels for positions i+1 .. n (1-indexed).
+        if i == 1:
+            for d1 in _start_options(q, t_suffix[0], member(1)):
+                results.add(_assemble(modulus, [d1] + d_suffix, t_suffix))
+            return
+        for d, t in _interior_options(q, t_suffix[0], member(i)):
+            extend(i - 1, [d] + d_suffix, [t] + t_suffix)
+
+    for d_n, t_n in _end_options(q, member(n)):
+        extend(n - 1, [d_n], [t_n])
+    return results
+
+
 def build_simple_chain(n: int, profile: ChainProfile, modulus: int) -> set[GDD]:
     """All rank-n simple chains whose profile (in the orientation ending at
     vertex n-1) is the given one.  Branches of the defining conditions can
@@ -161,26 +197,7 @@ def build_simple_chain(n: int, profile: ChainProfile, modulus: int) -> set[GDD]:
         raise ValueError("profile modulus mismatch")
     if q.is_one:
         raise ValueError("fixed parameter 1 is not allowed")
-    if n == 1:
-        out = {GDD(modulus, (minus_one(modulus),))}
-        if not q.is_minus_one and profile.index_set == frozenset():
-            out.add(GDD(modulus, (q,)))
-        return out
-    want = profile.index_set
-    results: set[GDD] = set()
-
-    def extend(i: int, d_suffix: list[UnityRoot], t_suffix: list[UnityRoot]):
-        # d_suffix / t_suffix hold labels for positions i+1 .. n (1-indexed).
-        if i == 1:
-            for d1 in _start_options(q, t_suffix[0], 1 in want):
-                results.add(_assemble(modulus, [d1] + d_suffix, t_suffix))
-            return
-        for d, t in _interior_options(q, t_suffix[0], i in want):
-            extend(i - 1, [d] + d_suffix, [t] + t_suffix)
-
-    for d_n, t_n in _end_options(q, n in want):
-        extend(n - 1, [d_n], [t_n])
-    return results
+    return _build_chains(n, q, modulus, profile.index_set)
 
 
 def chains_with_parameter(n: int, q: UnityRoot, modulus: int) -> set[GDD]:
@@ -188,21 +205,4 @@ def chains_with_parameter(n: int, q: UnityRoot, modulus: int) -> set[GDD]:
     parameter q, regardless of index set."""
     if q.is_one:
         return set()
-    if n == 1:
-        out = {GDD(modulus, (minus_one(modulus),))}
-        if not q.is_minus_one:
-            out.add(GDD(modulus, (q,)))
-        return out
-    results: set[GDD] = set()
-
-    def extend(i: int, d_suffix, t_suffix):
-        if i == 1:
-            for d1 in _start_options(q, t_suffix[0], None):
-                results.add(_assemble(modulus, [d1] + d_suffix, t_suffix))
-            return
-        for d, t in _interior_options(q, t_suffix[0], None):
-            extend(i - 1, [d] + d_suffix, [t] + t_suffix)
-
-    for d_n, t_n in _end_options(q, True) | _end_options(q, False):
-        extend(n - 1, [d_n], [t_n])
-    return results
+    return _build_chains(n, q, modulus, None)

@@ -17,9 +17,6 @@ from .chains import ChainProfile, is_simple_chain, oriented_profile
 from .core import GDD
 from .roots import UnityRoot, minus_one
 
-KINDS = ("T1", "T2", "T4", "T5", "T6", "T7")
-
-
 @dataclass(frozen=True)
 class TypeTag:
     """One way of reading a diagram as a classical type.
@@ -73,21 +70,6 @@ def _attached_profile(
     return profile, body_vertices[order[0]]
 
 
-def _body_tags(
-    g: GDD, kind: str, q: UnityRoot, body_vertices: list[int], attach: int, head: tuple[int, ...],
-    body_param: UnityRoot,
-) -> list[TypeTag]:
-    """Tags for a candidate head once the body must be a simple chain whose
-    oriented parameter at ``attach`` equals ``body_param``."""
-    got = _attached_profile(g, body_vertices, attach)
-    if got is None:
-        return []
-    profile, tail = got
-    if not profile.matches_parameter(body_param):
-        return []
-    return [TypeTag(kind, q, profile, head, tail)]
-
-
 def classical_type(g: GDD) -> set[TypeTag]:
     """All readings of g as one of the classical types; empty when g is not
     classical."""
@@ -95,93 +77,45 @@ def classical_type(g: GDD) -> set[TypeTag]:
         raise ValueError("classical recognition needs a connected diagram")
     tags: set[TypeTag] = set()
     n = g.rank
-    m = g.modulus
     order = g.chain_order()
 
-    if order is not None:
-        # Type 7: the whole diagram is a simple chain C_{n, q^{-1}, I}.
-        if is_simple_chain(g):
-            for o in ([order, order[::-1]] if n > 1 else [order]):
-                profile = oriented_profile(g, o)
-                if profile is None:
-                    continue
-                if profile.wildcard:
-                    q = minus_one(m)  # rank-1 vertex -1; parameter is free
-                    tags.add(TypeTag("T7", q, profile, (), o[0]))
-                else:
-                    tags.add(TypeTag("T7", profile.q ** -1, profile, (), o[0]))
-
-        # Types 1, 2, 4: one head vertex at an end of the chain.
-        if n >= 2:
-            for o in (order, order[::-1]):
-                e, b = o[-1], o[-2]
-                body_vertices = o[:-1]
-                d_e = g.diag[e]
-                t_eb = g.edge_label(e, b)
-                # Type 1: end p^2, edge p^-2, body parameter p.  The body
-                # pins p down (its square must be the end label), so no
-                # square root is ever taken; a rank-1 body labelled -1
-                # accepts any parameter, hence any end label != 1.
-                if (d_e * t_eb).is_one and not d_e.is_one:
-                    got = _attached_profile(g, body_vertices, b)
-                    if got is not None:
-                        profile, tail = got
-                        if profile.wildcard:
-                            p = _some_square_root(d_e)
-                            tags.add(TypeTag("T1", p, profile, (e,), tail))
-                        elif profile.q ** 2 == d_e:
-                            tags.add(TypeTag("T1", profile.q, profile, (e,), tail))
-                # Type 2 (== Type 3 with -q^{-1} for q): end p, edge p^-2,
-                # body parameter p^2.
-                p = d_e
-                if not p.is_one and not p.is_minus_one and t_eb == p ** -2:
-                    tags.update(
-                        _body_tags(g, "T2", p, body_vertices, b, (e,), p ** 2)
-                    )
-                # Type 4: end p with ord(p) = 3, edge -p, body parameter -p^-1.
-                if p.order() == 3 and t_eb == p * minus_one(m):
-                    tags.update(
-                        _body_tags(
-                            g, "T4", p, body_vertices, b, (e,), p ** -1 * minus_one(m)
-                        )
-                    )
-    if n >= 3:
-        # Types 5 and 6: two head vertices on a common body end (with a
-        # rank-1 body this shape is itself a path, so chains qualify too).
-        for h1, h2 in combinations(range(n), 2):
-            link = g.edge_label(h1, h2)
-            nb1 = [u for u in g.neighbors(h1) if u != h2]
-            nb2 = [u for u in g.neighbors(h2) if u != h1]
-            if len(nb1) != 1 or nb1 != nb2:
+    # Type 7: the whole diagram is a simple chain C_{n, q^{-1}, I}.
+    if order is not None and is_simple_chain(g):
+        for o in ([order, order[::-1]] if n > 1 else [order]):
+            profile = oriented_profile(g, o)
+            if profile is None:
                 continue
-            c = nb1[0]
-            t1, t2 = g.edge_label(h1, c), g.edge_label(h2, c)
-            if t1 != t2:
-                continue
-            body_vertices = [v for v in range(n) if v not in (h1, h2)]
-            p = t1 ** -1
-            if link is None:
-                # Type 5: both ends labelled p, no edge between them.
-                if g.diag[h1] == p and g.diag[h2] == p and not p.is_one:
-                    tags.update(
-                        _body_tags(g, "T5", p, body_vertices, c, (h1, h2), p)
-                    )
+            if profile.wildcard:
+                q = minus_one(g.modulus)  # rank-1 vertex -1; parameter is free
+                tags.add(TypeTag("T7", q, profile, (), o[0]))
             else:
-                # Type 6: both ends -1, linking edge p^2.
-                if (
-                    g.diag[h1].is_minus_one
-                    and g.diag[h2].is_minus_one
-                    and link == p ** 2
-                    and not (p ** 2).is_one
-                ):
-                    tags.update(
-                        _body_tags(g, "T6", p, body_vertices, c, (h1, h2), p)
-                    )
+                tags.add(TypeTag("T7", profile.q ** -1, profile, (), o[0]))
+
+    # Types 1-6: a head on one end of a simple-chain body.
+    for head in head_patterns(g):
+        if len(head.vertices) == 1 and order is None:
+            continue  # one end vertex on a chain body makes g a chain
+        body_vertices = [v for v in range(n) if v not in head.vertices]
+        got = _attached_profile(g, body_vertices, head.attach)
+        if got is None:
+            continue
+        profile, tail = got
+        if not head.matches_body(profile):
+            continue
+        if head.kind == "T1":
+            # The body pins p down (its square is the end label), so no
+            # square root is taken unless a rank-1 body labelled -1 leaves
+            # p free.
+            if profile.wildcard:
+                q = _some_square_root(head.body_param_square)
+            else:
+                q = profile.q
+        elif head.kind in ("T2", "T4"):
+            q = g.diag[head.vertices[0]]
+        else:
+            q = head.body_param
+        tags.add(TypeTag(head.kind, q, profile, head.vertices, tail))
     return tags
-
-
-def is_classical(g: GDD) -> bool:
-    return bool(classical_type(g))
 
 
 def classical_tails(g: GDD) -> set[int]:
@@ -293,21 +227,28 @@ def head_patterns(g: GDD) -> list[HeadPattern]:
     """All head readings available on end vertices of g."""
     out = []
     m = g.modulus
+    nbs = [g.neighbors(v) for v in range(g.rank)]
     for e in range(g.rank):
-        if g.degree(e) != 1:
+        if len(nbs[e]) != 1:
             continue
-        (b,) = g.neighbors(e)
+        (b,) = nbs[e]
         d_e, t_eb = g.diag[e], g.edge_label(e, b)
+        # Type 1: end p^2, edge p^-2, body parameter p.
         if (d_e * t_eb).is_one and not d_e.is_one:
             out.append(HeadPattern("T1", (e,), b, body_param_square=d_e))
+        # Type 2 (== Type 3 with -p^{-1} for p): end p, edge p^-2, body
+        # parameter p^2.
         if not d_e.is_one and not d_e.is_minus_one and t_eb == d_e ** -2:
             out.append(HeadPattern("T2", (e,), b, body_param=d_e ** 2))
+        # Type 4: end p with ord(p) = 3, edge -p, body parameter -p^-1.
         if d_e.order() == 3 and t_eb == d_e * minus_one(m):
             out.append(HeadPattern("T4", (e,), b, body_param=d_e ** -1 * minus_one(m)))
+    # Types 5 (ends p, no link) and 6 (ends -1, link p^2): two head vertices
+    # on a common body end, edges p^-1.
     for h1, h2 in combinations(range(g.rank), 2):
         link = g.edge_label(h1, h2)
-        nb1 = [u for u in g.neighbors(h1) if u != h2]
-        nb2 = [u for u in g.neighbors(h2) if u != h1]
+        nb1 = [u for u in nbs[h1] if u != h2]
+        nb2 = [u for u in nbs[h2] if u != h1]
         if len(nb1) != 1 or nb1 != nb2:
             continue
         c = nb1[0]
@@ -437,9 +378,6 @@ def is_bi_semi_classical(g: GDD, all_deletions_arithmetic) -> bool:
     return False
 
 
-SHAPE_TAGS = ("BiClassical", "SimpleCycle", "Continual", "ClassicalPlusSemiClassical", "Other")
-
-
 def is_continual_extension(g: GDD) -> bool:
     """g is a one-vertex end form (q-end or -1-end) added on the tail of a
     quasi-classical trunk, continuing the chain there."""
@@ -464,7 +402,7 @@ def is_continual_extension(g: GDD) -> bool:
     return False
 
 
-def shape_tag(g: GDD, continual=None, all_deletions_arithmetic=None) -> str:
+def shape_tag(g: GDD, continual=None) -> str:
     """First matching tag in the listed priority order (the caller vouches
     that g is quasi-affine)."""
     if is_bi_classical(g):

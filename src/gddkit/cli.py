@@ -16,10 +16,10 @@ from pathlib import Path
 
 from . import cartan, classify
 from .chains import chain_profile, is_simple_chain
-from .core import GDD, ParseError, parse_blocks
+from .core import GDD, ParseError, normalized_key, parse_blocks
 from .oracle import Oracle, OracleGap
 from .roots import Parameter
-from .search import enumerate_quasi_affine, verify_against
+from .search import diff_keys, enumerate_quasi_affine, verify_against
 from .tables import DatabaseError, load, validate_report
 
 DEFAULT_DB = Path(__file__).parent / "data" / "exceptional_rows.gdd"
@@ -49,6 +49,7 @@ def cmd_check(args) -> int:
     oracle = None
     if args.db:
         oracle = Oracle(load(args.db))
+    status = 0
     for i, (g, meta, _) in enumerate(blocks, start=1):
         name = meta.get("item") or meta.get("row") or str(i)
         print(f"diagram {name}: rank {g.rank}, modulus {g.modulus}")
@@ -106,8 +107,8 @@ def cmd_check(args) -> int:
                         print(f"  shape: {oracle.shape_tag(g)}")
             except OracleGap as exc:
                 print(f"  arithmetic: undecided ({exc})")
-                return 3
-    return 0
+                status = 3
+    return status
 
 
 def cmd_enumerate(args) -> int:
@@ -117,13 +118,7 @@ def cmd_enumerate(args) -> int:
     parameter = Parameter(args.order_of_q)
     db = load(args.db)
     try:
-        report = enumerate_quasi_affine(
-            args.rank,
-            parameter,
-            db,
-            cap=args.cap,
-            use_filters=not args.no_filters,
-        )
+        report = enumerate_quasi_affine(args.rank, parameter, db, cap=args.cap)
     except OracleGap as exc:
         print(f"oracle gap: {exc}", file=sys.stderr)
         return 3
@@ -152,19 +147,12 @@ def cmd_verify(args) -> int:
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 1
-    from .core import normalized_key
-
-    got_keys = {normalized_key(g) for g, _, _ in got}
-    missing = []
-    for g, meta, lineno in want:
-        if normalized_key(g) not in got_keys:
-            missing.append(meta.get("item") or meta.get("row") or f"line {lineno}")
-    matched = len(want) - len(missing)
-    extra = len(got_keys) - len({normalized_key(g) for g, _, _ in want} & got_keys)
-    print(f"matched={matched} missing={len(missing)} extra={extra}")
-    for name in missing:
+    comparison = diff_keys({normalized_key(g) for g, _, _ in got}, want)
+    print(f"matched={len(comparison.matched)} missing={len(comparison.missing)} "
+          f"extra={len(comparison.extra)}")
+    for _, name in comparison.missing:
         print(f"missing: {name}")
-    return 0 if not missing else 2
+    return 0 if comparison.ok else 2
 
 
 def cmd_db_validate(args) -> int:
@@ -225,8 +213,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.add_argument("--expected", help="diagram file to diff the found set against")
     p.add_argument("--cap", type=int, default=100_000_000)
-    p.add_argument("--no-filters", action="store_true",
-                   help="disable the negative-pattern pruning filters")
+    # The filters are off by default and the command line cannot turn them
+    # on; the old opt-out stays accepted so existing scripts keep working.
+    p.add_argument("--no-filters", action="store_true", help=argparse.SUPPRESS)
     p.set_defaults(fn=cmd_enumerate)
 
     p = sub.add_parser("verify", help="diff a report against an expected list")

@@ -132,42 +132,24 @@ class GDD:
             {e: lab ** t for e, lab in self.edges.items()},
         )
 
+    def add_vertex(self, diag: UnityRoot, pairs) -> "GDD":
+        """The diagram with one new vertex (index rank) labelled diag, joined
+        to each vertex v of the (v, label) pairs by an edge with that label."""
+        edges = dict(self.edges)
+        for v, lab in pairs:
+            edges[(v, self.rank)] = lab
+        return GDD(self.modulus, self.diag + (diag,), edges)
+
     def components(self) -> list["GDD"]:
         """Maximal connected induced sub-diagrams, in vertex order."""
-        seen = [False] * self.rank
-        out = []
-        for s in range(self.rank):
-            if seen[s]:
-                continue
-            comp, stack = [], [s]
-            seen[s] = True
-            while stack:
-                v = stack.pop()
-                comp.append(v)
-                for u in self.neighbors(v):
-                    if not seen[u]:
-                        seen[u] = True
-                        stack.append(u)
-            out.append(self.induced(sorted(comp)))
-        return out
+        return [self.induced(c) for c in self.component_vertex_sets()]
 
     def component_vertex_sets(self) -> list[list[int]]:
-        seen = [False] * self.rank
-        out = []
-        for s in range(self.rank):
-            if seen[s]:
-                continue
-            comp, stack = [], [s]
-            seen[s] = True
-            while stack:
-                v = stack.pop()
-                comp.append(v)
-                for u in self.neighbors(v):
-                    if not seen[u]:
-                        seen[u] = True
-                        stack.append(u)
-            out.append(sorted(comp))
-        return out
+        adj: list[list[int]] = [[] for _ in range(self.rank)]
+        for u, v in self.edges:
+            adj[u].append(v)
+            adj[v].append(u)
+        return components_of(adj)
 
     # -- shape predicates ----------------------------------------------------
 
@@ -247,27 +229,17 @@ class GDD:
             tuple(adj),
         )
 
-    def _canonical(self) -> tuple[tuple, list[int]]:
+    def _canonical(self) -> tuple:
         cells = self._refined_cells()
         if all(len(c) == 1 for c in cells):
-            order = [c[0] for c in cells]
-            return self._encode(order), order
-        best_enc, best_order = None, None
-        for order in _cell_orders(cells):
-            enc = self._encode(order)
-            if best_enc is None or enc < best_enc:
-                best_enc, best_order = enc, order
-        return best_enc, best_order
-
-    def canonical_order(self) -> list[int]:
-        """A vertex order realizing the canonical key."""
-        return self._canonical()[1]
+            return self._encode([c[0] for c in cells])
+        return min(self._encode(order) for order in _cell_orders(cells))
 
     def canonical_key(self) -> bytes:
         """Byte string equal exactly for diagrams that differ by a vertex
         relabelling.  Refinement first, then exhaustive permutation of the
         refined cells, taking the lexicographically least encoding."""
-        (diag_enc, adj_enc), _ = self._canonical()
+        diag_enc, adj_enc = self._canonical()
         payload = (self.rank, self.modulus) + diag_enc + adj_enc
         return b"k" + b",".join(str(x).encode() for x in payload)
 
@@ -293,6 +265,27 @@ class GDD:
             )
         lines.append("}")
         return "\n".join(lines)
+
+
+def components_of(adj: list[list[int]]) -> list[list[int]]:
+    """Vertex sets of the connected components of a graph given by
+    adjacency lists, each sorted, in order of least vertex."""
+    seen = [False] * len(adj)
+    out = []
+    for s in range(len(adj)):
+        if seen[s]:
+            continue
+        comp, stack = [], [s]
+        seen[s] = True
+        while stack:
+            v = stack.pop()
+            comp.append(v)
+            for u in adj[v]:
+                if not seen[u]:
+                    seen[u] = True
+                    stack.append(u)
+        out.append(sorted(comp))
+    return out
 
 
 def _cell_orders(cells: list[list[int]]):
@@ -352,13 +345,16 @@ def with_modulus(g: GDD, modulus: int) -> GDD:
     )
 
 
+def at_minimal_modulus(g: GDD) -> GDD:
+    """g re-expressed inside mu_M for its minimal even modulus M."""
+    m = minimal_modulus(g)
+    return g if m == g.modulus else with_modulus(g, m)
+
+
 def normalized_key(g: GDD) -> bytes:
     """Canonical key at the minimal even modulus, so the same abstract
     diagram stored over different ambient groups compares equal."""
-    m = minimal_modulus(g)
-    if m == g.modulus:
-        return g.canonical_key()
-    return with_modulus(g, m).canonical_key()
+    return at_minimal_modulus(g).canonical_key()
 
 
 # -- text format -------------------------------------------------------------
@@ -428,7 +424,10 @@ def _parse_one(lines: list[tuple[int, str]]) -> GDD:
         toks = line.split()
         if toks[0] != "edge" or len(toks) != 4:
             raise ParseError(f"expected 'edge i j e', got {line!r}", lineno3)
-        u, v, e = (int(t) for t in toks[1:])
+        try:
+            u, v, e = (int(t) for t in toks[1:])
+        except ValueError:
+            raise ParseError(f"non-integer edge field in {line!r}", lineno3) from None
         if not (1 <= u < v <= n):
             raise ParseError(f"edge endpoints {u} {v} out of order/range", lineno3)
         if e % modulus == 0:

@@ -19,7 +19,8 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from . import cartan, classify
-from .core import GDD, minimal_modulus, normalized_key
+from .chains import chain_condition_failures
+from .core import GDD, at_minimal_modulus, normalized_key
 from .roots import minus_one
 from .tables import ArithmeticDatabase, classical_keys
 
@@ -43,12 +44,11 @@ class OracleVerdict:
 
 class Oracle:
     """Arithmetic decisions backed by generated classical families, the
-    exceptional-row database, and the Cartan-type shortcut.  Read-only and
-    memoized; safe for concurrent queries."""
+    exceptional-row database, and the Cartan-type shortcut.  Memoized by
+    diagram and by canonical key, in plain dicts with no locking."""
 
-    def __init__(self, db: ArithmeticDatabase | None = None, max_modulus: int = 64):
+    def __init__(self, db: ArithmeticDatabase | None = None):
         self.db = db if db is not None else ArithmeticDatabase()
-        self.max_modulus = max_modulus
         self._classical: dict[tuple[int, int], set[bytes]] = {}
         self._memo: dict[bytes, OracleVerdict] = {}
         self._exact: dict[GDD, OracleVerdict] = {}
@@ -60,13 +60,6 @@ class Oracle:
         if key not in self._classical:
             self._classical[key] = classical_keys(rank, modulus)
         return self._classical[key]
-
-    def arithmetic_key_set(self, rank: int, modulus: int) -> set[bytes]:
-        """Classical plus stored exceptional keys at the given rank, for every
-        modulus dividing the given one (keys are modulus-normalized)."""
-        keys = set(self.classical_key_set(rank, modulus))
-        keys |= self.db.keys_at_rank(rank)
-        return keys
 
     # -- the oracle ----------------------------------------------------------
 
@@ -96,16 +89,18 @@ class Oracle:
             return OracleVerdict(not g.diag[0].is_one, ("rank-1",))
         if g.has_degenerate_diag():
             return OracleVerdict(False, ("degenerate-diag",))
-        key = normalized_key(g)
+        # The one canonicalization of this query: the key at the minimal
+        # modulus indexes the memo, the classical key sets and the database.
+        normal = at_minimal_modulus(g)
+        key = normal.canonical_key()
         hit = self._memo.get(key)
         if hit is not None:
             return hit
-        modulus = minimal_modulus(g)
         positive = None
-        if key in self.classical_key_set(g.rank, modulus):
+        if key in self.classical_key_set(g.rank, normal.modulus):
             positive = OracleVerdict(True, ("classical",))
         else:
-            meta = self.db.contains(g)
+            meta = self.db.lookup(g.rank, key)
             if meta is not None:
                 positive = OracleVerdict(True, ("table", meta.row, meta.gdd_index))
         shortcut = cartan.arithmetic_via_cartan(g)
@@ -130,20 +125,6 @@ class Oracle:
 
     # -- quasi-affine ---------------------------------------------------------
 
-    def connected_deletions_arithmetic(self, g: GDD) -> bool:
-        for v in range(g.rank):
-            sub = g.delete_vertex(v)
-            if sub.is_connected() and not self._connected(sub).arithmetic:
-                return False
-        return True
-
-    def all_deletions_arithmetic(self, g: GDD) -> bool:
-        """Strict reading: every single-vertex deletion, componentwise."""
-        for v in range(g.rank):
-            if not self.is_arithmetic(g.delete_vertex(v)).arithmetic:
-                return False
-        return True
-
     def is_quasi_affine(self, g: GDD) -> bool:
         """Connected, not arithmetic, every vertex deletion arithmetic.
 
@@ -156,7 +137,11 @@ class Oracle:
             return False
         if self._connected(g).arithmetic:
             return False
-        return self.connected_deletions_arithmetic(g)
+        for v in range(g.rank):
+            sub = g.delete_vertex(v)
+            if sub.is_connected() and not self._connected(sub).arithmetic:
+                return False
+        return True
 
     # -- continual extensions ---------------------------------------------------
 
@@ -167,9 +152,7 @@ class Oracle:
         out = []
         for t_out in classify.continuation_patterns(g, v):
             diag = t_out ** -1 if head == "T5" else minus_one(g.modulus)
-            edges = dict(g.edges)
-            edges[(v, g.rank)] = t_out
-            out.append(GDD(g.modulus, g.diag + (diag,), edges))
+            out.append(g.add_vertex(diag, [(v, t_out)]))
         return out
 
     def is_continual_on_tail(self, g: GDD, v: int, head: str) -> bool:
@@ -179,46 +162,11 @@ class Oracle:
             return False
         return any(self._connected(e).arithmetic for e in exts)
 
-    # -- wiring for the glued-shape recognizers --------------------------------
-
-    def continual_callable(self):
-        def cont(trunk: GDD, tau: int, kind: str) -> bool:
-            return self.is_continual_on_tail(trunk, tau, kind)
-
-        return cont
-
     def shape_tag(self, g: GDD) -> str:
-        return classify.shape_tag(
-            g,
-            continual=self.continual_callable(),
-            all_deletions_arithmetic=self.connected_deletions_arithmetic,
-        )
+        return classify.shape_tag(g, continual=self.is_continual_on_tail)
 
 
 # -- negative filters ----------------------------------------------------------
-
-
-def chain_condition_failures(g: GDD) -> list[int]:
-    """Positions along a chain where the simple-chain conditions fail."""
-    order = g.chain_order()
-    if order is None:
-        raise ValueError("not a chain")
-    n = len(order)
-    if n == 1:
-        return []
-    d = [g.diag[v] for v in order]
-    t = [g.edges[tuple(sorted((order[i], order[i + 1])))] for i in range(n - 1)]
-    bad = []
-    if not ((d[0] * t[0]).is_one or d[0].is_minus_one):
-        bad.append(0)
-    for i in range(1, n - 1):
-        branch_minus_one = d[i].is_minus_one and (t[i - 1] * t[i]).is_one
-        branch_inverse = (d[i] * t[i - 1]).is_one and (d[i] * t[i]).is_one
-        if not (branch_minus_one or branch_inverse):
-            bad.append(i)
-    if not ((d[-1] * t[-1]).is_one or d[-1].is_minus_one):
-        bad.append(n - 1)
-    return bad
 
 
 def _pattern_shapes(g: GDD):
@@ -242,8 +190,8 @@ def _pattern_shapes(g: GDD):
 def forbidden_branch_pattern(g: GDD, exception_keys: set[bytes]) -> tuple | None:
     """The branched forbidden pattern: vertices a-b-c with both d and e on c,
     d-e possibly joined, diag d = diag e, no other adjacency among the five.
-    Applies at rank > 4; classical diagrams and the listed exceptional rows
-    are exempt."""
+    Applies at rank > 4; classical diagrams, the listed exceptional rows and
+    finite-Cartan diagrams are exempt."""
     if g.rank <= 4:
         return None
     for (a, b, c, d, e) in _pattern_shapes(g):
@@ -260,7 +208,11 @@ def forbidden_branch_pattern(g: GDD, exception_keys: set[bytes]) -> tuple | None
             continue
         for x, y in ((d, e), (e, d)):
             if g.diag[x] == g.diag[y]:
-                if normalized_key(g) in exception_keys or classify.classical_type(g):
+                if (
+                    normalized_key(g) in exception_keys
+                    or classify.classical_type(g)
+                    or cartan.arithmetic_via_cartan(g)
+                ):
                     return None
                 return ("branch-pattern", (a, b, c, x, y))
     return None

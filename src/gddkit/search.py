@@ -12,6 +12,11 @@ a viable candidate must be an arithmetic extension of A - v, so attachment
 patterns are pre-screened on A - v and only then combined with an optional
 edge back to v.  Every candidate still gets the full deletion check; the
 staging only prunes attachments that could never survive it.
+
+The negative filters of ``oracle`` (``use_filters=True``) are an opt-in API
+diagnostic, off by default and unreachable from the command line.  The
+oracle is complete at rank >= 5, so they cannot add a found diagram; they
+only cost time, and a filter that misfires drops one.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ import time
 from dataclasses import dataclass, field
 from itertools import combinations
 
-from .core import GDD, normalized_key, parse_blocks
+from .core import GDD, minimal_modulus, normalized_key, parse_blocks, with_modulus
 from .oracle import (
     Oracle,
     forbidden_by_chain_failures,
@@ -86,17 +91,8 @@ def extensions(base: GDD, modulus: int):
     """All diagrams adding one vertex to base: every label != 1 on the new
     vertex, every nonempty attachment set, every labelling of the new edges.
     Deterministic order."""
-    n = base.rank
-    labels = [UnityRoot(e, modulus) for e in range(1, modulus)]
-    for diag_e in range(1, modulus):
-        diag = UnityRoot(diag_e, modulus)
-        for k in range(1, n + 1):
-            for subset in combinations(range(n), k):
-                for assignment in _label_tuples(labels, k):
-                    edges = dict(base.edges)
-                    for v, lab in zip(subset, assignment):
-                        edges[(v, n)] = lab
-                    yield GDD(modulus, base.diag + (diag,), edges)
+    for diag, pairs in _attachment_patterns(base.rank, modulus):
+        yield base.add_vertex(diag, pairs)
 
 
 def _label_tuples(labels, k):
@@ -118,13 +114,6 @@ def _attachment_patterns(rank: int, modulus: int):
                     yield diag, tuple(zip(subset, assignment))
 
 
-def _attach(base: GDD, diag: UnityRoot, pairs) -> GDD:
-    edges = dict(base.edges)
-    for v, lab in pairs:
-        edges[(v, base.rank)] = lab
-    return GDD(base.modulus, base.diag + (diag,), edges)
-
-
 def collect_bases(rank: int, modulus: int, db: ArithmeticDatabase) -> list[GDD]:
     """Connected arithmetic diagrams of the given rank over mu_modulus:
     generated classical families plus stored exceptional rows, one
@@ -132,8 +121,6 @@ def collect_bases(rank: int, modulus: int, db: ArithmeticDatabase) -> list[GDD]:
     seen: dict[bytes, GDD] = {}
     for g in generate_classical(rank, modulus):
         seen.setdefault(normalized_key(g), g)
-    from .core import minimal_modulus, with_modulus
-
     for g, _meta in db.entries(rank):
         if modulus % minimal_modulus(g) == 0:
             lifted = with_modulus(g, modulus)
@@ -146,14 +133,16 @@ def enumerate_quasi_affine(
     parameter: Parameter,
     db: ArithmeticDatabase,
     cap: int = 100_000_000,
-    use_filters: bool = True,
+    use_filters: bool = False,
     collect_shapes: bool = True,
     bases: list[GDD] | None = None,
 ) -> EnumerationReport:
     """Exhaustive, deduplicated search at the given rank and parameter.
 
     ``bases`` restricts the search to extensions of the given diagrams
-    (default: every connected arithmetic diagram of rank - 1)."""
+    (default: every connected arithmetic diagram of rank - 1).
+    ``use_filters`` screens deletions with the negative filters first; see
+    the module docstring."""
     if rank < 6:
         raise ValueError("enumeration is defined for rank >= 6")
     modulus = parameter.modulus
@@ -161,9 +150,8 @@ def enumerate_quasi_affine(
     report = EnumerationReport(rank, parameter.order_of_q, modulus)
     start = time.monotonic()
 
-    exception_keys = {
-        normalized_key(g) for g, _ in db.entries()
-    }
+    if use_filters:
+        exception_keys = {normalized_key(g) for g, _ in db.entries()}
 
     # Shape bounds over the known arithmetic diagrams at rank n-1: an
     # attachment that overshoots the maximal edge count or vertex degree can
@@ -211,7 +199,7 @@ def enumerate_quasi_affine(
                     continue
                 if any(trimmed_deg[u] + 1 > max_degree for u, _ in pairs):
                     continue
-                ext = _attach(trimmed, diag, pairs)
+                ext = trimmed.add_vertex(diag, pairs)
                 if deletion_ok(ext):
                     viable.append((diag, pairs))
             back = [None] + [UnityRoot(e, modulus) for e in range(1, modulus)]
@@ -225,7 +213,7 @@ def enumerate_quasi_affine(
                     if report.candidates_examined > cap:
                         raise RuntimeError(f"candidate cap {cap} exceeded")
                     full_pairs = base_pairs + ([(v, v_edge)] if v_edge else [])
-                    g = _attach(base, diag, full_pairs)
+                    g = base.add_vertex(diag, full_pairs)
                     ok = True
                     for u in range(g.rank):
                         sub = g.delete_vertex(u)
@@ -248,16 +236,24 @@ def enumerate_quasi_affine(
     return report
 
 
-def verify_against(report: EnumerationReport, expected_text: str) -> Comparison:
-    """Canonical-key diff of the found set against expected diagram blocks."""
-    expected: dict[bytes, tuple[GDD, str]] = {}
-    for g, meta, lineno in parse_blocks(expected_text):
-        name = meta.get("item", meta.get("row", f"line{lineno}"))
-        expected[normalized_key(g)] = (g, str(name))
-    found_keys = set(report.found)
+def diff_keys(found_keys, expected_blocks) -> Comparison:
+    """Canonical-key diff of a found key set against parsed expected blocks.
+    An expected diagram counts once, under the name of its first block;
+    ``missing`` keeps the order of the blocks."""
+    expected: dict[bytes, str] = {}
+    for g, meta, lineno in expected_blocks:
+        name = meta.get("item") or meta.get("row") or f"line {lineno}"
+        expected.setdefault(normalized_key(g), name)
     matched = sorted(k for k in expected if k in found_keys)
-    missing = [(k, name) for k, (g, name) in sorted(expected.items()) if k not in found_keys]
-    extra = sorted(found_keys - set(expected))
-    comparison = Comparison(matched, missing, extra)
+    missing = [(k, name) for k, name in expected.items() if k not in found_keys]
+    extra = sorted(set(found_keys) - expected.keys())
+    return Comparison(matched, missing, extra)
+
+
+def verify_against(report: EnumerationReport, expected_text: str) -> Comparison:
+    """Diff the found set against expected diagram blocks, missing ones in
+    key order, and attach the result to the report."""
+    comparison = diff_keys(report.found.keys(), parse_blocks(expected_text))
+    comparison.missing.sort()
     report.comparison = comparison
     return comparison

@@ -16,7 +16,6 @@ from math import gcd
 from pathlib import Path
 
 from .chains import chains_with_parameter
-from .classify import classical_type
 from .core import GDD, normalized_key, parse_blocks
 from .roots import UnityRoot, minus_one
 
@@ -47,7 +46,11 @@ class ArithmeticDatabase:
         return True
 
     def contains(self, g: GDD) -> EntryMeta | None:
-        return self.by_rank.get(g.rank, {}).get(normalized_key(g))
+        return self.lookup(g.rank, normalized_key(g))
+
+    def lookup(self, rank: int, key: bytes) -> EntryMeta | None:
+        """The entry stored under a normalized key of the given rank."""
+        return self.by_rank.get(rank, {}).get(key)
 
     def entries(self, rank: int | None = None):
         ranks = [rank] if rank is not None else sorted(self.by_rank)
@@ -138,11 +141,6 @@ def validate_report(path: str | Path) -> list[str]:
 # -- classical generation -----------------------------------------------------
 
 
-def _glued(head_builder, bodies):
-    for body in bodies:
-        yield head_builder(body)
-
-
 def generate_classical(rank: int, modulus: int, max_modulus: int = 64) -> set[GDD]:
     """Every classical-type diagram of the given rank over mu_modulus,
     deduplicated structurally (not up to relabelling; use canonical keys for
@@ -155,20 +153,15 @@ def generate_classical(rank: int, modulus: int, max_modulus: int = 64) -> set[GD
     half = minus_one(modulus)
     params = [UnityRoot(e, modulus) for e in range(1, modulus)]
 
+    # Bodies built by chains_with_parameter end at vertex rank-1.
     def attach_end(body: GDD, diag: UnityRoot, edge: UnityRoot) -> GDD:
-        # body built by chains_with_parameter ends at vertex rank-1.
-        edges = dict(body.edges)
-        edges[(body.rank - 1, body.rank)] = edge
-        return GDD(modulus, body.diag + (diag,), edges)
+        return body.add_vertex(diag, [(body.rank - 1, edge)])
 
     def attach_fork(body: GDD, diag: UnityRoot, edge: UnityRoot, link: UnityRoot | None) -> GDD:
         c = body.rank - 1
-        edges = dict(body.edges)
-        edges[(c, body.rank)] = edge
-        edges[(c, body.rank + 1)] = edge
-        if link is not None:
-            edges[(body.rank, body.rank + 1)] = link
-        return GDD(modulus, body.diag + (diag, diag), edges)
+        first = body.add_vertex(diag, [(c, edge)])
+        pairs = [(c, edge)] if link is None else [(c, edge), (c + 1, link)]
+        return first.add_vertex(diag, pairs)
 
     for p in params:
         # Type 7: the whole diagram is a simple chain with parameter p.
@@ -199,12 +192,3 @@ def generate_classical(rank: int, modulus: int, max_modulus: int = 64) -> set[GD
 
 def classical_keys(rank: int, modulus: int) -> set[bytes]:
     return {normalized_key(g) for g in generate_classical(rank, modulus)}
-
-
-def sanity_check_generated(rank: int, modulus: int, sample: int = 50) -> None:
-    """Every generated diagram must be recognized back by the classifier."""
-    gen = sorted(generate_classical(rank, modulus), key=lambda g: g.to_text())
-    step = max(1, len(gen) // sample)
-    for g in gen[::step]:
-        if not classical_type(g):
-            raise AssertionError(f"generated but not recognized:\n{g.to_text()}")

@@ -10,11 +10,6 @@ from pathlib import Path
 
 import pytest
 
-from brute import (
-    bf_canon_gdd_raw,
-    brute_classical_keys,
-    independent_quasi_affine_extensions,
-)
 from gddkit.cartan import (
     AffineFamily,
     affine_family_of,
@@ -159,19 +154,9 @@ def test_criterion_4_cartan_shortcut_consistency(oracle):
           f"classical instances and {fixture_checked} fixtures")
 
 
-def test_criterion_5_independent_oracle_equality(db):
+def test_criterion_5_independent_oracle_equality(restricted_vs_independent):
     """Restricted enumeration over one base equals the from-scratch loop."""
-    from test_search import parse_db_rows_independently, row11_gdd1
-
-    base = row11_gdd1()
-    report = enumerate_quasi_affine(6, Parameter(3), db, bases=[base],
-                                    collect_shapes=False)
-    lib_keys = {bf_canon_gdd_raw(g) for g in report.found.values()}
-    arith5 = brute_classical_keys(5, 6) | parse_db_rows_independently(5, 6)
-    arith6 = parse_db_rows_independently(6, 6)
-    indep = independent_quasi_affine_extensions(
-        (2, 2, 3, 2, 2), {(i, i + 1): 4 for i in range(4)}, 6, arith5, arith6
-    )
+    lib_keys, indep = restricted_vs_independent
     assert lib_keys == indep
     print(f"\nACCEPTANCE 5: PASS - restricted search = independent script "
           f"({len(lib_keys)} diagrams)")

@@ -86,6 +86,27 @@ def test_check_parse_error_exit_1(tmp_path, capsys):
     assert main(["check", str(p)]) == 1
 
 
+@pytest.mark.parametrize("command", ["check", "db-validate"])
+def test_non_integer_edge_field_exit_1(tmp_path, capsys, command):
+    p = tmp_path / "bad.gdd"
+    p.write_text("# row=1 gdd=1 N=3\ngdd M=6 n=4\ndiag 2 2 2 2\nedge 1 x 4\n")
+    argv = ["check", str(p)] if command == "check" else ["db-validate", "--db", str(p)]
+    assert main(argv) == 1
+    assert "line 4" in capsys.readouterr().err
+
+
+def test_check_reports_every_diagram_after_a_gap(tmp_path, capsys):
+    # rank 3 lies below the database's coverage, so the first diagram is
+    # undecided; the chain after it must still be reported
+    gap = "gdd M=6 n=3\ndiag 1 1 2\nedge 1 2 1\nedge 2 3 1\n"
+    p = tmp_path / "two.gdd"
+    p.write_text(gap + "\n" + CHAIN_T7)
+    assert main(["check", str(p), "--db", DATA]) == 3
+    out = capsys.readouterr().out
+    assert "diagram 1:" in out and "arithmetic: undecided" in out
+    assert "diagram 2: rank 5" in out and "arithmetic: yes" in out
+
+
 def test_enumerate_without_db_exit_3(capsys, tmp_path):
     rc = main(["enumerate", "--rank", "6", "--order-of-q", "3",
                "--out", str(tmp_path / "r.txt")])

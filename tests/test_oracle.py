@@ -212,3 +212,14 @@ def test_shape_tags_follow_the_grouping(oracle):
         if g.rank == 6:
             cs[oracle.shape_tag(g)] += 1
     assert set(cs) == {"ClassicalPlusSemiClassical"}
+
+
+def test_branch_filter_exempts_finite_cartan(oracle, db):
+    """Deleting vertex 1 of fixture 19.7.1 leaves a finite-Cartan diagram,
+    hence an arithmetic one, which carries the branch pattern."""
+    g = next(g for g, meta, _ in parse_blocks((FIXTURES / "items_main.gdd").read_text())
+             if meta.get("item") == "19.7.1")
+    sub = g.delete_vertex(0)
+    assert oracle.is_arithmetic(sub).witness == ("cartan-finite",)
+    exception_keys = {normalized_key(h) for h, _ in db.entries()}
+    assert forbidden_branch_pattern(sub, exception_keys) is None

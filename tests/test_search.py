@@ -3,18 +3,14 @@ from pathlib import Path
 
 import pytest
 
-from brute import (
-    bf_canon,
-    bf_canon_gdd_raw,
-    brute_classical_keys,
-    independent_quasi_affine_extensions,
-)
-from gddkit.core import GDD, normalized_key
+from brute import bf_canon
+from gddkit.core import GDD, normalized_key, parse_blocks
 from gddkit.roots import Parameter, UnityRoot
 from gddkit.search import collect_bases, enumerate_quasi_affine, extensions, verify_against
 from gddkit.tables import load
 
 DATA = Path(__file__).parent.parent / "src" / "gddkit" / "data" / "exceptional_rows.gdd"
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def u(e, m=6):
@@ -71,20 +67,10 @@ def test_extension_counts():
     assert sum(1 for _ in extensions(base2, 6)) == 5 * (2 * 5 + 25)
 
 
-def test_restricted_run_matches_independent_script(db):
+def test_restricted_run_matches_independent_script(restricted_vs_independent):
     """The staged search over one base equals a direct loop written from
     scratch (separate parsing, canonical forms, and arithmetic checks)."""
-    base = row11_gdd1()
-    report = enumerate_quasi_affine(6, Parameter(3), db, bases=[base],
-                                    collect_shapes=False)
-    lib_keys = {bf_canon_gdd_raw(g) for g in report.found.values()}
-
-    arith5 = brute_classical_keys(5, 6) | parse_db_rows_independently(5, 6)
-    arith6 = parse_db_rows_independently(6, 6)
-    base_edges = {(i, i + 1): 4 for i in range(4)}
-    indep = independent_quasi_affine_extensions(
-        (2, 2, 3, 2, 2), base_edges, 6, arith5, arith6
-    )
+    lib_keys, indep = restricted_vs_independent
     assert lib_keys == indep
 
 
@@ -152,3 +138,35 @@ def test_collect_bases_counts(db):
     assert len(bases) == 378
     keys = {normalized_key(g) for g in bases}
     assert len(keys) == len(bases)
+
+
+def fixture_item(name):
+    for g, meta, _ in parse_blocks((FIXTURES / "items_main.gdd").read_text()):
+        if meta.get("item") == name:
+            return g
+    raise KeyError(name)
+
+
+@pytest.mark.parametrize("use_filters", [False, True])
+def test_search_finds_fixture_19_7_1(db, use_filters):
+    """Rank 7, M=4: a base of fixture 19.7.1 yields it, with and without the
+    filters (the branch filter must spare its finite-Cartan deletion)."""
+    g = fixture_item("19.7.1")
+    report = enumerate_quasi_affine(7, Parameter(4), db, bases=[g.delete_vertex(4)],
+                                    use_filters=use_filters, collect_shapes=False)
+    assert normalized_key(g) in report.found
+
+
+def test_rank6_m4_default_search_finds_every_fixture(db):
+    """The full default search at rank 6, M=4 finds every transcribed
+    fixture at that rank and modulus."""
+    blocks = []
+    for name in ("items_cs", "items_continual", "items_main"):
+        for g, meta, _ in parse_blocks((FIXTURES / f"{name}.gdd").read_text()):
+            if g.rank == 6 and g.modulus == 4:
+                blocks.append(f"# item={name}:{meta.get('item')}\n" + g.to_text())
+    assert len(blocks) == 17
+    report = enumerate_quasi_affine(6, Parameter(4), db, collect_shapes=False)
+    comparison = verify_against(report, "\n\n".join(blocks))
+    assert comparison.ok, [name for _, name in comparison.missing]
+    assert report.pruned_by_filters == 0

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import GDD, components_of
+from .core import GDD, components_of, least_form
 from .roots import UnityRoot, discrete_log_nonpositive
 
 Matrix = tuple[tuple[int, ...], ...]
@@ -122,44 +122,17 @@ def is_affine_cartan(a: Matrix) -> bool:
     )
 
 
-def _min_perm_form(a: Matrix) -> tuple:
-    """Canonical form under simultaneous row/column permutation: the least
-    sequence of flattened leading submatrices.  That order is decided prefix
-    by prefix, which lets the search prune early."""
-    n = len(a)
-    best: list[tuple[int, ...]] | None = None
-
-    def prefix_key(order: list[int]) -> tuple[int, ...]:
-        k = len(order)
-        return tuple(a[order[i]][order[j]] for i in range(k) for j in range(k))
-
-    def rec(order: list[int], keys: list[tuple[int, ...]]):
-        nonlocal best
-        k = len(order)
-        if best is not None:
-            if keys[:k] > best[:k]:
-                return
-        if k == n:
-            if best is None or keys < best:
-                best = list(keys)
-            return
-        for v in range(n):
-            if v in order:
-                continue
-            o2 = order + [v]
-            k2 = keys + [prefix_key(o2)]
-            if best is not None and k2 > best[: len(k2)]:
-                continue
-            rec(o2, k2)
-
-    rec([], [])
-    return tuple(best)
-
-
 def same_up_to_permutation(a: Matrix, b: Matrix) -> bool:
-    if len(a) != len(b):
-        return False
-    return _min_perm_form(a) == _min_perm_form(b)
+    """True when a simultaneous row/column permutation turns a into b."""
+    return len(a) == len(b) and _least_form(a) == _least_form(b)
+
+
+def _least_form(a: Matrix) -> tuple:
+    n = len(a)
+    return least_form(
+        [a[v][v] for v in range(n)],
+        [[(a[v][u], a[u][v]) for u in range(n)] for v in range(n)],
+    )
 
 
 # -- the affine catalogue ------------------------------------------------------

@@ -5,7 +5,8 @@ verify (diff two diagram files by canonical key), db-validate, catalogue
 (affine families), export-dot.  All configuration is
 via flags; output is a pure function of the inputs.
 
-Exit codes: 0 ok, 1 parse/usage error, 2 verification mismatch, 3 oracle gap.
+Exit codes: 0 ok, 1 parse/usage error or unreadable file (one line on
+stderr), 2 verification mismatch, 3 oracle gap.
 """
 
 from __future__ import annotations
@@ -41,11 +42,7 @@ def _parameter_for(g: GDD) -> Parameter | None:
 
 
 def cmd_check(args) -> int:
-    try:
-        blocks = parse_blocks(_read(args.file))
-    except ParseError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return 1
+    blocks = parse_blocks(_read(args.file))
     oracle = None
     if args.db:
         oracle = Oracle(load(args.db))
@@ -116,6 +113,7 @@ def cmd_enumerate(args) -> int:
         print("enumeration needs a database (--db)", file=sys.stderr)
         return 3
     parameter = Parameter(args.order_of_q)
+    expected = _read(args.expected) if args.expected else None
     db = load(args.db)
     try:
         report = enumerate_quasi_affine(args.rank, parameter, db, cap=args.cap)
@@ -126,8 +124,8 @@ def cmd_enumerate(args) -> int:
         print(f"aborted: {exc}", file=sys.stderr)
         return 1
     status = 0
-    if args.expected:
-        comparison = verify_against(report, _read(args.expected))
+    if expected is not None:
+        comparison = verify_against(report, expected)
         if not comparison.ok:
             status = 2
     text = report.to_text()
@@ -141,12 +139,8 @@ def cmd_enumerate(args) -> int:
 def cmd_verify(args) -> int:
     """Diff the diagrams of one file (e.g. an enumeration report) against an
     expected list, by canonical key."""
-    try:
-        got = parse_blocks(_read(args.report))
-        want = parse_blocks(_read(args.expected))
-    except ParseError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return 1
+    got = parse_blocks(_read(args.report))
+    want = parse_blocks(_read(args.expected))
     comparison = diff_keys({normalized_key(g) for g, _, _ in got}, want)
     print(f"matched={len(comparison.matched)} missing={len(comparison.missing)} "
           f"extra={len(comparison.extra)}")
@@ -182,12 +176,7 @@ def cmd_catalogue(args) -> int:
 
 
 def cmd_export_dot(args) -> int:
-    try:
-        blocks = parse_blocks(_read(args.file))
-    except ParseError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return 1
-    for g, _meta, _ in blocks:
+    for g, _meta, _ in parse_blocks(_read(args.file)):
         print(g.to_dot(_parameter_for(g)))
     return 0
 
@@ -241,7 +230,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except ParseError as exc:
+        print(f"parse error: {exc}", file=sys.stderr)
+        return 1
+    except (OSError, ValueError) as exc:
+        # unreadable files and out-of-range arguments
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

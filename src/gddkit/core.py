@@ -5,13 +5,14 @@ of its n vertices and a symmetric edge label != 1 on each edge.  Vertices are
 0-indexed internally; the text format and renderings are 1-indexed.
 
 Two diagrams related by a vertex relabelling are regarded as the same; the
-canonical key realizes that identification.
+canonical key realizes that identification.  It encodes the diagram in the
+least vertex order that least_form finds by a pruned search, position by
+position, after refining the vertices into cells; cartan uses the same search.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import permutations
 from math import lcm
 
 from .roots import Parameter, UnityRoot
@@ -193,54 +194,17 @@ class GDD:
 
     # -- canonical form ------------------------------------------------------
 
-    def _refined_cells(self) -> list[list[int]]:
-        """Stable label-refinement partition, cells in a canonical order."""
-        n = self.rank
-        adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-        for (u, v), lab in self.edges.items():
-            adj[u].append((lab.exponent, v))
-            adj[v].append((lab.exponent, u))
-        color = [(self.diag[v].exponent,) for v in range(n)]
-        ncolors = len(set(color))
-        while True:
-            sig = [
-                (color[v], tuple(sorted((e, color[u]) for e, u in adj[v])))
-                for v in range(n)
-            ]
-            distinct = sorted(set(sig))
-            if len(distinct) == ncolors:
-                cells: dict[tuple, list[int]] = {}
-                for v in range(n):
-                    cells.setdefault(sig[v], []).append(v)
-                return [cells[k] for k in sorted(cells)]
-            index = {s: (i,) for i, s in enumerate(distinct)}
-            color = [index[s] for s in sig]
-            ncolors = len(distinct)
-
-    def _encode(self, order: list[int]) -> tuple:
-        pos = {v: i for i, v in enumerate(order)}
-        n = self.rank
-        adj = [0] * (n * (n - 1) // 2)
-        for (u, v), lab in self.edges.items():
-            i, j = sorted((pos[u], pos[v]))
-            adj[i * (2 * n - i - 1) // 2 + (j - i - 1)] = lab.exponent
-        return (
-            tuple(self.diag[v].exponent for v in order),
-            tuple(adj),
-        )
-
-    def _canonical(self) -> tuple:
-        cells = self._refined_cells()
-        if all(len(c) == 1 for c in cells):
-            return self._encode([c[0] for c in cells])
-        return min(self._encode(order) for order in _cell_orders(cells))
-
     def canonical_key(self) -> bytes:
         """Byte string equal exactly for diagrams that differ by a vertex
-        relabelling.  Refinement first, then exhaustive permutation of the
-        refined cells, taking the lexicographically least encoding."""
-        diag_enc, adj_enc = self._canonical()
-        payload = (self.rank, self.modulus) + diag_enc + adj_enc
+        relabelling: the rank, the modulus and the least form (see
+        least_form) of the vertex exponents and the edge-exponent matrix."""
+        n = self.rank
+        labels = [[0] * n for _ in range(n)]
+        for (u, v), lab in self.edges.items():
+            labels[u][v] = labels[v][u] = lab.exponent
+        payload = (n, self.modulus) + least_form(
+            [d.exponent for d in self.diag], labels
+        )
         return b"k" + b",".join(str(x).encode() for x in payload)
 
     # -- formatting ----------------------------------------------------------
@@ -288,17 +252,82 @@ def components_of(adj: list[list[int]]) -> list[list[int]]:
     return out
 
 
-def _cell_orders(cells: list[list[int]]):
-    """All vertex orders that keep each refinement cell contiguous."""
+def least_form(colours: list, labels: list[list]) -> tuple:
+    """Canonical form of vertices v coloured colours[v], each ordered pair
+    labelled labels[v][u] (0: no edge; labels[u][v] must follow from it): the
+    colours, then the rows labels[o_i][o_j] (j > i), in the least vertex order
+    o among those keeping each refined cell contiguous.  o is chosen position
+    by position from the first remaining part; choosing o_i fixes row i once
+    each later part is sorted, and split, by label to o_i.  Only choices tying
+    for the least row are followed, twins (swapping them changes no label) are
+    tried once, and prefixes worse than the best form found are dropped."""
+    n = len(colours)
+    adj = [
+        [(labels[v][u], u) for u in range(n) if u != v and labels[v][u] != 0]
+        for v in range(n)
+    ]
+    # Refine until stable; the cells are ordered by signature, and canonical
+    # key bytes depend on that order.
+    colour, count = list(colours), len(set(colours))
+    while True:
+        sig = [
+            (colour[v], tuple(sorted([(x, colour[u]) for x, u in adj[v]])))
+            for v in range(n)
+        ]
+        distinct = sorted(set(sig))
+        index = {s: i for i, s in enumerate(distinct)}
+        colour = [index[s] for s in sig]
+        if len(distinct) == count:
+            break
+        count = len(distinct)
+    cells: list[list[int]] = [[] for _ in range(count)]
+    for v in range(n):
+        cells[colour[v]].append(v)
+    head = tuple(colours[v] for c in cells for v in c)
+    if count == n:
+        order = [c[0] for c in cells]
+        return head + tuple(
+            labels[order[i]][order[j]] for i in range(n) for j in range(i + 1, n)
+        )
 
-    def rec(i: int, prefix: list[int]):
-        if i == len(cells):
-            yield prefix
+    def is_twin(v: int, w: int) -> bool:
+        return colour[v] == colour[w] and labels[v][w] == labels[w][v] and all(
+            labels[v][x] == labels[w][x] for x in range(n) if x != v and x != w
+        )
+
+    twin = [next(w for w in range(n) if w == v or is_twin(v, w)) for v in range(n)]
+    best: list[tuple] | None = None
+
+    def search(parts: list[list[int]], rows: list[tuple]) -> None:
+        nonlocal best
+        if not parts:
+            if best is None or rows < best:
+                best = rows
             return
-        for perm in permutations(cells[i]):
-            yield from rec(i + 1, prefix + list(perm))
+        least, chosen, tried = None, [], set()
+        for v in parts[0]:
+            if twin[v] not in tried:
+                tried.add(twin[v])
+                rest = [[u for u in parts[0] if u != v]] + parts[1:]
+                row = tuple(x for p in rest for x in sorted([labels[v][u] for u in p]))
+                if least is None or row < least:
+                    least, chosen = row, []
+                if row == least:
+                    chosen.append((v, rest))
+        rows = rows + [least]
+        if best is not None and rows > best[: len(rows)]:
+            return
+        for v, rest in chosen:
+            split = []
+            for p in rest:
+                groups: dict = {}
+                for u in p:
+                    groups.setdefault(labels[v][u], []).append(u)
+                split.extend(groups[x] for x in sorted(groups))
+            search(split, rows)
 
-    yield from rec(0, [])
+    search(cells, [])
+    return head + tuple(x for row in best for x in row)
 
 
 def from_braiding_matrix(matrix: list[list[UnityRoot]]) -> GDD:

@@ -114,9 +114,6 @@ class Parameter:
     def q(self) -> UnityRoot:
         return UnityRoot(self.modulus // self.order_of_q, self.modulus)
 
-    def q_power(self, k: int) -> UnityRoot:
-        return self.q ** k
-
     def label(self, sign: int, k: int) -> UnityRoot:
         """The element (-1)**sign * q**k."""
         r = self.q ** k

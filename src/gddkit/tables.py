@@ -140,15 +140,18 @@ def validate_report(path: str | Path) -> list[str]:
 
 # -- classical generation -----------------------------------------------------
 
+# Largest modulus generate_classical accepts.
+MAX_MODULUS = 64
 
-def generate_classical(rank: int, modulus: int, max_modulus: int = 64) -> set[GDD]:
+
+def generate_classical(rank: int, modulus: int) -> set[GDD]:
     """Every classical-type diagram of the given rank over mu_modulus,
     deduplicated structurally (not up to relabelling; use canonical keys for
     that)."""
     if rank < 2:
         raise ValueError("classical diagrams start at rank 2")
-    if modulus > max_modulus:
-        raise ValueError(f"modulus {modulus} above configured bound {max_modulus}")
+    if modulus > MAX_MODULUS:
+        raise ValueError(f"modulus {modulus} above configured bound {MAX_MODULUS}")
     out: set[GDD] = set()
     half = minus_one(modulus)
     params = [UnityRoot(e, modulus) for e in range(1, modulus)]

@@ -57,6 +57,74 @@ def bf_canon_gdd_raw(g):
     )
 
 
+def _refined_cells(g):
+    """Stable label-refinement partition of g's vertices, cells in the order
+    of their final signatures."""
+    n = g.rank
+    adj = [[] for _ in range(n)]
+    for (u, v), lab in g.edges.items():
+        adj[u].append((lab.exponent, v))
+        adj[v].append((lab.exponent, u))
+    color = [(g.diag[v].exponent,) for v in range(n)]
+    ncolors = len(set(color))
+    while True:
+        sig = [
+            (color[v], tuple(sorted((e, color[u]) for e, u in adj[v])))
+            for v in range(n)
+        ]
+        distinct = sorted(set(sig))
+        if len(distinct) == ncolors:
+            cells = {}
+            for v in range(n):
+                cells.setdefault(sig[v], []).append(v)
+            return [cells[k] for k in sorted(cells)]
+        index = {s: (i,) for i, s in enumerate(distinct)}
+        color = [index[s] for s in sig]
+        ncolors = len(distinct)
+
+
+def _row_major(g, order):
+    """Vertex exponents, then the upper-triangle edge exponents row by row
+    (0 off edges), in the given vertex order."""
+    pos = {v: i for i, v in enumerate(order)}
+    n = g.rank
+    adj = [0] * (n * (n - 1) // 2)
+    for (u, v), lab in g.edges.items():
+        i, j = sorted((pos[u], pos[v]))
+        adj[i * (2 * n - i - 1) // 2 + (j - i - 1)] = lab.exponent
+    return tuple(g.diag[v].exponent for v in order) + tuple(adj)
+
+
+def _cell_orders(cells):
+    """All vertex orders that keep each cell contiguous."""
+    if not cells:
+        yield []
+        return
+    for perm in permutations(cells[0]):
+        for rest in _cell_orders(cells[1:]):
+            yield list(perm) + rest
+
+
+def cell_order_key(g):
+    """The bytes of GDD.canonical_key by exhaustive search: the least
+    row-major encoding over every order that keeps the refined cells
+    contiguous."""
+    form = min(_row_major(g, order) for order in _cell_orders(_refined_cells(g)))
+    payload = (g.rank, g.modulus) + form
+    return b"k" + b",".join(str(x).encode() for x in payload)
+
+
+def bf_same_up_to_permutation(a, b):
+    """Simultaneous row/column permutation search over all n! orders."""
+    n = len(a)
+    if len(b) != n:
+        return False
+    return any(
+        all(a[p[i]][p[j]] == b[i][j] for i in range(n) for j in range(n))
+        for p in permutations(range(n))
+    )
+
+
 def _grids(m, *sizes):
     """Cartesian product of nonzero exponent ranges as int arrays."""
     axes = [np.arange(1, m, dtype=np.int64) for _ in range(sum(sizes))]

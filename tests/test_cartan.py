@@ -1,11 +1,15 @@
+import random
+import time
 from itertools import product
 
 import pytest
 
+from brute import bf_same_up_to_permutation
 from gddkit.cartan import (
     FAMILY_NAMES,
     AffineFamily,
     _SIZE_RULES,
+    _reference_matrix,
     admissible,
     affine_family_of,
     arithmetic_via_cartan,
@@ -100,6 +104,64 @@ def test_minor_criterion_matches_classification(n):
             continue
         expected = any(same_up_to_permutation(a, r) for r in reference)
         assert is_finite_cartan(a) == expected, a
+
+
+def _permuted(a, p):
+    n = len(a)
+    return tuple(tuple(a[p[i]][p[j]] for j in range(n)) for i in range(n))
+
+
+def _random_gcm(rng, n):
+    m = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            if rng.random() < 0.6:
+                m[i][j], m[j][i] = -rng.randrange(1, 3), -rng.randrange(1, 3)
+    return tuple(tuple(row) for row in m)
+
+
+def test_same_up_to_permutation_matches_permutation_search():
+    rng = random.Random(11)
+    agree = 0
+    for _ in range(800):
+        n = rng.randrange(1, 5)
+        a = _random_gcm(rng, n)
+        p = list(range(n))
+        rng.shuffle(p)
+        b = _random_gcm(rng, n) if rng.random() < 0.4 else _permuted(a, p)
+        if n >= 2 and rng.random() < 0.5:
+            # transpose one pair of entries: often a near miss
+            i, j = rng.sample(range(n), 2)
+            rows = [list(r) for r in b]
+            rows[i][j], rows[j][i] = rows[j][i], rows[i][j]
+            b = tuple(tuple(r) for r in rows)
+        want = bf_same_up_to_permutation(a, b)
+        assert same_up_to_permutation(a, b) == want, (a, b)
+        agree += want
+    assert 200 < agree < 700
+
+
+def test_same_up_to_permutation_on_permuted_references():
+    rng = random.Random(12)
+    for rank in range(2, 10):
+        refs = {name: _reference_matrix(name, rank) for name in FAMILY_NAMES}
+        refs = {name: a for name, a in refs.items() if a is not None}
+        for name, a in refs.items():
+            p = list(range(rank))
+            rng.shuffle(p)
+            b = _permuted(a, p)
+            assert [m for m, r in refs.items() if same_up_to_permutation(b, r)] == [name]
+
+
+def test_symmetric_cycle_key_and_family_are_fast():
+    # A1_N at N=8 is the rank-9 cycle with every vertex alike: 9! orders
+    # keep its single refined cell contiguous
+    g = build_affine_gdd(AffineFamily("A1_N", 8), u(2, 6))
+    start = time.perf_counter()
+    g.canonical_key()
+    family = affine_family_of(g)
+    assert time.perf_counter() - start < 1.0
+    assert family == AffineFamily("A1_N", 8)
 
 
 def test_finite_affine_mutually_exclusive():

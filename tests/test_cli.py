@@ -3,6 +3,9 @@ from pathlib import Path
 import pytest
 
 from gddkit.cli import main
+from gddkit.roots import Parameter
+from gddkit.search import enumerate_quasi_affine
+from gddkit.tables import load
 
 DATA = str(Path(__file__).parent.parent / "src" / "gddkit" / "data" / "exceptional_rows.gdd")
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -114,8 +117,36 @@ def test_enumerate_without_db_exit_3(capsys, tmp_path):
 
 
 def test_enumerate_rejects_small_rank(capsys, tmp_path):
+    rc = main(["enumerate", "--rank", "5", "--order-of-q", "3", "--db", DATA])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: enumeration is defined for rank >= 6\n"
     with pytest.raises(ValueError):
-        main(["enumerate", "--rank", "5", "--order-of-q", "3", "--db", DATA])
+        enumerate_quasi_affine(5, Parameter(3), load(DATA))
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["check", "MISSING"], "No such file"),
+    (["verify", "--report", "MISSING", "--expected", "MISSING"], "No such file"),
+    (["export-dot", "MISSING"], "No such file"),
+    (["db-validate", "--db", "MISSING"], "No such file"),
+    (["enumerate", "--rank", "6", "--order-of-q", "4", "--db", DATA,
+      "--expected", "MISSING"], "No such file"),
+    (["enumerate", "--rank", "6", "--order-of-q", "1", "--db", DATA],
+     "order of q must be >= 2"),
+    (["catalogue", "--order-of-q", "1"], "order of q must be >= 2"),
+    (["enumerate", "--rank", "6", "--order-of-q", "33", "--db", DATA],
+     "modulus 66 above configured bound 64"),
+], ids=["check-missing", "verify-missing", "export-dot-missing", "db-validate-missing",
+        "enumerate-expected-missing", "enumerate-q-order-1", "catalogue-q-order-1",
+        "enumerate-modulus-66"])
+def test_bad_input_exit_1_with_one_line(tmp_path, capsys, argv, message):
+    missing = str(tmp_path / "missing.gdd")
+    rc = main([missing if a == "MISSING" else a for a in argv])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert message in captured.err
 
 
 def test_db_validate(capsys):

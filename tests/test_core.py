@@ -3,6 +3,7 @@ from itertools import permutations
 
 import pytest
 
+from brute import cell_order_key
 from gddkit.core import (
     GDD,
     ParseError,
@@ -134,6 +135,64 @@ def test_canonical_key_complete_on_random_pairs():
         same_key = a.canonical_key() == b.canonical_key()
         assert same_key == brute_force_isomorphic(a, b)
         pairs += 1
+
+
+def _reference_set():
+    """Random diagrams of rank <= 7 over mu_M, M in {2, ..., 12}, many of them
+    dense with few labels; cycles, stars, complete graphs, complete bipartite
+    graphs and edgeless graphs; palindromic paths of ranks 8 and 9."""
+    rng = random.Random(314)
+    out = []
+    for _ in range(400):
+        n = rng.randrange(1, 8)
+        m = rng.randrange(2, 13, 2)
+        few = rng.random() < 0.5
+        diag_exps = [1, m // 2] if few else range(m)
+        edge_exps = [m // 2] if few and rng.random() < 0.5 else range(1, m)
+        density = rng.choice([0.2, 0.5, 0.9])
+        diag = tuple(u(rng.choice(diag_exps), m) for _ in range(n))
+        edges = {
+            (i, j): u(rng.choice(edge_exps), m)
+            for i in range(n)
+            for j in range(i + 1, n)
+            if rng.random() < density
+        }
+        out.append(GDD(m, diag, edges))
+    for m in (2, 6, 12):
+        d, x = u(1, m), u(m - 1, m)
+        for n in range(1, 8):
+            diag = (d,) * n
+            out.append(GDD(m, diag))
+            out.append(GDD(m, diag, {(0, i): x for i in range(1, n)}))
+            out.append(GDD(m, diag, {(i, j): x for i in range(n) for j in range(i + 1, n)}))
+            out.extend(
+                GDD(m, diag, {(i, j): x for i in range(a) for j in range(a, n)})
+                for a in range(1, n)
+            )
+            if n >= 3:
+                out.append(GDD(m, diag, {(i, (i + 1) % n): x for i in range(n)}))
+    # Paths whose labels read the same from both ends refine into pairs; at
+    # ranks 8 and 9 their least form needs every choice that ties for the
+    # least row, and keeping a prefix equal to the best one found.
+    for n in (8, 9):
+        for _ in range(40):
+            m = rng.randrange(2, 13, 2)
+            ds = [rng.randrange(m) for _ in range((n + 1) // 2)]
+            es = [rng.randrange(1, m) for _ in range(n // 2)]
+            diag = tuple(u(ds[min(i, n - 1 - i)], m) for i in range(n))
+            edges = {(i, i + 1): u(es[min(i, n - 2 - i)], m) for i in range(n - 1)}
+            out.append(GDD(m, diag, edges))
+    return out
+
+
+def test_canonical_key_matches_cell_order_reference():
+    rng = random.Random(2718)
+    for g in _reference_set():
+        sigma = list(range(g.rank))
+        rng.shuffle(sigma)
+        h = g.permute(sigma)
+        assert g.canonical_key() == cell_order_key(g), g.to_text()
+        assert h.canonical_key() == cell_order_key(h), h.to_text()
 
 
 def test_canonical_key_examples():

@@ -227,7 +227,7 @@ def head_patterns(g: GDD) -> list[HeadPattern]:
     """All head readings available on end vertices of g."""
     out = []
     m = g.modulus
-    nbs = [g.neighbors(v) for v in range(g.rank)]
+    nbs = g.adjacency()
     for e in range(g.rank):
         if len(nbs[e]) != 1:
             continue
@@ -381,11 +381,12 @@ def is_bi_semi_classical(g: GDD, all_deletions_arithmetic) -> bool:
 def is_continual_extension(g: GDD) -> bool:
     """g is a one-vertex end form (q-end or -1-end) added on the tail of a
     quasi-classical trunk, continuing the chain there."""
+    adj = g.adjacency()
     for w in range(g.rank):
-        if g.degree(w) != 1:
+        if len(adj[w]) != 1:
             continue
-        (tau,) = g.neighbors(w)
-        if g.degree(tau) != 2:
+        (tau,) = adj[w]
+        if len(adj[tau]) != 2:
             continue
         rest = [v for v in range(g.rank) if v != w]
         trunk = g.induced(rest)

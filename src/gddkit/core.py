@@ -13,7 +13,7 @@ position, after refining the vertices into cells; cartan uses the same search.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import lcm
+from math import gcd, lcm
 
 from .roots import Parameter, UnityRoot
 
@@ -72,13 +72,17 @@ class GDD:
     def edge_label(self, u: int, v: int) -> UnityRoot | None:
         return self.edges.get(_edge(u, v))
 
-    def neighbors(self, v: int) -> list[int]:
-        return sorted(
-            u if w == v else w for (u, w) in self.edges if v in (u, w)
-        )
+    def adjacency(self) -> list[list[int]]:
+        """The neighbours of every vertex, in edge order.  Built anew on each
+        call: a caller asking about several vertices builds it once."""
+        adj: list[list[int]] = [[] for _ in range(self.rank)]
+        for u, v in self.edges:
+            adj[u].append(v)
+            adj[v].append(u)
+        return adj
 
-    def degree(self, v: int) -> int:
-        return sum(1 for e in self.edges if v in e)
+    def neighbors(self, v: int) -> list[int]:
+        return sorted(self.adjacency()[v])
 
     def has_degenerate_diag(self) -> bool:
         """True when some vertex is labelled 1 (no arithmetic diagram has it)."""
@@ -123,8 +127,6 @@ class GDD:
     def power_twist(self, t: int) -> "GDD":
         """Raise every label to the t-th power (t coprime to M), giving the
         diagram at the conjugate parameter."""
-        from math import gcd
-
         if gcd(t, self.modulus) != 1:
             raise ValueError("twist exponent must be coprime to the modulus")
         return GDD(
@@ -132,6 +134,14 @@ class GDD:
             tuple(d ** t for d in self.diag),
             {e: lab ** t for e, lab in self.edges.items()},
         )
+
+    def twists(self) -> list["GDD"]:
+        """The power twists by every unit t of Z/M, in ascending t (so g
+        itself first): the diagram at every conjugate parameter."""
+        return [
+            self.power_twist(t) for t in range(1, self.modulus)
+            if gcd(t, self.modulus) == 1
+        ]
 
     def add_vertex(self, diag: UnityRoot, pairs) -> "GDD":
         """The diagram with one new vertex (index rank) labelled diag, joined
@@ -146,11 +156,7 @@ class GDD:
         return [self.induced(c) for c in self.component_vertex_sets()]
 
     def component_vertex_sets(self) -> list[list[int]]:
-        adj: list[list[int]] = [[] for _ in range(self.rank)]
-        for u, v in self.edges:
-            adj[u].append(v)
-            adj[v].append(u)
-        return components_of(adj)
+        return components_of(self.adjacency())
 
     # -- shape predicates ----------------------------------------------------
 
@@ -165,14 +171,18 @@ class GDD:
         """Vertices in path order when the graph is a path, else None."""
         if self.rank == 1:
             return [0]
-        degs = [self.degree(v) for v in range(self.rank)]
-        ends = [v for v, d in enumerate(degs) if d == 1]
-        if len(ends) != 2 or any(d > 2 for d in degs) or not self.is_connected():
+        adj = self.adjacency()
+        ends = [v for v, nbs in enumerate(adj) if len(nbs) == 1]
+        if (
+            len(ends) != 2
+            or any(len(nbs) > 2 for nbs in adj)
+            or len(components_of(adj)) != 1
+        ):
             return None
         order = [ends[0]]
         prev = -1
         while len(order) < self.rank:
-            nxt = [u for u in self.neighbors(order[-1]) if u != prev]
+            nxt = [u for u in adj[order[-1]] if u != prev]
             if len(nxt) != 1:
                 return None
             prev = order[-1]
@@ -180,11 +190,10 @@ class GDD:
         return order
 
     def is_cycle(self) -> bool:
-        return (
-            self.rank >= 3
-            and self.is_connected()
-            and all(self.degree(v) == 2 for v in range(self.rank))
-        )
+        if self.rank < 3:
+            return False
+        adj = self.adjacency()
+        return all(len(nbs) == 2 for nbs in adj) and len(components_of(adj)) == 1
 
     def reversed_chain(self) -> "GDD":
         order = self.chain_order()
@@ -438,6 +447,10 @@ def _parse_one(lines: list[tuple[int, str]]) -> GDD:
         n = int(parts[2].removeprefix("n="))
     except ValueError:
         raise ParseError(f"bad header {head!r}", lineno) from None
+    if modulus < 2 or modulus % 2 != 0:
+        raise ParseError(f"modulus must be even and >= 2, got {modulus}", lineno)
+    if n < 1:
+        raise ParseError(f"rank must be >= 1, got {n}", lineno)
     if len(lines) < 2:
         raise ParseError("missing diag line", lineno)
     lineno2, diag_line = lines[1]

@@ -25,6 +25,11 @@ from .roots import minus_one
 from .tables import ArithmeticDatabase, classical_keys
 
 
+# Entries each oracle memo holds at most; past it, verdicts are computed
+# but no longer stored.
+MEMO_LIMIT = 2_000_000
+
+
 class OracleGap(Exception):
     """The query needs arithmetic decisions below the oracle's coverage."""
 
@@ -45,7 +50,8 @@ class OracleVerdict:
 class Oracle:
     """Arithmetic decisions backed by generated classical families, the
     exceptional-row database, and the Cartan-type shortcut.  Memoized by
-    diagram and by canonical key, in plain dicts with no locking."""
+    diagram and by canonical key, in plain dicts with no locking, each
+    holding at most MEMO_LIMIT entries."""
 
     def __init__(self, db: ArithmeticDatabase | None = None):
         self.db = db if db is not None else ArithmeticDatabase()
@@ -80,7 +86,7 @@ class Oracle:
         if hit is not None:
             return hit
         verdict = self._connected_uncached(g)
-        if len(self._exact) < 2_000_000:
+        if len(self._exact) < MEMO_LIMIT:
             self._exact[g] = verdict
         return verdict
 
@@ -120,7 +126,8 @@ class Oracle:
             )
         else:
             verdict = OracleVerdict(False, ("no-match",))
-        self._memo[key] = verdict
+        if len(self._memo) < MEMO_LIMIT:
+            self._memo[key] = verdict
         return verdict
 
     # -- quasi-affine ---------------------------------------------------------
@@ -172,16 +179,15 @@ class Oracle:
 def _pattern_shapes(g: GDD):
     """Induced five-vertex patterns: a path a-b-c-e with d hanging on c,
     optionally with the closing edge d-e, where diag d = diag e."""
-    n = g.rank
-    for c in range(n):
-        nbs = g.neighbors(c)
+    adj = [sorted(nbs) for nbs in g.adjacency()]
+    for c, nbs in enumerate(adj):
         if len(nbs) < 3:
             continue
         for d, e in combinations(nbs, 2):
             for b in nbs:
                 if b in (d, e):
                     continue
-                for a in g.neighbors(b):
+                for a in adj[b]:
                     if a in (c, d, e):
                         continue
                     yield (a, b, c, d, e)
@@ -198,7 +204,8 @@ def forbidden_branch_pattern(g: GDD, exception_keys: set[bytes]) -> tuple | None
         five = sorted((a, b, c, d, e))
         sub = g.induced(five)
         pos = {v: i for i, v in enumerate(five)}
-        deg = {v: sub.degree(pos[v]) for v in (a, b, c, d, e)}
+        sub_adj = sub.adjacency()
+        deg = {v: len(sub_adj[pos[v]]) for v in (a, b, c, d, e)}
         if deg[a] != 1 or deg[b] != 2 or deg[c] != 3:
             continue
         link = sub.edge_label(pos[d], pos[e])

@@ -13,6 +13,16 @@ patterns are pre-screened on A - v and only then combined with an optional
 edge back to v.  Every candidate still gets the full deletion check; the
 staging only prunes attachments that could never survive it.
 
+Arithmeticity, and so quasi-affineness, is invariant under the power twists
+g -> g^t with t a unit of Z/M (the conjugate parameters), and the bases are
+closed under them.  By default the search therefore walks one base per twist
+orbit, the first of each in key order, and afterwards closes the found set
+under the twists; a diagram found directly keeps its own vertex labelling.
+The report header counts what was searched: ``bases`` is the number of orbit
+representatives and ``candidates`` the candidates built from them, while
+``found`` counts the closed set.  An explicit ``bases`` list is searched as
+given, with no reduction and no closure.
+
 The negative filters of ``oracle`` (``use_filters=True``) are an opt-in API
 diagnostic, off by default and unreachable from the command line.  The
 oracle is complete at rank >= 5, so they cannot add a found diagram; they
@@ -128,6 +138,18 @@ def collect_bases(rank: int, modulus: int, db: ArithmeticDatabase) -> list[GDD]:
     return [seen[k] for k in sorted(seen)]
 
 
+def twist_representatives(bases: list[GDD]) -> list[GDD]:
+    """The first base of each power-twist orbit, in the given order."""
+    seen: set[bytes] = set()
+    out = []
+    for g in bases:
+        key = normalized_key(g)
+        if key not in seen:
+            out.append(g)
+            seen.update(normalized_key(h) for h in g.twists())
+    return out
+
+
 def enumerate_quasi_affine(
     rank: int,
     parameter: Parameter,
@@ -139,8 +161,10 @@ def enumerate_quasi_affine(
 ) -> EnumerationReport:
     """Exhaustive, deduplicated search at the given rank and parameter.
 
-    ``bases`` restricts the search to extensions of the given diagrams
-    (default: every connected arithmetic diagram of rank - 1).
+    ``bases`` restricts the search to extensions of the given diagrams.  By
+    default every connected arithmetic diagram of rank - 1 is covered: one
+    per twist orbit is searched and the found set is closed under the twists
+    (see the module docstring).
     ``use_filters`` screens deletions with the negative filters first; see
     the module docstring."""
     if rank < 6:
@@ -164,7 +188,7 @@ def enumerate_quasi_affine(
     ]
     max_edges = max(max(len(g.edges) for g in shape_pool), rank - 2)
     max_degree = max(
-        max(g.degree(v) for g in shape_pool for v in range(g.rank)), 2
+        max(len(nbs) for g in shape_pool for nbs in g.adjacency()), 2
     )
 
     def deletion_ok(sub: GDD) -> bool:
@@ -179,8 +203,9 @@ def enumerate_quasi_affine(
                 return False
         return oracle._connected(sub).arithmetic
 
-    if bases is None:
-        bases = collect_bases(rank - 1, modulus, db)
+    twist_closed = bases is None
+    if twist_closed:
+        bases = twist_representatives(collect_bases(rank - 1, modulus, db))
     found: dict[bytes, GDD] = {}
 
     for base in bases:
@@ -192,7 +217,7 @@ def enumerate_quasi_affine(
             # Patterns on base - v whose one-vertex extension is arithmetic;
             # the candidate's deletion at v is exactly that extension.
             trimmed_edges = len(trimmed.edges)
-            trimmed_deg = [trimmed.degree(u) for u in range(trimmed.rank)]
+            trimmed_deg = [len(nbs) for nbs in trimmed.adjacency()]
             viable = []
             for diag, pairs in _attachment_patterns(trimmed.rank, modulus):
                 if trimmed_edges + len(pairs) > max_edges or len(pairs) > max_degree:
@@ -228,6 +253,11 @@ def enumerate_quasi_affine(
                     if key not in found:
                         found[key] = g
 
+    if twist_closed:
+        # Items found directly keep their own diagram.
+        for g in list(found.values()):
+            for h in g.twists():
+                found.setdefault(normalized_key(h), h)
     report.found = dict(sorted(found.items()))
     if collect_shapes:
         for key, g in report.found.items():

@@ -12,7 +12,6 @@ relabelling-invariant.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import gcd
 from pathlib import Path
 
 from .chains import chains_with_parameter
@@ -69,14 +68,6 @@ class DatabaseError(ValueError):
     pass
 
 
-def _twists(g: GDD) -> list[GDD]:
-    return [
-        g.power_twist(t)
-        for t in range(1, g.modulus)
-        if gcd(t, g.modulus) == 1
-    ]
-
-
 def load(path: str | Path, expand_conjugates: bool = True) -> ArithmeticDatabase:
     """Read a database file; every entry is validated (connected, no vertex
     label 1, rank >= 2) and expanded over conjugate parameters."""
@@ -96,7 +87,7 @@ def load(path: str | Path, expand_conjugates: bool = True) -> ArithmeticDatabase
         if not g.is_connected():
             raise DatabaseError(f"entry at line {lineno}: not connected")
         entry_meta = EntryMeta(row, idx, n_of_q, meta.get("src", ""))
-        variants = _twists(g) if expand_conjugates else [g]
+        variants = g.twists() if expand_conjugates else [g]
         for variant in variants:
             db.add(variant, entry_meta)
     return db

@@ -2,6 +2,8 @@ import random
 from itertools import permutations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from brute import cell_order_key
 from gddkit.core import (
@@ -243,6 +245,38 @@ def test_parse_errors_carry_line_numbers():
     with pytest.raises(ParseError) as exc:
         parse_gdd(bad)
     assert exc.value.line == 3
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["gdd M=0 n=1\ndiag 1", "gdd M=3 n=1\ndiag 1", "gdd M=4 n=-1\ndiag 1"],
+)
+def test_bad_header_fields_fail_on_the_header_line(text):
+    with pytest.raises(ParseError) as exc:
+        parse_blocks("# item=x\n" + text)
+    assert exc.value.line == 2
+
+
+# Texts near the format: header, diag and edge lines with small or bad
+# fields, comments, blank lines and stray tokens, so that most draws reach
+# the checks past the header.
+_TOKENS = st.sampled_from(
+    ["gdd", "diag", "edge", "#", "item=x", "M=4", "M=6", "M=3", "M=0", "n=1",
+     "n=2", "n=3", "n=0", "n=-1", "M=x", "x", "1.5", "-1", "0", ""]
+) | st.integers(-3, 8).map(str)
+_LINES = st.lists(_TOKENS, max_size=5).map(" ".join)
+_NEAR_FORMAT = st.lists(_LINES, max_size=8).map("\n".join)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(st.text(), _NEAR_FORMAT))
+def test_parse_blocks_returns_or_raises_parse_error_with_a_line(text):
+    try:
+        blocks = parse_blocks(text)
+    except ParseError as exc:
+        assert 1 <= exc.line <= len(text.splitlines())
+    else:
+        assert all(isinstance(g, GDD) for g, _, _ in blocks)
 
 
 def test_dot_export():

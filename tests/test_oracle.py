@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from gddkit import oracle as oracle_module
 from gddkit.core import GDD, normalized_key, parse_blocks
 from gddkit.oracle import (
     InternalInconsistency,
@@ -223,3 +224,16 @@ def test_branch_filter_exempts_finite_cartan(oracle, db):
     assert oracle.is_arithmetic(sub).witness == ("cartan-finite",)
     exception_keys = {normalized_key(h) for h, _ in db.entries()}
     assert forbidden_branch_pattern(sub, exception_keys) is None
+
+
+def test_memo_limit_bounds_both_memos(db, monkeypatch):
+    """Past MEMO_LIMIT entries neither memo grows, and verdicts stay those
+    of an unbounded oracle."""
+    queries = list(generate_classical(5, 6))[:40]
+    queries += [g.permute([4, 3, 2, 1, 0]) for g in queries]
+    unbounded = Oracle(db)
+    expected = [unbounded._connected(g) for g in queries]
+    monkeypatch.setattr(oracle_module, "MEMO_LIMIT", 5)
+    bounded = Oracle(db)
+    assert [bounded._connected(g) for g in queries] == expected
+    assert len(bounded._exact) == 5 and len(bounded._memo) == 5

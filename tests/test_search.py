@@ -6,7 +6,13 @@ import pytest
 from brute import bf_canon
 from gddkit.core import GDD, normalized_key, parse_blocks
 from gddkit.roots import Parameter, UnityRoot
-from gddkit.search import collect_bases, enumerate_quasi_affine, extensions, verify_against
+from gddkit.search import (
+    collect_bases,
+    enumerate_quasi_affine,
+    extensions,
+    twist_representatives,
+    verify_against,
+)
 from gddkit.tables import load
 
 DATA = Path(__file__).parent.parent / "src" / "gddkit" / "data" / "exceptional_rows.gdd"
@@ -157,7 +163,17 @@ def test_search_finds_fixture_19_7_1(db, use_filters):
     assert normalized_key(g) in report.found
 
 
-def test_rank6_m4_default_search_finds_every_fixture(db):
+@pytest.fixture(scope="module")
+def rank6_m4(db):
+    """The default search at rank 6, M=4 (one base per twist orbit) and the
+    unreduced search over every base."""
+    default = enumerate_quasi_affine(6, Parameter(4), db)
+    unreduced = enumerate_quasi_affine(6, Parameter(4), db,
+                                       bases=collect_bases(5, 4, db))
+    return default, unreduced
+
+
+def test_rank6_m4_default_search_finds_every_fixture(rank6_m4):
     """The full default search at rank 6, M=4 finds every transcribed
     fixture at that rank and modulus."""
     blocks = []
@@ -166,7 +182,35 @@ def test_rank6_m4_default_search_finds_every_fixture(db):
             if g.rank == 6 and g.modulus == 4:
                 blocks.append(f"# item={name}:{meta.get('item')}\n" + g.to_text())
     assert len(blocks) == 17
-    report = enumerate_quasi_affine(6, Parameter(4), db, collect_shapes=False)
+    report = rank6_m4[0]
     comparison = verify_against(report, "\n\n".join(blocks))
     assert comparison.ok, [name for _, name in comparison.missing]
     assert report.pruned_by_filters == 0
+
+
+@pytest.mark.parametrize("modulus, orbits", [(4, 61), (6, 194), (10, 145)])
+def test_bases_are_closed_under_twists(db, modulus, orbits):
+    """The orbit search covers every base only because the base set is
+    closed under the twists."""
+    bases = collect_bases(5, modulus, db)
+    keys = {normalized_key(g) for g in bases}
+    assert all(normalized_key(h) in keys for g in bases for h in g.twists())
+    assert len(twist_representatives(bases)) == orbits
+
+
+def test_orbit_search_matches_unreduced_search(rank6_m4):
+    default, unreduced = rank6_m4
+    assert default.found.keys() == unreduced.found.keys()
+    assert default.shape_tags == unreduced.shape_tags
+
+
+def test_orbit_search_found_set_is_closed_under_twists(rank6_m4):
+    found = rank6_m4[0].found
+    for t in (1, 3):
+        assert {normalized_key(g.power_twist(t)) for g in found.values()} == found.keys()
+
+
+def test_orbit_search_tries_one_base_per_orbit(rank6_m4):
+    default, unreduced = rank6_m4
+    assert (default.bases_tried, unreduced.bases_tried) == (61, 116)
+    assert default.to_text().splitlines()[1].startswith("# bases=61 candidates=3960 ")

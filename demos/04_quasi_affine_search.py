@@ -1,10 +1,11 @@
 """The arithmetic oracle and a quasi-affine search.
 
 A connected diagram is quasi-affine when it is not arithmetic yet every
-single-vertex deletion is.  The oracle decides arithmeticity from three
-branches (the generated classical families, the packaged exceptional rows,
-and the finite-Cartan shortcut); the search grows every arithmetic diagram
-of the rank below by one vertex and keeps the quasi-affine results.
+single-vertex deletion is.  The oracle decides arithmeticity by recognizing
+the diagram in one of three branches (a classical type, a packaged
+exceptional row, or a finite Cartan matrix); the search grows every
+arithmetic diagram of the rank below by one vertex and keeps the
+quasi-affine results.
 
 Run:  python demos/04_quasi_affine_search.py      (about a minute)
 """

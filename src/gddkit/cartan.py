@@ -10,7 +10,6 @@ called affine when the matrix is an affine generalized Cartan matrix.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .core import GDD, components_of, least_form
 from .roots import UnityRoot, discrete_log_nonpositive
@@ -55,27 +54,47 @@ def braiding_exponents(g: GDD) -> Matrix | None:
     return a if is_generalized_cartan(a) else None
 
 
+def _bareiss_step(m: list[list[int]], k: int, prev: int) -> None:
+    """One step of Bareiss's fraction-free elimination, in place: the entries
+    below and right of pivot m[k][k] become 2x2 determinants against the
+    pivot row, divided exactly by the previous pivot.  Afterwards m[k+1][k+1]
+    is the leading minor of order k + 2 of the (row-permuted) input."""
+    pivot, row = m[k][k], m[k]
+    for r in m[k + 1:]:
+        f = r[k]
+        for j in range(k + 1, len(row)):
+            r[j] = (r[j] * pivot - f * row[j]) // prev
+
+
+def _leading_minors(a: Matrix):
+    """The leading principal minors of a, in order of size, as the pivots of
+    one Bareiss elimination without row swaps; stops after the first zero."""
+    m = [list(row) for row in a]
+    prev = 1
+    for k in range(len(m)):
+        pivot = m[k][k]
+        yield pivot
+        if pivot == 0:
+            return
+        _bareiss_step(m, k, prev)
+        prev = pivot
+
+
 def _det(a: Matrix) -> int:
-    """Exact determinant by fraction-free elimination."""
-    n = len(a)
-    m = [[Fraction(x) for x in row] for row in a]
-    det = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if pivot is None:
-            return 0
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            det = -det
-        det *= m[col][col]
-        inv = 1 / m[col][col]
-        for r in range(col + 1, n):
-            f = m[r][col] * inv
-            if f:
-                for c in range(col, n):
-                    m[r][c] -= f * m[col][c]
-    assert det.denominator == 1
-    return int(det)
+    """Exact determinant by Bareiss's fraction-free integer elimination, with
+    row swaps past zero pivots."""
+    m = [list(row) for row in a]
+    n, sign, prev = len(m), 1, 1
+    for k in range(n):
+        if m[k][k] == 0:
+            r = next((r for r in range(k + 1, n) if m[r][k] != 0), None)
+            if r is None:
+                return 0
+            m[k], m[r] = m[r], m[k]
+            sign = -sign
+        _bareiss_step(m, k, prev)
+        prev = m[k][k]
+    return sign * prev
 
 
 def _submatrix(a: Matrix, keep: list[int]) -> Matrix:
@@ -96,14 +115,14 @@ def is_indecomposable(a: Matrix) -> bool:
 def is_finite_cartan(a: Matrix) -> bool:
     """Finite type: every leading principal minor of every indecomposable
     block is positive (the M-matrix criterion for matrices with nonpositive
-    off-diagonal entries)."""
+    off-diagonal entries).  One elimination per block yields its minors and
+    stops at the first that is not positive."""
     if not is_generalized_cartan(a):
         raise ValueError("not a generalized Cartan matrix")
-    for block in _blocks(a):
-        for k in range(1, len(block) + 1):
-            if _det(_submatrix(a, block[:k])) <= 0:
-                return False
-    return True
+    return all(
+        all(minor > 0 for minor in _leading_minors(_submatrix(a, block)))
+        for block in _blocks(a)
+    )
 
 
 def is_affine_cartan(a: Matrix) -> bool:

@@ -244,14 +244,16 @@ def head_patterns(g: GDD) -> list[HeadPattern]:
         if d_e.order() == 3 and t_eb == d_e * minus_one(m):
             out.append(HeadPattern("T4", (e,), b, body_param=d_e ** -1 * minus_one(m)))
     # Types 5 (ends p, no link) and 6 (ends -1, link p^2): two head vertices
-    # on a common body end, edges p^-1.
-    for h1, h2 in combinations(range(g.rank), 2):
+    # on a common body end c, edges p^-1.  Each is a neighbour of c with no
+    # neighbour but c and its partner; pairs are taken in vertex order.
+    forks = []
+    for c in range(g.rank):
+        tips = [h for h in nbs[c] if len(nbs[h]) <= 2]
+        for h1, h2 in combinations(tips, 2):
+            if set(nbs[h1]) <= {c, h2} and set(nbs[h2]) <= {c, h1}:
+                forks.append((min(h1, h2), max(h1, h2), c))
+    for h1, h2, c in sorted(forks):
         link = g.edge_label(h1, h2)
-        nb1 = [u for u in nbs[h1] if u != h2]
-        nb2 = [u for u in nbs[h2] if u != h1]
-        if len(nb1) != 1 or nb1 != nb2:
-            continue
-        c = nb1[0]
         t1, t2 = g.edge_label(h1, c), g.edge_label(h2, c)
         if t1 != t2:
             continue

@@ -1,10 +1,15 @@
 """The arithmetic oracle and the quasi-affine predicate.
 
 A connected diagram of rank >= 5 is arithmetic exactly when it is classical,
-a stored exceptional row, or of Cartan type with finite matrix.  Below rank 5
-the oracle can certify positives (classical / Cartan / stored) but refuses to
-certify a negative unless the database covers that rank: it raises OracleGap
-instead of guessing.
+a stored exceptional row, or of Cartan type with finite matrix.  Each branch
+recognizes the queried diagram itself: classify.classical_type reads it as a
+classical type, the database looks up its canonical key, and the Cartan
+shortcut eliminates its exponent matrix once.  No family is generated to
+answer a query.
+
+Below rank 5 the oracle can certify positives (classical / Cartan / stored)
+but refuses to certify a negative unless the database covers that rank: it
+raises OracleGap instead of guessing.
 
 Quasi-affine testing only ever consults connected single-vertex deletions:
 every component of a disconnected deletion embeds into a connected deletion
@@ -22,7 +27,7 @@ from . import cartan, classify
 from .chains import chain_condition_failures
 from .core import GDD, at_minimal_modulus, normalized_key
 from .roots import minus_one
-from .tables import ArithmeticDatabase, classical_keys
+from .tables import ArithmeticDatabase
 
 
 # Entries each oracle memo holds at most; past it, verdicts are computed
@@ -48,24 +53,15 @@ class OracleVerdict:
 
 
 class Oracle:
-    """Arithmetic decisions backed by generated classical families, the
-    exceptional-row database, and the Cartan-type shortcut.  Memoized by
-    diagram and by canonical key, in plain dicts with no locking, each
-    holding at most MEMO_LIMIT entries."""
+    """Arithmetic decisions by recognition: the classical types
+    (classify.classical_type), the exceptional-row database, and the
+    Cartan-type shortcut.  Memoized by diagram and by canonical key, in plain
+    dicts with no locking, each holding at most MEMO_LIMIT entries."""
 
     def __init__(self, db: ArithmeticDatabase | None = None):
         self.db = db if db is not None else ArithmeticDatabase()
-        self._classical: dict[tuple[int, int], set[bytes]] = {}
         self._memo: dict[bytes, OracleVerdict] = {}
         self._exact: dict[GDD, OracleVerdict] = {}
-
-    # -- key sets -----------------------------------------------------------
-
-    def classical_key_set(self, rank: int, modulus: int) -> set[bytes]:
-        key = (rank, modulus)
-        if key not in self._classical:
-            self._classical[key] = classical_keys(rank, modulus)
-        return self._classical[key]
 
     # -- the oracle ----------------------------------------------------------
 
@@ -91,19 +87,22 @@ class Oracle:
         return verdict
 
     def _connected_uncached(self, g: GDD) -> OracleVerdict:
+        """The verdict on a connected diagram: classical by recognition, then
+        a stored row, then the Cartan shortcut, which must not deny either
+        positive."""
         if g.rank == 1:
             return OracleVerdict(not g.diag[0].is_one, ("rank-1",))
         if g.has_degenerate_diag():
             return OracleVerdict(False, ("degenerate-diag",))
         # The one canonicalization of this query: the key at the minimal
-        # modulus indexes the memo, the classical key sets and the database.
+        # modulus indexes the memo and the database.
         normal = at_minimal_modulus(g)
         key = normal.canonical_key()
         hit = self._memo.get(key)
         if hit is not None:
             return hit
         positive = None
-        if key in self.classical_key_set(g.rank, normal.modulus):
+        if classify.classical_type(normal):
             positive = OracleVerdict(True, ("classical",))
         else:
             meta = self.db.lookup(g.rank, key)

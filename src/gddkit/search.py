@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import combinations, product
 
 from .core import GDD, minimal_modulus, normalized_key, parse_blocks, with_modulus
 from .oracle import (
@@ -101,26 +101,22 @@ def extensions(base: GDD, modulus: int):
     """All diagrams adding one vertex to base: every label != 1 on the new
     vertex, every nonempty attachment set, every labelling of the new edges.
     Deterministic order."""
-    for diag, pairs in _attachment_patterns(base.rank, modulus):
+    for diag, pairs in _attachment_patterns(modulus, range(base.rank), base.rank):
         yield base.add_vertex(diag, pairs)
 
 
-def _label_tuples(labels, k):
-    if k == 0:
-        yield ()
-        return
-    for rest in _label_tuples(labels, k - 1):
-        for lab in labels:
-            yield rest + (lab,)
-
-
-def _attachment_patterns(rank: int, modulus: int):
+def _attachment_patterns(modulus: int, vertices, room: int):
+    """(label of the new vertex, (vertex, edge label) pairs) for every
+    nonempty attachment to at most ``room`` of the given vertices (ascending),
+    ordered by new-vertex label, attachment size, attached vertices
+    (lexicographic), then edge labels (the last varying fastest).  Restricting
+    the vertices or the room keeps the order the remaining patterns have among
+    all attachments."""
     labels = [UnityRoot(e, modulus) for e in range(1, modulus)]
-    for diag_e in range(1, modulus):
-        diag = UnityRoot(diag_e, modulus)
-        for k in range(1, rank + 1):
-            for subset in combinations(range(rank), k):
-                for assignment in _label_tuples(labels, k):
+    for diag in labels:
+        for k in range(1, min(room, len(vertices)) + 1):
+            for subset in combinations(vertices, k):
+                for assignment in product(labels, repeat=k):
                     yield diag, tuple(zip(subset, assignment))
 
 
@@ -194,7 +190,8 @@ def enumerate_quasi_affine(
     def deletion_ok(sub: GDD) -> bool:
         if len(sub.edges) > max_edges:
             return False
-        if use_filters:
+        # The filters screen only diagrams the oracle has not decided yet.
+        if use_filters and sub not in oracle._exact:
             if forbidden_by_chain_failures(sub, exception_keys) is not None:
                 report.pruned_by_filters += 1
                 return False
@@ -215,15 +212,16 @@ def enumerate_quasi_affine(
             if not trimmed.is_connected():
                 continue
             # Patterns on base - v whose one-vertex extension is arithmetic;
-            # the candidate's deletion at v is exactly that extension.
-            trimmed_edges = len(trimmed.edges)
-            trimmed_deg = [len(nbs) for nbs in trimmed.adjacency()]
+            # the candidate's deletion at v is exactly that extension.  Only
+            # patterns inside the shape bounds are generated: at most
+            # max_degree new edges, max_edges in all, and none to a vertex
+            # that already has max_degree neighbours.
+            room = min(max_edges - len(trimmed.edges), max_degree)
+            open_vertices = [
+                u for u, nbs in enumerate(trimmed.adjacency()) if len(nbs) < max_degree
+            ]
             viable = []
-            for diag, pairs in _attachment_patterns(trimmed.rank, modulus):
-                if trimmed_edges + len(pairs) > max_edges or len(pairs) > max_degree:
-                    continue
-                if any(trimmed_deg[u] + 1 > max_degree for u, _ in pairs):
-                    continue
+            for diag, pairs in _attachment_patterns(modulus, open_vertices, room):
                 ext = trimmed.add_vertex(diag, pairs)
                 if deletion_ok(ext):
                     viable.append((diag, pairs))

@@ -1,12 +1,16 @@
-"""The arithmetic-diagram database.
+"""The arithmetic-diagram database, and the classical families.
 
-The classical families are generated on demand from their defining types;
-only the exceptional rows are stored, transcribed into the text format and
+Only the exceptional rows are stored, transcribed into the text format and
 instantiated at one primitive parameter per stated order.  Loading expands
 each entry over the conjugate parameters (label-wise power twists), so
 membership is independent of which primitive root the caller picked.
 Lookups go through canonical keys at the minimal even modulus and are thus
 relabelling-invariant.
+
+The classical families are generated from their defining types: the search
+takes its bases and shape bounds from them, and the tests take them as the
+reference for classify.classical_type, which the oracle uses to recognize a
+classical diagram without generating its family.
 """
 
 from __future__ import annotations
@@ -185,4 +189,7 @@ def generate_classical(rank: int, modulus: int) -> set[GDD]:
 
 
 def classical_keys(rank: int, modulus: int) -> set[bytes]:
+    """Normalized keys of every classical diagram of the given rank over
+    mu_modulus: the generated reference that classical recognition is
+    tested against."""
     return {normalized_key(g) for g in generate_classical(rank, modulus)}

@@ -481,7 +481,14 @@ def indep_cartan_finite(n, m, diag, edges):
         for j in range(n):
             if i != j and (rows[i][j] == 0) != (rows[j][i] == 0):
                 return None
-    # all leading principal minors of each block positive
+    return indep_finite_cartan_matrix(rows)
+
+
+def indep_finite_cartan_matrix(rows):
+    """Finite type of a generalized Cartan matrix: every leading principal
+    minor of each block (vertices in ascending order) is positive, each minor
+    a separate determinant."""
+    n = len(rows)
     blocks = []
     seen = set()
     for s in range(n):

@@ -4,11 +4,12 @@ from itertools import product
 
 import pytest
 
-from brute import bf_same_up_to_permutation
+from brute import _det_int, bf_same_up_to_permutation, indep_finite_cartan_matrix
 from gddkit.cartan import (
     FAMILY_NAMES,
     AffineFamily,
     _SIZE_RULES,
+    _det,
     _reference_matrix,
     admissible,
     affine_family_of,
@@ -111,11 +112,11 @@ def _permuted(a, p):
     return tuple(tuple(a[p[i]][p[j]] for j in range(n)) for i in range(n))
 
 
-def _random_gcm(rng, n):
+def _random_gcm(rng, n, density=0.6):
     m = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
-            if rng.random() < 0.6:
+            if rng.random() < density:
                 m[i][j], m[j][i] = -rng.randrange(1, 3), -rng.randrange(1, 3)
     return tuple(tuple(row) for row in m)
 
@@ -139,6 +140,37 @@ def test_same_up_to_permutation_matches_permutation_search():
         assert same_up_to_permutation(a, b) == want, (a, b)
         agree += want
     assert 200 < agree < 700
+
+
+def test_det_matches_reference_elimination():
+    """Integer elimination with row swaps against rational elimination, on
+    random integer matrices with zeros (so pivots vanish) up to n = 9."""
+    rng = random.Random(23)
+    zero = 0
+    for _ in range(600):
+        n = rng.randint(1, 9)
+        a = tuple(
+            tuple(rng.choice([0, 0, rng.randint(-5, 5)]) for _ in range(n))
+            for _ in range(n)
+        )
+        assert _det(a) == _det_int(a), a
+        zero += _det(a) == 0
+    assert 0 < zero < 600
+    assert _det(((0, 1), (1, 0))) == -1
+
+
+def test_finite_test_matches_minor_by_minor_reference():
+    """One elimination per block decides as a separate determinant for each
+    leading principal minor does, on random matrices up to n = 9."""
+    rng = random.Random(29)
+    finite = 0
+    for _ in range(1500):
+        n = rng.randint(1, 9)
+        a = _random_gcm(rng, n, density=rng.choice([0.15, 0.3, 0.6]))
+        expected = indep_finite_cartan_matrix(a)
+        assert is_finite_cartan(a) == expected, a
+        finite += expected
+    assert 100 < finite < 1400
 
 
 def test_same_up_to_permutation_on_permuted_references():

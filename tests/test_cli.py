@@ -110,6 +110,17 @@ def test_check_reports_every_diagram_after_a_gap(tmp_path, capsys):
     assert "diagram 2: rank 5" in out and "arithmetic: yes" in out
 
 
+def test_check_classical_diagram_above_generation_bound(tmp_path, capsys):
+    # an A3 chain with q of order 33: its minimal modulus 66 lies above
+    # tables.MAX_MODULUS, which bounds generation, not recognition
+    p = tmp_path / "a3.gdd"
+    p.write_text("gdd M=66 n=3\ndiag 2 2 2\nedge 1 2 64\nedge 2 3 64\n")
+    assert main(["check", str(p), "--db", DATA]) == 0
+    captured = capsys.readouterr()
+    assert "  arithmetic: yes (witness: classical)\n" in captured.out
+    assert captured.err == ""
+
+
 def test_enumerate_without_db_exit_3(capsys, tmp_path):
     rc = main(["enumerate", "--rank", "6", "--order-of-q", "3",
                "--out", str(tmp_path / "r.txt")])

@@ -5,12 +5,13 @@ import pytest
 
 from brute import bf_canon_gdd_raw, brute_classical_keys
 from gddkit.classify import classical_type, is_quasi_classical
-from gddkit.core import GDD, normalized_key
+from gddkit.core import GDD, at_minimal_modulus, normalized_key
 from gddkit.roots import UnityRoot, minus_one
 from gddkit.tables import (
     ArithmeticDatabase,
     DatabaseError,
     EntryMeta,
+    classical_keys,
     generate_classical,
     load,
     store,
@@ -60,11 +61,59 @@ def test_generate_matches_independent_enumeration(rank, m):
     assert lib == brute_classical_keys(rank, m)
 
 
+CLASSICAL_GRID = [(rank, m) for rank in range(2, 7) for m in range(2, 13, 2)]
+
+
 def test_generated_are_recognized_back():
-    sample = sorted(generate_classical(5, 6), key=lambda g: g.to_text())
-    rng = random.Random(3)
-    for g in rng.sample(sample, 60):
-        assert classical_type(g), g.to_text()
+    for rank, m in CLASSICAL_GRID:
+        for g in generate_classical(rank, m):
+            assert classical_type(g), g.to_text()
+
+
+def _one_label_mutant(rng, g):
+    """g with one vertex or edge label changed (an edge label changed to 1
+    drops the edge), or None when that leaves the oracle's domain."""
+    m = g.modulus
+    diag, edges = list(g.diag), dict(g.edges)
+    slot = rng.randrange(g.rank + len(edges))
+    if slot < g.rank:
+        new = rng.choice([x for x in range(m) if x != diag[slot].exponent])
+        diag[slot] = u(new, m)
+    else:
+        e = sorted(edges)[slot - g.rank]
+        new = rng.choice([x for x in range(m) if x != edges[e].exponent])
+        if new == 0:
+            del edges[e]
+        else:
+            edges[e] = u(new, m)
+    h = GDD(m, tuple(diag), edges)
+    if h.has_degenerate_diag() or not h.is_connected():
+        return None
+    return h
+
+
+def test_classical_recognition_matches_generated_key_sets():
+    """The oracle's classical branch (recognition at the minimal modulus)
+    agrees with membership in the generated key set, on every classical
+    diagram of the grid and on two one-label mutants of each."""
+    rng = random.Random(41)
+    key_sets = {}
+    positives = negatives = 0
+    for rank, m in CLASSICAL_GRID:
+        for g in sorted(generate_classical(rank, m), key=lambda g: g.to_text()):
+            for h in [g, _one_label_mutant(rng, g), _one_label_mutant(rng, g)]:
+                if h is None:
+                    continue
+                normal = at_minimal_modulus(h)
+                pair = (rank, normal.modulus)
+                if pair not in key_sets:
+                    key_sets[pair] = classical_keys(*pair)
+                expected = normal.canonical_key() in key_sets[pair]
+                assert bool(classical_type(normal)) == expected, h.to_text()
+                positives += expected
+                negatives += not expected
+    # 9,170 generated diagrams; some mutants stay classical
+    assert positives > 9500 and negatives > 10000
 
 
 def test_database_round_trip(tmp_path):

@@ -335,3 +335,33 @@ def arithmetic_via_cartan(g: GDD) -> bool | None:
     if a is None:
         return None
     return is_finite_cartan(a)
+
+
+def finite_cartan_diagrams(rank: int, modulus: int) -> list[GDD]:
+    """Every connected diagram of finite Cartan type of the given rank over
+    mu_modulus, one per relabelling class, in key order.
+
+    They are grown one leaf at a time from rank 1: the diagram of a connected
+    finite Cartan matrix is a tree, and deleting a leaf leaves a connected
+    one of finite type.  Since a_ij * a_ji <= 3 in a finite matrix, the edge
+    to the new leaf is q^-a for the label q of the vertex it joins, and d^-b
+    for the label d of the leaf, with a and b in {1, 2, 3}."""
+    labels = [UnityRoot(e, modulus) for e in range(1, modulus)]
+    powers = {
+        d: [t for t in dict.fromkeys(d ** -a for a in (1, 2, 3)) if not t.is_one]
+        for d in labels
+    }
+    level = {g.canonical_key(): g for g in (GDD(modulus, (d,)) for d in labels)}
+    for _ in range(rank - 1):
+        grown: dict[bytes, GDD] = {}
+        for g in level.values():
+            for v in range(g.rank):
+                for t in powers[g.diag[v]]:
+                    for d in labels:
+                        if t not in powers[d]:
+                            continue
+                        h = g.add_vertex(d, [(v, t)])
+                        if arithmetic_via_cartan(h):
+                            grown.setdefault(h.canonical_key(), h)
+        level = grown
+    return [level[k] for k in sorted(level)]

@@ -44,10 +44,12 @@ def _labels(g: GDD, order: list[int]) -> tuple[list[UnityRoot], list[UnityRoot]]
     return diag, ties
 
 
-def chain_condition_failures(g: GDD) -> list[int]:
+def chain_condition_failures(g: GDD, order: list[int] | None = None) -> list[int]:
     """Positions along the chain order where the simple-chain conditions
-    fail; rank 1 never fails."""
-    order = g.chain_order()
+    fail; rank 1 never fails.  A caller that knows g.chain_order() passes it
+    as ``order``."""
+    if order is None:
+        order = g.chain_order()
     if order is None:
         raise ValueError("not a chain")
     n = len(order)
@@ -67,9 +69,10 @@ def chain_condition_failures(g: GDD) -> list[int]:
     return bad
 
 
-def is_simple_chain(g: GDD) -> bool:
-    """Check the simple-chain conditions; rank 1 always qualifies."""
-    return not chain_condition_failures(g)
+def is_simple_chain(g: GDD, order: list[int] | None = None) -> bool:
+    """Check the simple-chain conditions; rank 1 always qualifies.  ``order``
+    is g.chain_order(), if the caller knows it."""
+    return not chain_condition_failures(g, order)
 
 
 def chain_profile(g: GDD) -> set[ChainProfile]:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .chains import ChainProfile, is_simple_chain, oriented_profile
-from .core import GDD
+from .core import GDD, components_of
 from .roots import UnityRoot, minus_one
 
 @dataclass(frozen=True)
@@ -56,7 +56,7 @@ def _attached_profile(
     simple chain ending at ``attach``."""
     body = g.induced(body_vertices)
     order = body.chain_order()
-    if order is None or not is_simple_chain(body):
+    if order is None or not is_simple_chain(body, order):
         return None
     pos = {v: i for i, v in enumerate(body_vertices)}
     a = pos[attach]
@@ -72,15 +72,17 @@ def _attached_profile(
 
 def classical_type(g: GDD) -> set[TypeTag]:
     """All readings of g as one of the classical types; empty when g is not
-    classical."""
-    if not g.is_connected():
+    classical.  One adjacency serves the connectivity test, the chain order
+    and the head patterns."""
+    adj = g.adjacency()
+    if len(components_of(adj)) != 1:
         raise ValueError("classical recognition needs a connected diagram")
     tags: set[TypeTag] = set()
     n = g.rank
-    order = g.chain_order()
+    order = g.chain_order(adj)
 
     # Type 7: the whole diagram is a simple chain C_{n, q^{-1}, I}.
-    if order is not None and is_simple_chain(g):
+    if order is not None and is_simple_chain(g, order):
         for o in ([order, order[::-1]] if n > 1 else [order]):
             profile = oriented_profile(g, o)
             if profile is None:
@@ -92,7 +94,7 @@ def classical_type(g: GDD) -> set[TypeTag]:
                 tags.add(TypeTag("T7", profile.q ** -1, profile, (), o[0]))
 
     # Types 1-6: a head on one end of a simple-chain body.
-    for head in head_patterns(g):
+    for head in head_patterns(g, adj):
         if len(head.vertices) == 1 and order is None:
             continue  # one end vertex on a chain body makes g a chain
         body_vertices = [v for v in range(n) if v not in head.vertices]
@@ -223,11 +225,12 @@ class HeadPattern:
         return profile.q == self.body_param
 
 
-def head_patterns(g: GDD) -> list[HeadPattern]:
-    """All head readings available on end vertices of g."""
+def head_patterns(g: GDD, adj: list[list[int]] | None = None) -> list[HeadPattern]:
+    """All head readings available on end vertices of g; ``adj`` is
+    g.adjacency(), if the caller has built it."""
     out = []
     m = g.modulus
-    nbs = g.adjacency()
+    nbs = adj if adj is not None else g.adjacency()
     for e in range(g.rank):
         if len(nbs[e]) != 1:
             continue

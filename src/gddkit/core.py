@@ -167,18 +167,18 @@ class GDD:
         """True when the underlying graph is a path (rank 1 counts)."""
         return self.chain_order() is not None
 
-    def chain_order(self) -> list[int] | None:
-        """Vertices in path order when the graph is a path, else None."""
+    def chain_order(self, adj: list[list[int]] | None = None) -> list[int] | None:
+        """Vertices in path order when the graph is a path, else None.  A
+        caller that has built adjacency() passes it as ``adj``."""
         if self.rank == 1:
             return [0]
-        adj = self.adjacency()
+        if adj is None:
+            adj = self.adjacency()
         ends = [v for v, nbs in enumerate(adj) if len(nbs) == 1]
-        if (
-            len(ends) != 2
-            or any(len(nbs) > 2 for nbs in adj)
-            or len(components_of(adj)) != 1
-        ):
+        if len(ends) != 2 or any(len(nbs) > 2 for nbs in adj):
             return None
+        # The walk from one end stops short of rank vertices, at the other
+        # end, when another component exists.
         order = [ends[0]]
         prev = -1
         while len(order) < self.rank:
@@ -261,22 +261,16 @@ def components_of(adj: list[list[int]]) -> list[list[int]]:
     return out
 
 
-def least_form(colours: list, labels: list[list]) -> tuple:
-    """Canonical form of vertices v coloured colours[v], each ordered pair
-    labelled labels[v][u] (0: no edge; labels[u][v] must follow from it): the
-    colours, then the rows labels[o_i][o_j] (j > i), in the least vertex order
-    o among those keeping each refined cell contiguous.  o is chosen position
-    by position from the first remaining part; choosing o_i fixes row i once
-    each later part is sorted, and split, by label to o_i.  Only choices tying
-    for the least row are followed, twins (swapping them changes no label) are
-    tried once, and prefixes worse than the best form found are dropped."""
+def _refine(colours: list, labels: list[list]) -> list[int]:
+    """The stable refinement of the colouring: each vertex's colour is
+    repeatedly extended by the sorted (label, colour) pairs of its
+    neighbours (labels[v][u] != 0) until no cell splits.  Returns colour
+    indices 0, 1, ... in order of signature."""
     n = len(colours)
     adj = [
         [(labels[v][u], u) for u in range(n) if u != v and labels[v][u] != 0]
         for v in range(n)
     ]
-    # Refine until stable; the cells are ordered by signature, and canonical
-    # key bytes depend on that order.
     colour, count = list(colours), len(set(colours))
     while True:
         sig = [
@@ -287,8 +281,24 @@ def least_form(colours: list, labels: list[list]) -> tuple:
         index = {s: i for i, s in enumerate(distinct)}
         colour = [index[s] for s in sig]
         if len(distinct) == count:
-            break
+            return colour
         count = len(distinct)
+
+
+def least_form(colours: list, labels: list[list]) -> tuple:
+    """Canonical form of vertices v coloured colours[v], each ordered pair
+    labelled labels[v][u] (0: no edge; labels[u][v] must follow from it): the
+    colours, then the rows labels[o_i][o_j] (j > i), in the least vertex order
+    o among those keeping each refined cell contiguous.  o is chosen position
+    by position from the first remaining part; choosing o_i fixes row i once
+    each later part is sorted, and split, by label to o_i.  Only choices tying
+    for the least row are followed, twins (swapping them changes no label) are
+    tried once, and prefixes worse than the best form found are dropped."""
+    n = len(colours)
+    # The cells are ordered by signature, and canonical key bytes depend on
+    # that order.
+    colour = _refine(colours, labels)
+    count = max(colour) + 1
     cells: list[list[int]] = [[] for _ in range(count)]
     for v in range(n):
         cells[colour[v]].append(v)
@@ -337,6 +347,48 @@ def least_form(colours: list, labels: list[list]) -> tuple:
 
     search(cells, [])
     return head + tuple(x for row in best for x in row)
+
+
+def isomorphisms(g: GDD, h: GDD):
+    """Every vertex map phi of g onto h (phi[v] is the image of vertex v)
+    under which each vertex label, and each edge label or its absence, of g
+    equals that of h; for g == h these are the automorphisms.  The vertices
+    of both are refined together as in least_form, and each is mapped only
+    into its cell, one vertex at a time, checking its labels to the vertices
+    already mapped."""
+    n = g.rank
+    if h.rank != n or h.modulus != g.modulus or len(h.edges) != len(g.edges):
+        return
+    # The disjoint union: g on 0 .. n-1, h on n .. 2n-1.
+    labels = [[0] * (2 * n) for _ in range(2 * n)]
+    for off, x in ((0, g), (n, h)):
+        for (u, v), lab in x.edges.items():
+            labels[off + u][off + v] = labels[off + v][off + u] = lab.exponent
+    colour = _refine([d.exponent for d in g.diag + h.diag], labels)
+    if sorted(colour[:n]) != sorted(colour[n:]):
+        return
+    cells: dict[int, list[int]] = {}
+    for w in range(n):
+        cells.setdefault(colour[n + w], []).append(w)
+    order = sorted(range(n), key=lambda v: (len(cells[colour[v]]), v))
+    phi, used = [0] * n, [False] * n
+
+    def extend(i: int):
+        if i == n:
+            yield list(phi)
+            return
+        v = order[i]
+        row = labels[v]
+        for w in cells[colour[v]]:
+            if used[w]:
+                continue
+            image = labels[n + w]
+            if all(row[u] == image[n + phi[u]] for u in order[:i]):
+                phi[v], used[w] = w, True
+                yield from extend(i + 1)
+                used[w] = False
+
+    yield from extend(0)
 
 
 def from_braiding_matrix(matrix: list[list[UnityRoot]]) -> GDD:

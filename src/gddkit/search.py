@@ -6,12 +6,18 @@ vertex to a connected arithmetic diagram of rank n-1 (a "base").  The search
 walks all bases, all attachments of one new vertex, and keeps the candidates
 whose deletions are all arithmetic while the candidate itself is not.
 
-To avoid visiting the full attachment space blindly, candidates are built in
-two stages: for a base A and a non-cut vertex v of A, the deletion of v from
-a viable candidate must be an arithmetic extension of A - v, so attachment
-patterns are pre-screened on A - v and only then combined with an optional
-edge back to v.  Every candidate still gets the full deletion check; the
-staging only prunes attachments that could never survive it.
+Candidates are built in two stages.  For a base A and a non-cut vertex v of
+A, the deletion of v from a viable candidate is an arithmetic one-vertex
+extension of A - v; it has rank n-1, so it is itself a base B, with A - v as
+B - w for its vertex w.  The search therefore indexes every base B by the
+canonical key of each connected B - w, and reads the attachment patterns of
+A - v off the entries under its key: w's label and edges, carried to A - v by
+each isomorphism A - v -> B - w.  Only then is each pattern combined with an
+optional edge back to v.  Every candidate still gets the full deletion check
+by the oracle; the index only skips attachments that could never survive it.
+That needs every connected arithmetic diagram of rank n-1 in the index, so it
+is built from all of collect_bases (classical, stored and finite-Cartan
+diagrams) whichever bases are walked.
 
 Arithmeticity, and so quasi-affineness, is invariant under the power twists
 g -> g^t with t a unit of Z/M (the conjugate parameters), and the bases are
@@ -35,7 +41,15 @@ import time
 from dataclasses import dataclass, field
 from itertools import combinations, product
 
-from .core import GDD, minimal_modulus, normalized_key, parse_blocks, with_modulus
+from .cartan import finite_cartan_diagrams
+from .core import (
+    GDD,
+    isomorphisms,
+    minimal_modulus,
+    normalized_key,
+    parse_blocks,
+    with_modulus,
+)
 from .oracle import (
     Oracle,
     forbidden_by_chain_failures,
@@ -100,30 +114,64 @@ class Comparison:
 def extensions(base: GDD, modulus: int):
     """All diagrams adding one vertex to base: every label != 1 on the new
     vertex, every nonempty attachment set, every labelling of the new edges.
-    Deterministic order."""
-    for diag, pairs in _attachment_patterns(modulus, range(base.rank), base.rank):
-        yield base.add_vertex(diag, pairs)
-
-
-def _attachment_patterns(modulus: int, vertices, room: int):
-    """(label of the new vertex, (vertex, edge label) pairs) for every
-    nonempty attachment to at most ``room`` of the given vertices (ascending),
-    ordered by new-vertex label, attachment size, attached vertices
-    (lexicographic), then edge labels (the last varying fastest).  Restricting
-    the vertices or the room keeps the order the remaining patterns have among
-    all attachments."""
+    Ordered by new-vertex label, attachment size, attached vertices
+    (lexicographic), then edge labels (the last varying fastest)."""
     labels = [UnityRoot(e, modulus) for e in range(1, modulus)]
     for diag in labels:
-        for k in range(1, min(room, len(vertices)) + 1):
-            for subset in combinations(vertices, k):
+        for k in range(1, base.rank + 1):
+            for subset in combinations(range(base.rank), k):
                 for assignment in product(labels, repeat=k):
-                    yield diag, tuple(zip(subset, assignment))
+                    yield base.add_vertex(diag, zip(subset, assignment))
+
+
+def _pattern_order(pattern) -> tuple:
+    """Sort key putting attachment patterns in the order extensions() builds
+    the diagrams they give."""
+    diag, pairs = pattern
+    return (
+        diag.exponent,
+        len(pairs),
+        [u for u, _ in pairs],
+        [lab.exponent for _, lab in pairs],
+    )
+
+
+class BaseIndex:
+    """Bases indexed by their connected one-vertex deletions: the canonical
+    key of B - w maps to (B - w, the label of w, the label of the edge from w
+    to each vertex of B - w or None), for every base B and vertex w."""
+
+    def __init__(self, bases: list[GDD]):
+        self._entries: dict[bytes, list[tuple[GDD, UnityRoot, list]]] = {}
+        for b in bases:
+            for w in range(b.rank):
+                rest = b.delete_vertex(w)
+                if rest.is_connected():
+                    to_w = [b.edge_label(w, u) for u in range(b.rank) if u != w]
+                    entry = (rest, b.diag[w], to_w)
+                    self._entries.setdefault(rest.canonical_key(), []).append(entry)
+
+    def patterns(self, trimmed: GDD) -> list[tuple[UnityRoot, tuple]]:
+        """(label of the new vertex, (vertex, edge label) pairs) for every
+        nonempty attachment to the connected diagram trimmed that makes it a
+        base, each once, in extensions() order.  Such an extension is a base
+        B with trimmed as B - w, so its pattern is w's, carried to trimmed by
+        an isomorphism trimmed -> B - w."""
+        out = set()
+        for rest, diag, to_w in self._entries.get(trimmed.canonical_key(), ()):
+            for phi in isomorphisms(trimmed, rest):
+                out.add((diag, tuple(
+                    (t, to_w[phi[t]]) for t in range(trimmed.rank)
+                    if to_w[phi[t]] is not None
+                )))
+        return sorted(out, key=_pattern_order)
 
 
 def collect_bases(rank: int, modulus: int, db: ArithmeticDatabase) -> list[GDD]:
     """Connected arithmetic diagrams of the given rank over mu_modulus:
-    generated classical families plus stored exceptional rows, one
-    representative per relabelling class."""
+    generated classical families, stored exceptional rows and diagrams of
+    finite Cartan type, one representative per relabelling class, in key
+    order."""
     seen: dict[bytes, GDD] = {}
     for g in generate_classical(rank, modulus):
         seen.setdefault(normalized_key(g), g)
@@ -131,6 +179,8 @@ def collect_bases(rank: int, modulus: int, db: ArithmeticDatabase) -> list[GDD]:
         if modulus % minimal_modulus(g) == 0:
             lifted = with_modulus(g, modulus)
             seen.setdefault(normalized_key(lifted), lifted)
+    for g in finite_cartan_diagrams(rank, modulus):
+        seen.setdefault(normalized_key(g), g)
     return [seen[k] for k in sorted(seen)]
 
 
@@ -173,19 +223,11 @@ def enumerate_quasi_affine(
     if use_filters:
         exception_keys = {normalized_key(g) for g, _ in db.entries()}
 
-    # Shape bounds over the known arithmetic diagrams at rank n-1: an
-    # attachment that overshoots the maximal edge count or vertex degree can
-    # never be arithmetic, so the screen skips it before canonicalizing.
-    # (Cartan-type arithmetic diagrams beyond those sets are finite-type
-    # trees, well inside the bounds.)
-    shape_pool = list(generate_classical(rank - 1, modulus))
-    shape_pool += [
-        g for g, _ in db.entries(rank - 1) if g.modulus in (2, modulus)
-    ]
-    max_edges = max(max(len(g.edges) for g in shape_pool), rank - 2)
-    max_degree = max(
-        max(len(nbs) for g in shape_pool for nbs in g.adjacency()), 2
-    )
+    all_bases = collect_bases(rank - 1, modulus, db)
+    index = BaseIndex(all_bases)
+    # A connected deletion has rank n-1, so it is arithmetic only if it is a
+    # base: one with more edges than every base is rejected unasked.
+    max_edges = max((len(g.edges) for g in all_bases), default=0)
 
     def deletion_ok(sub: GDD) -> bool:
         if len(sub.edges) > max_edges:
@@ -202,8 +244,9 @@ def enumerate_quasi_affine(
 
     twist_closed = bases is None
     if twist_closed:
-        bases = twist_representatives(collect_bases(rank - 1, modulus, db))
+        bases = twist_representatives(all_bases)
     found: dict[bytes, GDD] = {}
+    back = [None] + [UnityRoot(e, modulus) for e in range(1, modulus)]
 
     for base in bases:
         report.bases_tried += 1
@@ -211,25 +254,12 @@ def enumerate_quasi_affine(
             trimmed = base.delete_vertex(v)
             if not trimmed.is_connected():
                 continue
+            # Transport patterns from base - v coordinates to base
+            # coordinates (vertex v sits in the middle of the numbering).
+            lift = [u for u in range(base.rank) if u != v]
             # Patterns on base - v whose one-vertex extension is arithmetic;
-            # the candidate's deletion at v is exactly that extension.  Only
-            # patterns inside the shape bounds are generated: at most
-            # max_degree new edges, max_edges in all, and none to a vertex
-            # that already has max_degree neighbours.
-            room = min(max_edges - len(trimmed.edges), max_degree)
-            open_vertices = [
-                u for u, nbs in enumerate(trimmed.adjacency()) if len(nbs) < max_degree
-            ]
-            viable = []
-            for diag, pairs in _attachment_patterns(modulus, open_vertices, room):
-                ext = trimmed.add_vertex(diag, pairs)
-                if deletion_ok(ext):
-                    viable.append((diag, pairs))
-            back = [None] + [UnityRoot(e, modulus) for e in range(1, modulus)]
-            for diag, pairs in viable:
-                # Transport the pattern from base - v coordinates to base
-                # coordinates (vertex v sits in the middle of the numbering).
-                lift = [u for u in range(base.rank) if u != v]
+            # the candidate's deletion at v is exactly that extension.
+            for diag, pairs in index.patterns(trimmed):
                 base_pairs = [(lift[u], lab) for u, lab in pairs]
                 for v_edge in back:
                     report.candidates_examined += 1

@@ -16,6 +16,7 @@ from gddkit.cartan import (
     arithmetic_via_cartan,
     braiding_exponents,
     build_affine_gdd,
+    finite_cartan_diagrams,
     is_affine_cartan,
     is_finite_cartan,
     is_generalized_cartan,
@@ -283,3 +284,21 @@ def test_shortcut_true_on_cartan_type_classical():
             assert verdict is True, g.to_text()
             seen += 1
     assert seen > 0
+
+
+@pytest.mark.parametrize("rank, modulus", [(2, 4), (2, 12), (3, 4), (3, 6), (4, 2)])
+def test_finite_cartan_diagrams_match_every_labelling(rank, modulus):
+    """The leaf-by-leaf growth finds, one per relabelling class, exactly the
+    connected diagrams of finite Cartan type among all labellings of the
+    complete graph's edge subsets."""
+    pairs = [(i, j) for i in range(rank) for j in range(i + 1, rank)]
+    labels = [u(e, modulus) for e in range(modulus)]
+    expected = set()
+    for diag in product(labels[1:], repeat=rank):
+        for edge_labels in product(labels, repeat=len(pairs)):
+            edges = {p: lab for p, lab in zip(pairs, edge_labels) if not lab.is_one}
+            g = GDD(modulus, diag, edges)
+            if g.is_connected() and arithmetic_via_cartan(g):
+                expected.add(g.canonical_key())
+    grown = finite_cartan_diagrams(rank, modulus)
+    assert [g.canonical_key() for g in grown] == sorted(expected)

@@ -10,6 +10,7 @@ from gddkit.core import (
     GDD,
     ParseError,
     from_braiding_matrix,
+    isomorphisms,
     minimal_modulus,
     normalized_key,
     parse_blocks,
@@ -195,6 +196,76 @@ def test_canonical_key_matches_cell_order_reference():
         h = g.permute(sigma)
         assert g.canonical_key() == cell_order_key(g), g.to_text()
         assert h.canonical_key() == cell_order_key(h), h.to_text()
+
+
+def _label_maps(g: GDD):
+    labels = [[0] * g.rank for _ in range(g.rank)]
+    for (a, b), lab in g.edges.items():
+        labels[a][b] = labels[b][a] = lab.exponent
+    return [d.exponent for d in g.diag], labels
+
+
+def brute_force_isomorphisms(g: GDD, h: GDD) -> list[list[int]]:
+    """Every permutation p with g.permute(p) == h, by trying all of them."""
+    if g.rank != h.rank or g.modulus != h.modulus:
+        return []
+    (gd, gl), (hd, hl) = _label_maps(g), _label_maps(h)
+    n = g.rank
+    return [
+        list(p) for p in permutations(range(n))
+        if all(hd[p[v]] == gd[v] for v in range(n))
+        and all(hl[p[a]][p[b]] == gl[a][b] for a in range(n) for b in range(a + 1, n))
+    ]
+
+
+def _isomorphism_cases():
+    """Diagrams of rank <= 6: the reference set's, twins (vertices with the
+    same label and the same labelled neighbours), and a twin-rich cycle and
+    star with one distinguished vertex."""
+    out = [g for g in _reference_set() if g.rank <= 6]
+    rng = random.Random(11)
+    for _ in range(150):
+        n = rng.randrange(2, 7)
+        m = rng.choice([2, 4, 6])
+        g = random_gdd(rng, n - 1, m)
+        t = rng.randrange(n - 1)
+        twin_edges = [(v, lab) for (a, b), lab in g.edges.items()
+                      for v in (a, b) if t in (a, b) and v != t]
+        if rng.random() < 0.5:
+            twin_edges.append((t, u(rng.randrange(1, m), m)))
+        out.append(g.add_vertex(g.diag[t], twin_edges))
+    for m in (4, 6):
+        d, x = u(1, m), u(m - 1, m)
+        for n in (4, 5, 6):
+            cyc = {(i, (i + 1) % n): x for i in range(n)}
+            out.append(GDD(m, (u(2, m),) + (d,) * (n - 1), cyc))
+            out.append(GDD(m, (d,) * n, {**cyc, (0, 2): x}))
+            out.append(GDD(m, (u(2, m),) + (d,) * (n - 1), {(0, i): x for i in range(1, n)}))
+    return out
+
+
+def test_isomorphisms_match_brute_force():
+    rng = random.Random(1618)
+    cases = _isomorphism_cases()
+    symmetric = 0
+    for g in cases:
+        sigma = list(range(g.rank))
+        rng.shuffle(sigma)
+        h = g.permute(sigma)
+        found = sorted(isomorphisms(g, h))
+        assert found == sorted(brute_force_isomorphisms(g, h)), g.to_text()
+        assert sigma in found
+        automorphisms = list(isomorphisms(g, g))
+        assert len(automorphisms) == len(found) == len(brute_force_isomorphisms(g, g))
+        symmetric += len(automorphisms) > 1
+    assert symmetric > 100
+    # Pairs that are mostly not isomorphic, of equal rank and modulus.
+    for _ in range(300):
+        n = rng.randrange(1, 7)
+        m = rng.choice([2, 4])
+        a, b = random_gdd(rng, n, m), random_gdd(rng, n, m)
+        assert sorted(isomorphisms(a, b)) == brute_force_isomorphisms(a, b)
+    assert list(isomorphisms(GDD(4, (u(1, 4),)), GDD(6, (u(1, 6),)))) == []
 
 
 def test_canonical_key_examples():

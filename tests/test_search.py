@@ -1,19 +1,24 @@
+from itertools import combinations, product
 from math import gcd
 from pathlib import Path
 
 import pytest
 
 from brute import bf_canon
+from gddkit.cartan import affine_family_of, finite_cartan_diagrams
+from gddkit.classify import classical_type
 from gddkit.core import GDD, normalized_key, parse_blocks
+from gddkit.oracle import Oracle
 from gddkit.roots import Parameter, UnityRoot
 from gddkit.search import (
+    BaseIndex,
     collect_bases,
     enumerate_quasi_affine,
     extensions,
     twist_representatives,
     verify_against,
 )
-from gddkit.tables import load
+from gddkit.tables import generate_classical, load
 
 DATA = Path(__file__).parent.parent / "src" / "gddkit" / "data" / "exceptional_rows.gdd"
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -214,3 +219,106 @@ def test_orbit_search_tries_one_base_per_orbit(rank6_m4):
     default, unreduced = rank6_m4
     assert (default.bases_tried, unreduced.bases_tried) == (61, 116)
     assert default.to_text().splitlines()[1].startswith("# bases=61 candidates=3960 ")
+
+
+# -- the base index against the oracle -----------------------------------------
+
+
+def _attachment_patterns(modulus, vertices, room):
+    """Every nonempty attachment to at most ``room`` of the given vertices,
+    in the order extensions() builds them."""
+    labels = [UnityRoot(e, modulus) for e in range(1, modulus)]
+    for diag in labels:
+        for k in range(1, min(room, len(vertices)) + 1):
+            for subset in combinations(vertices, k):
+                for assignment in product(labels, repeat=k):
+                    yield diag, tuple(zip(subset, assignment))
+
+
+class OraclePrescreen:
+    """The reference for BaseIndex.patterns: every attachment to a trimmed
+    base, inside the shape bounds of the known arithmetic diagrams of rank
+    n-1, whose one-vertex extension the oracle calls arithmetic."""
+
+    def __init__(self, rank, modulus, db):
+        self.modulus = modulus
+        self.oracle = Oracle(db)
+        pool = list(generate_classical(rank - 1, modulus))
+        pool += [g for g, _ in db.entries(rank - 1) if g.modulus in (2, modulus)]
+        self.max_edges = max(max(len(g.edges) for g in pool), rank - 2)
+        self.max_degree = max(
+            max(len(nbs) for g in pool for nbs in g.adjacency()), 2
+        )
+
+    def patterns(self, trimmed):
+        room = min(self.max_edges - len(trimmed.edges), self.max_degree)
+        open_vertices = [
+            u for u, nbs in enumerate(trimmed.adjacency())
+            if len(nbs) < self.max_degree
+        ]
+        return [
+            (diag, pairs)
+            for diag, pairs in _attachment_patterns(self.modulus, open_vertices, room)
+            if self.oracle._connected(trimmed.add_vertex(diag, pairs)).arithmetic
+        ]
+
+
+def compare_pattern_lists(rank, order_of_q, db):
+    """Compare the index's pattern list with the oracle's for every twist
+    representative A of the bases of rank n-1 and every non-cut vertex v, on
+    A - v.  Returns (trimmed bases, patterns, mismatched trimmed bases)."""
+    modulus = Parameter(order_of_q).modulus
+    bases = collect_bases(rank - 1, modulus, db)
+    index = BaseIndex(bases)
+    reference = OraclePrescreen(rank, modulus, db)
+    trimmed_count = pattern_count = 0
+    mismatched = []
+    for base in twist_representatives(bases):
+        for v in range(base.rank):
+            trimmed = base.delete_vertex(v)
+            if not trimmed.is_connected():
+                continue
+            got, want = index.patterns(trimmed), reference.patterns(trimmed)
+            trimmed_count += 1
+            pattern_count += len(want)
+            if got != want:
+                mismatched.append(trimmed)
+    return trimmed_count, pattern_count, mismatched
+
+
+@pytest.mark.parametrize(
+    "rank, order_of_q, trimmed, patterns", [(6, 4, 143, 990), (7, 4, 264, 1751)]
+)
+def test_index_patterns_equal_oracle_prescreen(db, rank, order_of_q, trimmed, patterns):
+    """The search reads the same patterns, in the same order, off the index
+    as the oracle pre-screen it replaces passed."""
+    got = compare_pattern_lists(rank, order_of_q, db)
+    assert got[:2] == (trimmed, patterns)
+    assert not got[2], got[2][0].to_text()
+
+
+@pytest.mark.parametrize("rank, modulus", [(5, 4), (5, 6), (5, 10), (6, 4), (6, 6)])
+def test_bases_include_finite_cartan_diagrams(db, rank, modulus):
+    """The base set holds every finite-Cartan diagram; those that are
+    neither classical nor stored are the E6 diagrams, from rank 6 on."""
+    keys = {normalized_key(g) for g in collect_bases(rank, modulus, db)}
+    extra = [g for g in finite_cartan_diagrams(rank, modulus)
+             if not classical_type(g) and db.contains(g) is None]
+    assert all(normalized_key(g) in keys for g in finite_cartan_diagrams(rank, modulus))
+    assert len(extra) == {5: 0, 6: 3}[rank]
+    for g in extra:
+        # E6: arms of one, two and two vertices on the branch vertex.
+        (branch,) = [v for v, nbs in enumerate(g.adjacency()) if len(nbs) == 3]
+        arms = g.delete_vertex(branch).component_vertex_sets()
+        assert sorted(len(arm) for arm in arms) == [1, 2, 2]
+
+
+def test_rank7_m4_search_finds_affine_e6(db):
+    """The default rank 7, M=4 search finds the affine E6^(1) diagram at
+    q = i, -1 and -i: each extends the finite-Cartan base E6."""
+    report = enumerate_quasi_affine(7, Parameter(4), db, collect_shapes=False)
+    e6 = sorted(g.diag[0].exponent for g in report.found.values()
+                if affine_family_of(g) is not None
+                and affine_family_of(g).name == "E1_6")
+    assert e6 == [1, 2, 3]
+    assert len(report.found) == 204

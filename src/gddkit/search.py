@@ -6,18 +6,25 @@ vertex to a connected arithmetic diagram of rank n-1 (a "base").  The search
 walks all bases, all attachments of one new vertex, and keeps the candidates
 whose deletions are all arithmetic while the candidate itself is not.
 
-Candidates are built in two stages.  For a base A and a non-cut vertex v of
-A, the deletion of v from a viable candidate is an arithmetic one-vertex
-extension of A - v; it has rank n-1, so it is itself a base B, with A - v as
-B - w for its vertex w.  The search therefore indexes every base B by the
-canonical key of each connected B - w, and reads the attachment patterns of
-A - v off the entries under its key: w's label and edges, carried to A - v by
-each isomorphism A - v -> B - w.  Only then is each pattern combined with an
-optional edge back to v.  Every candidate still gets the full deletion check
-by the oracle; the index only skips attachments that could never survive it.
-That needs every connected arithmetic diagram of rank n-1 in the index, so it
-is built from all of collect_bases (classical, stored and finite-Cartan
-diagrams) whichever bases are walked.
+A connected deletion has rank n-1, so it is arithmetic exactly when it is a
+base.  The search therefore indexes every base B by the canonical key of
+each connected B - w (BaseIndex): carried to a connected diagram T by each
+isomorphism T -> B - w, w's label and edges are the attachments that make T
+a base.  For a base A it reads these patterns on A - u once, for every
+non-cut vertex u of A.
+
+A candidate g = A + x attaches x by a pattern of A - v plus an optional edge
+back to v (CandidateDeletions).  Its deletions are decided without building
+g: g - x is A and g - v is an extension from the index, by construction; at
+any other non-cut u, g - u is (A - u) + x, disconnected when x keeps no edge
+there and otherwise arithmetic exactly when x's pattern is one of A - u's.
+Only at the cut vertices of A is g built, and a connected g - u is looked up
+among the bases' canonical keys.  The oracle is asked only whether a
+candidate whose deletions all pass is itself arithmetic, and for the shape
+tags.  All of this needs every connected arithmetic diagram of rank n-1
+among the bases, so the index and the key set are built from all of
+collect_bases (classical, stored and finite-Cartan diagrams) whichever bases
+are walked.
 
 Arithmeticity, and so quasi-affineness, is invariant under the power twists
 g -> g^t with t a unit of Z/M (the conjugate parameters), and the bases are
@@ -30,9 +37,11 @@ representatives and ``candidates`` the candidates built from them, while
 given, with no reduction and no closure.
 
 The negative filters of ``oracle`` (``use_filters=True``) are an opt-in API
-diagnostic, off by default and unreachable from the command line.  The
-oracle is complete at rank >= 5, so they cannot add a found diagram; they
-only cost time, and a filter that misfires drops one.
+diagnostic, off by default and unreachable from the command line.  They
+screen only the deletions at cut vertices that the search has not decided
+yet; the index decides the rest.  The oracle is complete at rank >= 5, so
+they cannot add a found diagram; they only cost time, and a filter that
+misfires drops one.
 """
 
 from __future__ import annotations
@@ -167,6 +176,62 @@ class BaseIndex:
         return sorted(out, key=_pattern_order)
 
 
+class CandidateDeletions:
+    """The candidates A + x built on one base A, and their deletions at the
+    vertices of A, decided from the base index at the non-cut vertices of A
+    (see the module docstring).  A candidate is (v, label of x, x's (vertex,
+    edge label) pairs in A coordinates, sorted by vertex); built, x is the
+    vertex of index A.rank."""
+
+    def __init__(self, base: GDD, index: BaseIndex):
+        self.base = base
+        # non-cut vertex u of A -> index.patterns(A - u), in order and as a set
+        self.patterns: dict[int, list] = {}
+        self.arithmetic: dict[int, set] = {}
+        for u in range(base.rank):
+            trimmed = base.delete_vertex(u)
+            if trimmed.is_connected():
+                self.patterns[u] = index.patterns(trimmed)
+                self.arithmetic[u] = set(self.patterns[u])
+
+    def candidates(self, back):
+        """Every candidate: x attached by a pattern of A - v, carried to A,
+        plus an edge to v labelled by each entry of back (None for no edge).
+        By v, then patterns in extensions() order, then back-edge order."""
+        for v, patterns in self.patterns.items():
+            # A - v numbers the vertices of A other than v in order.
+            lift = [u for u in range(self.base.rank) if u != v]
+            for diag, pairs in patterns:
+                lifted = [(lift[t], lab) for t, lab in pairs]
+                for v_edge in back:
+                    if v_edge is None:
+                        yield v, diag, lifted
+                    else:
+                        yield v, diag, sorted(lifted + [(v, v_edge)])
+
+    def verdicts(self, v: int, diag: UnityRoot, pairs, cut_ok):
+        """(u, whether g - u is arithmetic) for the candidate g = (v, diag,
+        pairs) and every vertex u != v of A at which g - u is connected, in
+        vertex order.  At a non-cut u, g - u is (A - u) + x, x's pairs outside
+        u renumbered to A - u (with none left, x is isolated there).  At a
+        cut vertex u, g is built, once, and cut_ok(g - u) decides."""
+        g = None
+        for u in range(self.base.rank):
+            if u == v:
+                continue
+            arithmetic = self.arithmetic.get(u)
+            if arithmetic is not None:
+                rest = tuple((w if w < u else w - 1, lab) for w, lab in pairs if w != u)
+                if rest:
+                    yield u, (diag, rest) in arithmetic
+                continue
+            if g is None:
+                g = self.base.add_vertex(diag, pairs)
+            sub = g.delete_vertex(u)
+            if sub.is_connected():
+                yield u, cut_ok(sub)
+
+
 def collect_bases(rank: int, modulus: int, db: ArithmeticDatabase) -> list[GDD]:
     """Connected arithmetic diagrams of the given rank over mu_modulus:
     generated classical families, stored exceptional rows and diagrams of
@@ -211,8 +276,10 @@ def enumerate_quasi_affine(
     default every connected arithmetic diagram of rank - 1 is covered: one
     per twist orbit is searched and the found set is closed under the twists
     (see the module docstring).
-    ``use_filters`` screens deletions with the negative filters first; see
-    the module docstring."""
+    ``use_filters`` screens the deletions at cut vertices that the search
+    has not decided yet with the negative filters first (see the module
+    docstring).  It leaves the found set as it is; ``pruned_by_filters``
+    counts only those screened deletions."""
     if rank < 6:
         raise ValueError("enumeration is defined for rank >= 6")
     modulus = parameter.modulus
@@ -225,22 +292,25 @@ def enumerate_quasi_affine(
 
     all_bases = collect_bases(rank - 1, modulus, db)
     index = BaseIndex(all_bases)
-    # A connected deletion has rank n-1, so it is arithmetic only if it is a
-    # base: one with more edges than every base is rejected unasked.
-    max_edges = max((len(g.edges) for g in all_bases), default=0)
+    # A connected deletion has rank n-1, so it is arithmetic exactly when it
+    # is a base (all at modulus M, as the deletions are).
+    base_keys = {g.canonical_key() for g in all_bases}
+    decided: dict[GDD, bool] = {}
 
-    def deletion_ok(sub: GDD) -> bool:
-        if len(sub.edges) > max_edges:
-            return False
-        # The filters screen only diagrams the oracle has not decided yet.
-        if use_filters and sub not in oracle._exact:
-            if forbidden_by_chain_failures(sub, exception_keys) is not None:
+    def cut_deletion_ok(sub: GDD) -> bool:
+        ok = decided.get(sub)
+        if ok is None:
+            # The filters screen only deletions not decided yet.
+            if use_filters and (
+                forbidden_by_chain_failures(sub, exception_keys) is not None
+                or forbidden_branch_pattern(sub, exception_keys) is not None
+            ):
                 report.pruned_by_filters += 1
-                return False
-            if forbidden_branch_pattern(sub, exception_keys) is not None:
-                report.pruned_by_filters += 1
-                return False
-        return oracle._connected(sub).arithmetic
+                ok = False
+            else:
+                ok = sub.canonical_key() in base_keys
+            decided[sub] = ok
+        return ok
 
     twist_closed = bases is None
     if twist_closed:
@@ -250,36 +320,18 @@ def enumerate_quasi_affine(
 
     for base in bases:
         report.bases_tried += 1
-        for v in range(base.rank):
-            trimmed = base.delete_vertex(v)
-            if not trimmed.is_connected():
+        deletions = CandidateDeletions(base, index)
+        for v, diag, pairs in deletions.candidates(back):
+            report.candidates_examined += 1
+            if report.candidates_examined > cap:
+                raise RuntimeError(f"candidate cap {cap} exceeded")
+            verdicts = deletions.verdicts(v, diag, pairs, cut_deletion_ok)
+            if not all(ok for _, ok in verdicts):
                 continue
-            # Transport patterns from base - v coordinates to base
-            # coordinates (vertex v sits in the middle of the numbering).
-            lift = [u for u in range(base.rank) if u != v]
-            # Patterns on base - v whose one-vertex extension is arithmetic;
-            # the candidate's deletion at v is exactly that extension.
-            for diag, pairs in index.patterns(trimmed):
-                base_pairs = [(lift[u], lab) for u, lab in pairs]
-                for v_edge in back:
-                    report.candidates_examined += 1
-                    if report.candidates_examined > cap:
-                        raise RuntimeError(f"candidate cap {cap} exceeded")
-                    full_pairs = base_pairs + ([(v, v_edge)] if v_edge else [])
-                    g = base.add_vertex(diag, full_pairs)
-                    ok = True
-                    for u in range(g.rank):
-                        sub = g.delete_vertex(u)
-                        if sub.is_connected() and not deletion_ok(sub):
-                            ok = False
-                            break
-                    if not ok:
-                        continue
-                    if oracle._connected(g).arithmetic:
-                        continue
-                    key = normalized_key(g)
-                    if key not in found:
-                        found[key] = g
+            g = base.add_vertex(diag, pairs)
+            if oracle._connected(g).arithmetic:
+                continue
+            found.setdefault(normalized_key(g), g)
 
     if twist_closed:
         # Items found directly keep their own diagram.

@@ -521,6 +521,15 @@ def independent_quasi_affine_extensions(base_diag, base_edges, m, arith5_keys, a
     from itertools import combinations, product
 
     n = 5
+    # Per deleted vertex u of the extension: the kept vertices and their
+    # positions in the deletion.
+    rests = []
+    for u in range(n + 1):
+        rest = [x for x in range(n + 1) if x != u]
+        rests.append((rest, {x: i for i, x in enumerate(rest)}))
+    # Deletion (diag, sorted edges) -> its bf_canon form; many extensions
+    # share a deletion.
+    canon = {}
     found = set()
     for diag_w in range(1, m):
         for k in range(1, n + 1):
@@ -531,17 +540,19 @@ def independent_quasi_affine_extensions(base_diag, base_edges, m, arith5_keys, a
                     for v, lab in zip(subset, labs):
                         edges[(v, n)] = lab
                     ok = True
-                    for u in range(6):
-                        rest = [x for x in range(6) if x != u]
+                    for rest, pos in rests:
                         sub_edges = {
-                            (rest.index(i), rest.index(j)): x
+                            (pos[i], pos[j]): x
                             for (i, j), x in edges.items()
-                            if i in rest and j in rest
+                            if i in pos and j in pos
                         }
                         if not _connected_scalar(5, sub_edges):
                             continue
                         sub_diag = tuple(diag[x] for x in rest)
-                        if bf_canon(5, m, sub_diag, sub_edges) not in arith5_keys:
+                        exact = (sub_diag, tuple(sorted(sub_edges.items())))
+                        if exact not in canon:
+                            canon[exact] = bf_canon(5, m, sub_diag, sub_edges)
+                        if canon[exact] not in arith5_keys:
                             ok = False
                             break
                     if not ok:

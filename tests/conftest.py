@@ -1,8 +1,8 @@
 """Session-wide fixtures.
 
 The restricted rank-6 search over one base and the from-scratch loop it is
-compared with take about 45 s together; two tests check that pair, so it is
-computed once.
+compared with take several seconds together; two tests check that pair, so
+it is computed once.
 """
 
 import pytest

@@ -12,6 +12,7 @@ from gddkit.oracle import Oracle
 from gddkit.roots import Parameter, UnityRoot
 from gddkit.search import (
     BaseIndex,
+    CandidateDeletions,
     collect_bases,
     enumerate_quasi_affine,
     extensions,
@@ -295,6 +296,58 @@ def test_index_patterns_equal_oracle_prescreen(db, rank, order_of_q, trimmed, pa
     got = compare_pattern_lists(rank, order_of_q, db)
     assert got[:2] == (trimmed, patterns)
     assert not got[2], got[2][0].to_text()
+
+
+# -- the deletion verdicts against the oracle -----------------------------------
+
+
+def compare_deletion_verdicts(rank, order_of_q, db, bases=None):
+    """Walk the search's candidates on the given bases (by default one per
+    twist orbit) and compare the verdict the search takes on every connected
+    deletion with the oracle's: from the index, from the base keys at the
+    cut vertices of the base, and arithmetic by construction at v and at
+    the new vertex.  Returns ((candidates, index verdicts, base-key
+    verdicts), mismatched (candidate, vertex) pairs)."""
+    modulus = Parameter(order_of_q).modulus
+    all_bases = collect_bases(rank - 1, modulus, db)
+    index = BaseIndex(all_bases)
+    base_keys = {g.canonical_key() for g in all_bases}
+    oracle = Oracle(db)
+    back = [None] + [UnityRoot(e, modulus) for e in range(1, modulus)]
+    candidates = from_index = from_keys = 0
+    mismatched = []
+    for base in twist_representatives(all_bases) if bases is None else bases:
+        deletions = CandidateDeletions(base, index)
+        for v, diag, pairs in deletions.candidates(back):
+            g = base.add_vertex(diag, pairs)
+            decided = dict(deletions.verdicts(
+                v, diag, pairs, lambda sub: sub.canonical_key() in base_keys
+            ))
+            by_keys = [u for u in decided if u not in deletions.arithmetic]
+            verdicts = {**decided, v: True, base.rank: True}
+            connected = [u for u in range(g.rank) if g.delete_vertex(u).is_connected()]
+            assert sorted(verdicts) == connected, g.to_text()
+            for u, ok in verdicts.items():
+                if oracle._connected(g.delete_vertex(u)).arithmetic != ok:
+                    mismatched.append((g, u))
+            candidates += 1
+            from_index += len(decided) - len(by_keys)
+            from_keys += len(by_keys)
+    return (candidates, from_index, from_keys), mismatched
+
+
+@pytest.mark.parametrize(
+    "rank, order_of_q, base_of, counts",
+    [(6, 4, None, (3960, 5187, 3285)), (7, 4, "19.7.1", (80, 146, 57))],
+)
+def test_deletion_verdicts_equal_oracle(db, rank, order_of_q, base_of, counts):
+    """Every connected deletion of every candidate the search builds, in the
+    default rank 6, M=4 search and on a base of fixture 19.7.1 at rank 7,
+    gets the oracle's verdict from the index or the base keys."""
+    bases = None if base_of is None else [fixture_item(base_of).delete_vertex(4)]
+    got, mismatched = compare_deletion_verdicts(rank, order_of_q, db, bases)
+    assert got == counts
+    assert not mismatched, mismatched[0][0].to_text()
 
 
 @pytest.mark.parametrize("rank, modulus", [(5, 4), (5, 6), (5, 10), (6, 4), (6, 6)])

@@ -116,13 +116,10 @@ def cmd_enumerate(args) -> int:
     expected = _read(args.expected) if args.expected else None
     db = load(args.db)
     try:
-        report = enumerate_quasi_affine(args.rank, parameter, db, cap=args.cap)
+        report = enumerate_quasi_affine(args.rank, parameter, db)
     except OracleGap as exc:
         print(f"oracle gap: {exc}", file=sys.stderr)
         return 3
-    except RuntimeError as exc:
-        print(f"aborted: {exc}", file=sys.stderr)
-        return 1
     status = 0
     if expected is not None:
         comparison = verify_against(report, expected)
@@ -201,7 +198,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--db", help=f"database of exceptional rows (packaged: {DEFAULT_DB})")
     p.add_argument("--out")
     p.add_argument("--expected", help="diagram file to diff the found set against")
-    p.add_argument("--cap", type=int, default=100_000_000)
     # The filters are off by default and the command line cannot turn them
     # on; the old opt-out stays accepted so existing scripts keep working.
     p.add_argument("--no-filters", action="store_true", help=argparse.SUPPRESS)

@@ -138,8 +138,8 @@ class GDD:
     def twists(self) -> list["GDD"]:
         """The power twists by every unit t of Z/M, in ascending t (so g
         itself first): the diagram at every conjugate parameter."""
-        return [
-            self.power_twist(t) for t in range(1, self.modulus)
+        return [self] + [
+            self.power_twist(t) for t in range(2, self.modulus)
             if gcd(t, self.modulus) == 1
         ]
 
@@ -206,7 +206,13 @@ class GDD:
     def canonical_key(self) -> bytes:
         """Byte string equal exactly for diagrams that differ by a vertex
         relabelling: the rank, the modulus and the least form (see
-        least_form) of the vertex exponents and the edge-exponent matrix."""
+        least_form) of the vertex exponents and the edge-exponent matrix.
+        Computed once per object and kept on it, outside the dataclass
+        fields, so equality and hashing ignore it."""
+        try:
+            return self._canonical_key
+        except AttributeError:
+            pass
         n = self.rank
         labels = [[0] * n for _ in range(n)]
         for (u, v), lab in self.edges.items():
@@ -214,7 +220,9 @@ class GDD:
         payload = (n, self.modulus) + least_form(
             [d.exponent for d in self.diag], labels
         )
-        return b"k" + b",".join(str(x).encode() for x in payload)
+        key = b"k" + b",".join(str(x).encode() for x in payload)
+        object.__setattr__(self, "_canonical_key", key)
+        return key
 
     # -- formatting ----------------------------------------------------------
 

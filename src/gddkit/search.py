@@ -8,9 +8,11 @@ whose deletions are all arithmetic while the candidate itself is not.
 
 A connected deletion has rank n-1, so it is arithmetic exactly when it is a
 base.  The search therefore indexes every base B by the canonical key of
-each connected B - w (BaseIndex): carried to a connected diagram T by each
-isomorphism T -> B - w, w's label and edges are the attachments that make T
-a base.  For a base A it reads these patterns on A - u once, for every
+each connected B - w (BaseIndex).  Carried by every isomorphism from a
+representative R of the class onto B - w, w's label and edges are the
+attachments that make R a base; they are gathered once per class, and one
+isomorphism T -> R carries them to any connected diagram T of the class.
+For a base A the search reads these patterns on A - u once, for every
 non-cut vertex u of A.
 
 A candidate g = A + x attaches x by a pattern of A - v plus an optional edge
@@ -19,12 +21,18 @@ g: g - x is A and g - v is an extension from the index, by construction; at
 any other non-cut u, g - u is (A - u) + x, disconnected when x keeps no edge
 there and otherwise arithmetic exactly when x's pattern is one of A - u's.
 Only at the cut vertices of A is g built, and a connected g - u is looked up
-among the bases' canonical keys.  The oracle is asked only whether a
-candidate whose deletions all pass is itself arithmetic, and for the shape
-tags.  All of this needs every connected arithmetic diagram of rank n-1
-among the bases, so the index and the key set are built from all of
-collect_bases (classical, stored and finite-Cartan diagrams) whichever bases
-are walked.
+among the bases' canonical keys; the verdicts at the non-cut vertices come
+first, so a candidate they reject is never built.  The oracle is asked only
+whether a candidate whose deletions all pass is itself arithmetic, and for
+the shape tags.  All of this needs every connected arithmetic diagram of
+rank n-1 among the bases, so the index and the key set are built from all
+of collect_bases (classical, stored and finite-Cartan diagrams) whichever
+bases are walked.
+
+A diagram computes its canonical key once (GDD.canonical_key).  A survivor
+already at its minimal modulus therefore shares one key between the oracle
+and the found set, and such a base one key between collect_bases, the twist
+orbits and the base keys.
 
 Arithmeticity, and so quasi-affineness, is invariant under the power twists
 g -> g^t with t a unit of Z/M (the conjugate parameters), and the bases are
@@ -39,7 +47,9 @@ given, with no reduction and no closure.
 The negative filters of ``oracle`` (``use_filters=True``) are an opt-in API
 diagnostic, off by default and unreachable from the command line.  They
 screen only the deletions at cut vertices that the search has not decided
-yet; the index decides the rest.  The oracle is complete at rank >= 5, so
+yet; the index decides the rest.  With them on, the verdicts come in vertex
+order, so the cut-vertex deletions of candidates that the index rejects at a
+later vertex still reach the filters.  The oracle is complete at rank >= 5, so
 they cannot add a found diagram; they only cost time, and a filter that
 misfires drops one.
 """
@@ -48,7 +58,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from itertools import combinations, product
 
 from .cartan import finite_cartan_diagrams
 from .core import (
@@ -120,22 +129,11 @@ class Comparison:
         )
 
 
-def extensions(base: GDD, modulus: int):
-    """All diagrams adding one vertex to base: every label != 1 on the new
-    vertex, every nonempty attachment set, every labelling of the new edges.
-    Ordered by new-vertex label, attachment size, attached vertices
-    (lexicographic), then edge labels (the last varying fastest)."""
-    labels = [UnityRoot(e, modulus) for e in range(1, modulus)]
-    for diag in labels:
-        for k in range(1, base.rank + 1):
-            for subset in combinations(range(base.rank), k):
-                for assignment in product(labels, repeat=k):
-                    yield base.add_vertex(diag, zip(subset, assignment))
-
-
 def _pattern_order(pattern) -> tuple:
-    """Sort key putting attachment patterns in the order extensions() builds
-    the diagrams they give."""
+    """Sort key of an attachment pattern (label of the new vertex, (vertex,
+    edge label) pairs sorted by vertex): by the new vertex's label exponent,
+    then the number of attached vertices, then the attached vertices
+    (lexicographic), then their edge-label exponents."""
     diag, pairs = pattern
     return (
         diag.exponent,
@@ -146,12 +144,20 @@ def _pattern_order(pattern) -> tuple:
 
 
 class BaseIndex:
-    """Bases indexed by their connected one-vertex deletions: the canonical
-    key of B - w maps to (B - w, the label of w, the label of the edge from w
-    to each vertex of B - w or None), for every base B and vertex w."""
+    """Bases indexed by their connected one-vertex deletions.  Each class of
+    deletions B - w, by canonical key, has a representative R (the first
+    B - w seen) and R's patterns: the label of w and its (vertex, edge label)
+    pairs, carried to R by every isomorphism R -> B - w, for every base B and
+    vertex w of the class.  The patterns of a class are computed once, when
+    it is first asked for."""
 
     def __init__(self, bases: list[GDD]):
+        # canonical key -> [(B - w, the label of w, the label of the edge
+        # from w to each vertex of B - w or None)]
         self._entries: dict[bytes, list[tuple[GDD, UnityRoot, list]]] = {}
+        # canonical key -> (R, R's patterns), for the classes asked for,
+        # which leave _entries
+        self._classes: dict[bytes, tuple[GDD, set]] = {}
         for b in bases:
             for w in range(b.rank):
                 rest = b.delete_vertex(w)
@@ -161,19 +167,38 @@ class BaseIndex:
                     self._entries.setdefault(rest.canonical_key(), []).append(entry)
 
     def patterns(self, trimmed: GDD) -> list[tuple[UnityRoot, tuple]]:
-        """(label of the new vertex, (vertex, edge label) pairs) for every
-        nonempty attachment to the connected diagram trimmed that makes it a
-        base, each once, in extensions() order.  Such an extension is a base
-        B with trimmed as B - w, so its pattern is w's, carried to trimmed by
-        an isomorphism trimmed -> B - w."""
-        out = set()
-        for rest, diag, to_w in self._entries.get(trimmed.canonical_key(), ()):
-            for phi in isomorphisms(trimmed, rest):
-                out.add((diag, tuple(
-                    (t, to_w[phi[t]]) for t in range(trimmed.rank)
-                    if to_w[phi[t]] is not None
-                )))
-        return sorted(out, key=_pattern_order)
+        """(label of the new vertex, (vertex, edge label) pairs sorted by
+        vertex) for every nonempty attachment to the connected diagram
+        trimmed that makes it a base, each once, sorted by the new vertex's
+        label exponent, then the number of attached vertices, the attached
+        vertices and their edge-label exponents (_pattern_order).  Such an
+        extension is a base B with trimmed as B - w; the class of trimmed
+        keeps the patterns on its representative R, and one isomorphism
+        trimmed -> R carries them to trimmed."""
+        key = trimmed.canonical_key()
+        if key not in self._classes:
+            entries = self._entries.pop(key, None)
+            if entries is None:
+                return []
+            rep = entries[0][0]
+            found = set()
+            for rest, diag, to_w in entries:
+                for phi in isomorphisms(rep, rest):
+                    found.add((diag, tuple(
+                        (r, to_w[phi[r]]) for r in range(rep.rank)
+                        if to_w[phi[r]] is not None
+                    )))
+            self._classes[key] = (rep, found)
+        rep, patterns = self._classes[key]
+        psi = next(isomorphisms(trimmed, rep))
+        back = [0] * trimmed.rank
+        for t, r in enumerate(psi):
+            back[r] = t
+        return sorted(
+            ((diag, tuple(sorted((back[r], lab) for r, lab in pairs)))
+             for diag, pairs in patterns),
+            key=_pattern_order,
+        )
 
 
 class CandidateDeletions:
@@ -181,9 +206,11 @@ class CandidateDeletions:
     vertices of A, decided from the base index at the non-cut vertices of A
     (see the module docstring).  A candidate is (v, label of x, x's (vertex,
     edge label) pairs in A coordinates, sorted by vertex); built, x is the
-    vertex of index A.rank."""
+    vertex of index A.rank.  The verdicts are read at the non-cut vertices
+    of A before the cut vertices, or, with ``index_first`` off, in vertex
+    order."""
 
-    def __init__(self, base: GDD, index: BaseIndex):
+    def __init__(self, base: GDD, index: BaseIndex, index_first: bool = True):
         self.base = base
         # non-cut vertex u of A -> index.patterns(A - u), in order and as a set
         self.patterns: dict[int, list] = {}
@@ -193,11 +220,15 @@ class CandidateDeletions:
             if trimmed.is_connected():
                 self.patterns[u] = index.patterns(trimmed)
                 self.arithmetic[u] = set(self.patterns[u])
+        self.order = list(range(base.rank))
+        if index_first:
+            self.order.sort(key=lambda u: u not in self.arithmetic)
 
     def candidates(self, back):
         """Every candidate: x attached by a pattern of A - v, carried to A,
         plus an edge to v labelled by each entry of back (None for no edge).
-        By v, then patterns in extensions() order, then back-edge order."""
+        By v, then patterns in BaseIndex.patterns order, then back-edge
+        order."""
         for v, patterns in self.patterns.items():
             # A - v numbers the vertices of A other than v in order.
             lift = [u for u in range(self.base.rank) if u != v]
@@ -212,11 +243,12 @@ class CandidateDeletions:
     def verdicts(self, v: int, diag: UnityRoot, pairs, cut_ok):
         """(u, whether g - u is arithmetic) for the candidate g = (v, diag,
         pairs) and every vertex u != v of A at which g - u is connected, in
-        vertex order.  At a non-cut u, g - u is (A - u) + x, x's pairs outside
-        u renumbered to A - u (with none left, x is isolated there).  At a
-        cut vertex u, g is built, once, and cut_ok(g - u) decides."""
+        the order chosen for A (see the class docstring).  At a non-cut u,
+        g - u is (A - u) + x, x's pairs outside u renumbered to A - u (with
+        none left, x is isolated there).  At a cut vertex u, g is built,
+        once, and cut_ok(g - u) decides."""
         g = None
-        for u in range(self.base.rank):
+        for u in self.order:
             if u == v:
                 continue
             arithmetic = self.arithmetic.get(u)
@@ -265,7 +297,6 @@ def enumerate_quasi_affine(
     rank: int,
     parameter: Parameter,
     db: ArithmeticDatabase,
-    cap: int = 100_000_000,
     use_filters: bool = False,
     collect_shapes: bool = True,
     bases: list[GDD] | None = None,
@@ -320,11 +351,9 @@ def enumerate_quasi_affine(
 
     for base in bases:
         report.bases_tried += 1
-        deletions = CandidateDeletions(base, index)
+        deletions = CandidateDeletions(base, index, index_first=not use_filters)
         for v, diag, pairs in deletions.candidates(back):
             report.candidates_examined += 1
-            if report.candidates_examined > cap:
-                raise RuntimeError(f"candidate cap {cap} exceeded")
             verdicts = deletions.verdicts(v, diag, pairs, cut_deletion_ok)
             if not all(ok for _, ok in verdicts):
                 continue

@@ -283,6 +283,29 @@ def test_canonical_key_examples():
     assert c.canonical_key() == d.canonical_key()
 
 
+def test_canonical_key_is_kept_per_object():
+    """The key is computed once and kept on the object: equal bytes on every
+    call, no effect on == and hash, and every derived diagram computes its
+    own key, which a relabelled copy shares."""
+    rng = random.Random(31)
+    for _ in range(40):
+        m = rng.choice([4, 6, 12])
+        g = random_gdd(rng, rng.randrange(2, 7), m)
+        twin = GDD(g.modulus, g.diag, dict(g.edges))
+        key = g.canonical_key()
+        assert g.canonical_key() == key == cell_order_key(g)
+        assert g == twin and hash(g) == hash(twin) and twin in {g}
+        assert twin.canonical_key() == key
+        sigma = list(range(g.rank))
+        rng.shuffle(sigma)
+        derived = [g.permute(sigma), g.delete_vertex(0), g.power_twist(m - 1),
+                   with_modulus(g, 2 * m)]
+        for h in derived:
+            assert h.canonical_key() == cell_order_key(h), h.to_text()
+        assert derived[0].canonical_key() == key
+        assert derived[3].canonical_key() != key
+
+
 def test_power_twist():
     g = path([2, 3, 4], [4, 2])
     t = g.power_twist(5)

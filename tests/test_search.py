@@ -7,15 +7,15 @@ import pytest
 from brute import bf_canon
 from gddkit.cartan import affine_family_of, finite_cartan_diagrams
 from gddkit.classify import classical_type
-from gddkit.core import GDD, normalized_key, parse_blocks
+from gddkit.core import GDD, isomorphisms, normalized_key, parse_blocks
 from gddkit.oracle import Oracle
 from gddkit.roots import Parameter, UnityRoot
 from gddkit.search import (
     BaseIndex,
     CandidateDeletions,
+    _pattern_order,
     collect_bases,
     enumerate_quasi_affine,
-    extensions,
     twist_representatives,
     verify_against,
 )
@@ -71,12 +71,41 @@ def db():
     return load(DATA)
 
 
+def _attachment_patterns(modulus, vertices, room):
+    """Every nonempty attachment to at most ``room`` of the given vertices:
+    every label != 1 on the new vertex, every set of attached vertices, every
+    labelling of the new edges.  Ordered by new-vertex label, attachment
+    size, attached vertices (lexicographic), then edge labels (the last
+    varying fastest)."""
+    labels = [UnityRoot(e, modulus) for e in range(1, modulus)]
+    for diag in labels:
+        for k in range(1, min(room, len(vertices)) + 1):
+            for subset in combinations(vertices, k):
+                for assignment in product(labels, repeat=k):
+                    yield diag, tuple(zip(subset, assignment))
+
+
+def extensions(base, modulus):
+    """All diagrams adding one vertex to base, in _attachment_patterns
+    order: the reference for the order of BaseIndex.patterns."""
+    for diag, pairs in _attachment_patterns(modulus, range(base.rank), base.rank):
+        yield base.add_vertex(diag, pairs)
+
+
 def test_extension_counts():
     base1 = GDD(6, (u(2),))
     assert sum(1 for _ in extensions(base1, 6)) == 25
     base2 = GDD(6, (u(2), u(2)), {(0, 1): u(4)})
     # 5 diag choices x (2 single attachments x 5 + 1 double x 25)
     assert sum(1 for _ in extensions(base2, 6)) == 5 * (2 * 5 + 25)
+
+
+@pytest.mark.parametrize("rank, modulus", [(3, 4), (2, 6)])
+def test_pattern_order_is_extension_order(rank, modulus):
+    """_pattern_order strictly increases along the order in which
+    extensions() builds its diagrams."""
+    keys = [_pattern_order(p) for p in _attachment_patterns(modulus, range(rank), rank)]
+    assert all(a < b for a, b in zip(keys, keys[1:]))
 
 
 def test_restricted_run_matches_independent_script(restricted_vs_independent):
@@ -225,17 +254,6 @@ def test_orbit_search_tries_one_base_per_orbit(rank6_m4):
 # -- the base index against the oracle -----------------------------------------
 
 
-def _attachment_patterns(modulus, vertices, room):
-    """Every nonempty attachment to at most ``room`` of the given vertices,
-    in the order extensions() builds them."""
-    labels = [UnityRoot(e, modulus) for e in range(1, modulus)]
-    for diag in labels:
-        for k in range(1, min(room, len(vertices)) + 1):
-            for subset in combinations(vertices, k):
-                for assignment in product(labels, repeat=k):
-                    yield diag, tuple(zip(subset, assignment))
-
-
 class OraclePrescreen:
     """The reference for BaseIndex.patterns: every attachment to a trimmed
     base, inside the shape bounds of the known arithmetic diagrams of rank
@@ -296,6 +314,49 @@ def test_index_patterns_equal_oracle_prescreen(db, rank, order_of_q, trimmed, pa
     got = compare_pattern_lists(rank, order_of_q, db)
     assert got[:2] == (trimmed, patterns)
     assert not got[2], got[2][0].to_text()
+
+
+def direct_patterns(bases):
+    """The pattern list of every trimmed base computed directly: every
+    isomorphism from the trimmed base onto every connected B - w of its
+    class, for every base B and vertex w, carried to the trimmed base."""
+    classes = {}
+    for b in bases:
+        for w in range(b.rank):
+            rest = b.delete_vertex(w)
+            if rest.is_connected():
+                to_w = [b.edge_label(w, x) for x in range(b.rank) if x != w]
+                classes.setdefault(rest.canonical_key(), []).append((rest, b.diag[w], to_w))
+
+    def patterns(trimmed):
+        out = set()
+        for rest, diag, to_w in classes.get(trimmed.canonical_key(), ()):
+            for phi in isomorphisms(trimmed, rest):
+                out.add((diag, tuple(
+                    (t, to_w[phi[t]]) for t in range(trimmed.rank)
+                    if to_w[phi[t]] is not None
+                )))
+        return sorted(out, key=_pattern_order)
+
+    return patterns
+
+
+@pytest.mark.parametrize("modulus, trimmed", [(4, 273), (6, 867)])
+def test_memoized_patterns_equal_direct_computation(db, modulus, trimmed):
+    """BaseIndex.patterns, computed once per class on its representative and
+    carried by one isomorphism, returns the direct computation's list, in
+    the same order, for every connected one-vertex deletion of every
+    rank-5 base."""
+    bases = collect_bases(5, modulus, db)
+    index, reference = BaseIndex(bases), direct_patterns(bases)
+    seen = 0
+    for base in bases:
+        for v in range(base.rank):
+            sub = base.delete_vertex(v)
+            if sub.is_connected():
+                assert index.patterns(sub) == reference(sub), sub.to_text()
+                seen += 1
+    assert seen == trimmed
 
 
 # -- the deletion verdicts against the oracle -----------------------------------

@@ -43,7 +43,7 @@ for v in range(6):
 # Search restricted to one base: every quasi-affine diagram obtained by
 # adding a vertex to the rank-5 chain inside the hexagon.
 base = hexagon.delete_vertex(5)
-report = enumerate_quasi_affine(6, par, db, bases=[base])
+report = enumerate_quasi_affine(6, par.modulus, db, bases=[base])
 print(f"\nquasi-affine extensions of the base chain: {len(report.found)}")
 for key, g in list(report.sorted_found())[:3]:
     print(f"  shape {report.shape_tags[key]}:")

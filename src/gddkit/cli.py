@@ -112,11 +112,11 @@ def cmd_enumerate(args) -> int:
     if args.db is None:
         print("enumeration needs a database (--db)", file=sys.stderr)
         return 3
-    parameter = Parameter(args.order_of_q)
+    modulus = Parameter(args.order_of_q).modulus
     expected = _read(args.expected) if args.expected else None
     db = load(args.db)
     try:
-        report = enumerate_quasi_affine(args.rank, parameter, db)
+        report = enumerate_quasi_affine(args.rank, modulus, db)
     except OracleGap as exc:
         print(f"oracle gap: {exc}", file=sys.stderr)
         return 3
@@ -194,12 +194,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("enumerate", help="search for quasi-affine diagrams")
     p.add_argument("--rank", type=int, required=True)
-    p.add_argument("--order-of-q", type=int, required=True)
+    p.add_argument("--order-of-q", type=int, required=True,
+                   help="N: search with labels in mu_M, M = lcm(2, N)")
     p.add_argument("--db", help=f"database of exceptional rows (packaged: {DEFAULT_DB})")
     p.add_argument("--out")
     p.add_argument("--expected", help="diagram file to diff the found set against")
-    # The filters are off by default and the command line cannot turn them
-    # on; the old opt-out stays accepted so existing scripts keep working.
+    # The search uses no negative filters.  perfbench/record.py still passes
+    # this old opt-out, so it stays accepted and does nothing.
     p.add_argument("--no-filters", action="store_true", help=argparse.SUPPRESS)
     p.set_defaults(fn=cmd_enumerate)
 

@@ -43,15 +43,6 @@ The report header counts what was searched: ``bases`` is the number of orbit
 representatives and ``candidates`` the candidates built from them, while
 ``found`` counts the closed set.  An explicit ``bases`` list is searched as
 given, with no reduction and no closure.
-
-The negative filters of ``oracle`` (``use_filters=True``) are an opt-in API
-diagnostic, off by default and unreachable from the command line.  They
-screen only the deletions at cut vertices that the search has not decided
-yet; the index decides the rest.  With them on, the verdicts come in vertex
-order, so the cut-vertex deletions of candidates that the index rejects at a
-later vertex still reach the filters.  The oracle is complete at rank >= 5, so
-they cannot add a found diagram; they only cost time, and a filter that
-misfires drops one.
 """
 
 from __future__ import annotations
@@ -68,25 +59,19 @@ from .core import (
     parse_blocks,
     with_modulus,
 )
-from .oracle import (
-    Oracle,
-    forbidden_by_chain_failures,
-    forbidden_branch_pattern,
-)
-from .roots import Parameter, UnityRoot
+from .oracle import Oracle
+from .roots import UnityRoot
 from .tables import ArithmeticDatabase, generate_classical
 
 
 @dataclass
 class EnumerationReport:
     rank: int
-    order_of_q: int
     modulus: int
     found: dict[bytes, GDD] = field(default_factory=dict)
     shape_tags: dict[bytes, str] = field(default_factory=dict)
     bases_tried: int = 0
     candidates_examined: int = 0
-    pruned_by_filters: int = 0
     elapsed: float = 0.0
     comparison: "Comparison | None" = None
 
@@ -95,10 +80,10 @@ class EnumerationReport:
 
     def to_text(self) -> str:
         lines = [
-            f"# quasi-affine enumeration rank={self.rank} order-of-q={self.order_of_q} "
-            f"modulus={self.modulus}",
+            f"# quasi-affine enumeration rank={self.rank} modulus={self.modulus}",
+            # Kept as is, pruned-by-filters=0 too: perfbench/run.py parses it.
             f"# bases={self.bases_tried} candidates={self.candidates_examined} "
-            f"pruned-by-filters={self.pruned_by_filters} found={len(self.found)}",
+            f"pruned-by-filters=0 found={len(self.found)}",
         ]
         for i, (key, g) in enumerate(self.sorted_found(), start=1):
             tag = self.shape_tags.get(key, "")
@@ -207,10 +192,9 @@ class CandidateDeletions:
     (see the module docstring).  A candidate is (v, label of x, x's (vertex,
     edge label) pairs in A coordinates, sorted by vertex); built, x is the
     vertex of index A.rank.  The verdicts are read at the non-cut vertices
-    of A before the cut vertices, or, with ``index_first`` off, in vertex
-    order."""
+    of A before the cut vertices."""
 
-    def __init__(self, base: GDD, index: BaseIndex, index_first: bool = True):
+    def __init__(self, base: GDD, index: BaseIndex):
         self.base = base
         # non-cut vertex u of A -> index.patterns(A - u), in order and as a set
         self.patterns: dict[int, list] = {}
@@ -220,9 +204,7 @@ class CandidateDeletions:
             if trimmed.is_connected():
                 self.patterns[u] = index.patterns(trimmed)
                 self.arithmetic[u] = set(self.patterns[u])
-        self.order = list(range(base.rank))
-        if index_first:
-            self.order.sort(key=lambda u: u not in self.arithmetic)
+        self.order = sorted(range(base.rank), key=lambda u: u not in self.arithmetic)
 
     def candidates(self, back):
         """Every candidate: x attached by a pattern of A - v, carried to A,
@@ -242,11 +224,11 @@ class CandidateDeletions:
 
     def verdicts(self, v: int, diag: UnityRoot, pairs, cut_ok):
         """(u, whether g - u is arithmetic) for the candidate g = (v, diag,
-        pairs) and every vertex u != v of A at which g - u is connected, in
-        the order chosen for A (see the class docstring).  At a non-cut u,
-        g - u is (A - u) + x, x's pairs outside u renumbered to A - u (with
-        none left, x is isolated there).  At a cut vertex u, g is built,
-        once, and cut_ok(g - u) decides."""
+        pairs) and every vertex u != v of A at which g - u is connected,
+        the non-cut vertices of A first.  At a non-cut u, g - u is
+        (A - u) + x, x's pairs outside u renumbered to A - u (with none
+        left, x is isolated there).  At a cut vertex u, g is built, once,
+        and cut_ok(g - u) decides."""
         g = None
         for u in self.order:
             if u == v:
@@ -295,31 +277,25 @@ def twist_representatives(bases: list[GDD]) -> list[GDD]:
 
 def enumerate_quasi_affine(
     rank: int,
-    parameter: Parameter,
+    modulus: int,
     db: ArithmeticDatabase,
-    use_filters: bool = False,
     collect_shapes: bool = True,
     bases: list[GDD] | None = None,
 ) -> EnumerationReport:
-    """Exhaustive, deduplicated search at the given rank and parameter.
+    """Exhaustive, deduplicated search at the given rank, with labels in
+    mu_modulus (even, as -1 must be a label).
 
     ``bases`` restricts the search to extensions of the given diagrams.  By
     default every connected arithmetic diagram of rank - 1 is covered: one
     per twist orbit is searched and the found set is closed under the twists
-    (see the module docstring).
-    ``use_filters`` screens the deletions at cut vertices that the search
-    has not decided yet with the negative filters first (see the module
-    docstring).  It leaves the found set as it is; ``pruned_by_filters``
-    counts only those screened deletions."""
+    (see the module docstring)."""
     if rank < 6:
         raise ValueError("enumeration is defined for rank >= 6")
-    modulus = parameter.modulus
+    if modulus < 2 or modulus % 2:
+        raise ValueError(f"modulus must be even and >= 2, got {modulus}")
     oracle = Oracle(db)
-    report = EnumerationReport(rank, parameter.order_of_q, modulus)
+    report = EnumerationReport(rank, modulus)
     start = time.monotonic()
-
-    if use_filters:
-        exception_keys = {normalized_key(g) for g, _ in db.entries()}
 
     all_bases = collect_bases(rank - 1, modulus, db)
     index = BaseIndex(all_bases)
@@ -331,16 +307,7 @@ def enumerate_quasi_affine(
     def cut_deletion_ok(sub: GDD) -> bool:
         ok = decided.get(sub)
         if ok is None:
-            # The filters screen only deletions not decided yet.
-            if use_filters and (
-                forbidden_by_chain_failures(sub, exception_keys) is not None
-                or forbidden_branch_pattern(sub, exception_keys) is not None
-            ):
-                report.pruned_by_filters += 1
-                ok = False
-            else:
-                ok = sub.canonical_key() in base_keys
-            decided[sub] = ok
+            ok = decided[sub] = sub.canonical_key() in base_keys
         return ok
 
     twist_closed = bases is None
@@ -351,7 +318,7 @@ def enumerate_quasi_affine(
 
     for base in bases:
         report.bases_tried += 1
-        deletions = CandidateDeletions(base, index, index_first=not use_filters)
+        deletions = CandidateDeletions(base, index)
         for v, diag, pairs in deletions.candidates(back):
             report.candidates_examined += 1
             verdicts = deletions.verdicts(v, diag, pairs, cut_deletion_ok)

@@ -12,7 +12,6 @@ from brute import (
     brute_classical_keys,
     independent_quasi_affine_extensions,
 )
-from gddkit.roots import Parameter
 from gddkit.search import enumerate_quasi_affine
 from gddkit.tables import load
 
@@ -23,7 +22,7 @@ def restricted_vs_independent():
     both in the brute-force canonical form of ``brute.py``."""
     from test_search import DATA, parse_db_rows_independently, row11_gdd1
 
-    report = enumerate_quasi_affine(6, Parameter(3), load(DATA), bases=[row11_gdd1()],
+    report = enumerate_quasi_affine(6, 6, load(DATA), bases=[row11_gdd1()],
                                     collect_shapes=False)
     lib_keys = {bf_canon_gdd_raw(g) for g in report.found.values()}
     arith5 = brute_classical_keys(5, 6) | parse_db_rows_independently(5, 6)

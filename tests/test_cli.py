@@ -1,9 +1,9 @@
+import re
 from pathlib import Path
 
 import pytest
 
 from gddkit.cli import main
-from gddkit.roots import Parameter
 from gddkit.search import enumerate_quasi_affine
 from gddkit.tables import load
 
@@ -132,7 +132,13 @@ def test_enumerate_rejects_small_rank(capsys, tmp_path):
     assert rc == 1
     assert capsys.readouterr().err == "error: enumeration is defined for rank >= 6\n"
     with pytest.raises(ValueError):
-        enumerate_quasi_affine(5, Parameter(3), load(DATA))
+        enumerate_quasi_affine(5, 6, load(DATA))
+
+
+@pytest.mark.parametrize("modulus", [0, 1, 3, 9])
+def test_enumerate_rejects_odd_or_small_modulus(modulus):
+    with pytest.raises(ValueError, match="modulus must be even and >= 2"):
+        enumerate_quasi_affine(6, modulus, load(DATA))
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -221,6 +227,22 @@ def test_enumerate_restricted_smoke(tmp_path, capsys):
     text = out.read_text()
     assert "quasi-affine enumeration rank=6" in text
     assert "matched=0 missing=0" in text
+
+
+def test_enumerate_report_is_keyed_by_modulus(tmp_path):
+    """--order-of-q 3 and 6 both search over mu_6 and write one report,
+    whose count line keeps the format the benchmark parses."""
+    texts = []
+    for order in ("3", "6"):
+        out = tmp_path / f"q{order}.txt"
+        assert main(["enumerate", "--rank", "6", "--order-of-q", order, "--db", DATA,
+                     "--out", str(out)]) == 0
+        texts.append(out.read_bytes())
+    assert texts[0] == texts[1]
+    head = texts[0].decode().splitlines()[:2]
+    assert head[0] == "# quasi-affine enumeration rank=6 modulus=6"
+    assert re.fullmatch(r"# bases=\d+ candidates=\d+ pruned-by-filters=0 found=\d+",
+                        head[1])
 
 
 def test_verify_subcommand(tmp_path, capsys):

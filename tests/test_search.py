@@ -9,7 +9,7 @@ from gddkit.cartan import affine_family_of, finite_cartan_diagrams
 from gddkit.classify import classical_type
 from gddkit.core import GDD, isomorphisms, normalized_key, parse_blocks
 from gddkit.oracle import Oracle
-from gddkit.roots import Parameter, UnityRoot
+from gddkit.roots import UnityRoot
 from gddkit.search import (
     BaseIndex,
     CandidateDeletions,
@@ -117,29 +117,18 @@ def test_restricted_run_matches_independent_script(restricted_vs_independent):
 
 def test_determinism(db):
     base = row11_gdd1()
-    r1 = enumerate_quasi_affine(6, Parameter(3), db, bases=[base])
-    r2 = enumerate_quasi_affine(6, Parameter(3), db, bases=[base])
+    r1 = enumerate_quasi_affine(6, 6, db, bases=[base])
+    r2 = enumerate_quasi_affine(6, 6, db, bases=[base])
     t1, t2 = r1.to_text(), r2.to_text()
     # elapsed time is not part of the report text
     assert t1 == t2
-
-
-def test_filters_do_not_change_found_set(db):
-    base = row11_gdd1()
-    with_f = enumerate_quasi_affine(6, Parameter(3), db, bases=[base],
-                                    use_filters=True, collect_shapes=False)
-    without = enumerate_quasi_affine(6, Parameter(3), db, bases=[base],
-                                     use_filters=False, collect_shapes=False)
-    assert set(with_f.found) == set(without.found)
-    assert with_f.pruned_by_filters > 0
-    assert without.pruned_by_filters == 0
 
 
 def test_every_found_item_arises_from_a_base(db):
     """Every connected graph keeps two non-cut vertices, so each found
     diagram must contain some base as a connected deletion."""
     base = row11_gdd1()
-    report = enumerate_quasi_affine(6, Parameter(3), db, bases=[base])
+    report = enumerate_quasi_affine(6, 6, db, bases=[base])
     base_key = normalized_key(base)
     for key, g in report.found.items():
         hits = 0
@@ -156,7 +145,7 @@ def test_every_found_item_arises_from_a_base(db):
 
 def test_verify_against_reports_missing(db):
     base = row11_gdd1()
-    report = enumerate_quasi_affine(6, Parameter(3), db, bases=[base])
+    report = enumerate_quasi_affine(6, 6, db, bases=[base])
     some = next(iter(report.found.values()))
     good = "# item=x\n" + some.to_text()
     cmp = verify_against(report, good)
@@ -188,13 +177,11 @@ def fixture_item(name):
     raise KeyError(name)
 
 
-@pytest.mark.parametrize("use_filters", [False, True])
-def test_search_finds_fixture_19_7_1(db, use_filters):
-    """Rank 7, M=4: a base of fixture 19.7.1 yields it, with and without the
-    filters (the branch filter must spare its finite-Cartan deletion)."""
+def test_search_finds_fixture_19_7_1(db):
+    """Rank 7, M=4: a base of fixture 19.7.1 yields it."""
     g = fixture_item("19.7.1")
-    report = enumerate_quasi_affine(7, Parameter(4), db, bases=[g.delete_vertex(4)],
-                                    use_filters=use_filters, collect_shapes=False)
+    report = enumerate_quasi_affine(7, 4, db, bases=[g.delete_vertex(4)],
+                                    collect_shapes=False)
     assert normalized_key(g) in report.found
 
 
@@ -202,9 +189,8 @@ def test_search_finds_fixture_19_7_1(db, use_filters):
 def rank6_m4(db):
     """The default search at rank 6, M=4 (one base per twist orbit) and the
     unreduced search over every base."""
-    default = enumerate_quasi_affine(6, Parameter(4), db)
-    unreduced = enumerate_quasi_affine(6, Parameter(4), db,
-                                       bases=collect_bases(5, 4, db))
+    default = enumerate_quasi_affine(6, 4, db)
+    unreduced = enumerate_quasi_affine(6, 4, db, bases=collect_bases(5, 4, db))
     return default, unreduced
 
 
@@ -220,7 +206,6 @@ def test_rank6_m4_default_search_finds_every_fixture(rank6_m4):
     report = rank6_m4[0]
     comparison = verify_against(report, "\n\n".join(blocks))
     assert comparison.ok, [name for _, name in comparison.missing]
-    assert report.pruned_by_filters == 0
 
 
 @pytest.mark.parametrize("modulus, orbits", [(4, 61), (6, 194), (10, 145)])
@@ -282,11 +267,10 @@ class OraclePrescreen:
         ]
 
 
-def compare_pattern_lists(rank, order_of_q, db):
+def compare_pattern_lists(rank, modulus, db):
     """Compare the index's pattern list with the oracle's for every twist
     representative A of the bases of rank n-1 and every non-cut vertex v, on
     A - v.  Returns (trimmed bases, patterns, mismatched trimmed bases)."""
-    modulus = Parameter(order_of_q).modulus
     bases = collect_bases(rank - 1, modulus, db)
     index = BaseIndex(bases)
     reference = OraclePrescreen(rank, modulus, db)
@@ -306,12 +290,12 @@ def compare_pattern_lists(rank, order_of_q, db):
 
 
 @pytest.mark.parametrize(
-    "rank, order_of_q, trimmed, patterns", [(6, 4, 143, 990), (7, 4, 264, 1751)]
+    "rank, modulus, trimmed, patterns", [(6, 4, 143, 990), (7, 4, 264, 1751)]
 )
-def test_index_patterns_equal_oracle_prescreen(db, rank, order_of_q, trimmed, patterns):
+def test_index_patterns_equal_oracle_prescreen(db, rank, modulus, trimmed, patterns):
     """The search reads the same patterns, in the same order, off the index
     as the oracle pre-screen it replaces passed."""
-    got = compare_pattern_lists(rank, order_of_q, db)
+    got = compare_pattern_lists(rank, modulus, db)
     assert got[:2] == (trimmed, patterns)
     assert not got[2], got[2][0].to_text()
 
@@ -362,14 +346,13 @@ def test_memoized_patterns_equal_direct_computation(db, modulus, trimmed):
 # -- the deletion verdicts against the oracle -----------------------------------
 
 
-def compare_deletion_verdicts(rank, order_of_q, db, bases=None):
+def compare_deletion_verdicts(rank, modulus, db, bases=None):
     """Walk the search's candidates on the given bases (by default one per
     twist orbit) and compare the verdict the search takes on every connected
     deletion with the oracle's: from the index, from the base keys at the
     cut vertices of the base, and arithmetic by construction at v and at
     the new vertex.  Returns ((candidates, index verdicts, base-key
     verdicts), mismatched (candidate, vertex) pairs)."""
-    modulus = Parameter(order_of_q).modulus
     all_bases = collect_bases(rank - 1, modulus, db)
     index = BaseIndex(all_bases)
     base_keys = {g.canonical_key() for g in all_bases}
@@ -398,15 +381,15 @@ def compare_deletion_verdicts(rank, order_of_q, db, bases=None):
 
 
 @pytest.mark.parametrize(
-    "rank, order_of_q, base_of, counts",
+    "rank, modulus, base_of, counts",
     [(6, 4, None, (3960, 5187, 3285)), (7, 4, "19.7.1", (80, 146, 57))],
 )
-def test_deletion_verdicts_equal_oracle(db, rank, order_of_q, base_of, counts):
+def test_deletion_verdicts_equal_oracle(db, rank, modulus, base_of, counts):
     """Every connected deletion of every candidate the search builds, in the
     default rank 6, M=4 search and on a base of fixture 19.7.1 at rank 7,
     gets the oracle's verdict from the index or the base keys."""
     bases = None if base_of is None else [fixture_item(base_of).delete_vertex(4)]
-    got, mismatched = compare_deletion_verdicts(rank, order_of_q, db, bases)
+    got, mismatched = compare_deletion_verdicts(rank, modulus, db, bases)
     assert got == counts
     assert not mismatched, mismatched[0][0].to_text()
 
@@ -430,7 +413,7 @@ def test_bases_include_finite_cartan_diagrams(db, rank, modulus):
 def test_rank7_m4_search_finds_affine_e6(db):
     """The default rank 7, M=4 search finds the affine E6^(1) diagram at
     q = i, -1 and -i: each extends the finite-Cartan base E6."""
-    report = enumerate_quasi_affine(7, Parameter(4), db, collect_shapes=False)
+    report = enumerate_quasi_affine(7, 4, db, collect_shapes=False)
     e6 = sorted(g.diag[0].exponent for g in report.found.values()
                 if affine_family_of(g) is not None
                 and affine_family_of(g).name == "E1_6")

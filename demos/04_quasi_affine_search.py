@@ -7,7 +7,7 @@ exceptional row, or a finite Cartan matrix); the search grows every
 arithmetic diagram of the rank below by one vertex and keeps the
 quasi-affine results.
 
-Run:  python demos/04_quasi_affine_search.py      (about a minute)
+Run:  python demos/04_quasi_affine_search.py      (under a second)
 """
 
 from pathlib import Path
@@ -45,7 +45,7 @@ for v in range(6):
 base = hexagon.delete_vertex(5)
 report = enumerate_quasi_affine(6, par.modulus, db, bases=[base])
 print(f"\nquasi-affine extensions of the base chain: {len(report.found)}")
-for key, g in list(report.sorted_found())[:3]:
+for key, g in sorted(report.found.items())[:3]:
     print(f"  shape {report.shape_tags[key]}:")
     for line in g.to_text().splitlines():
         print("   ", line)

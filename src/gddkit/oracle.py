@@ -30,8 +30,8 @@ from .roots import minus_one
 from .tables import ArithmeticDatabase
 
 
-# Entries each oracle memo holds at most; past it, verdicts are computed
-# but no longer stored.
+# Entries the oracle memo holds at most; past it, verdicts are computed but
+# no longer stored.
 MEMO_LIMIT = 2_000_000
 
 
@@ -55,13 +55,12 @@ class OracleVerdict:
 class Oracle:
     """Arithmetic decisions by recognition: the classical types
     (classify.classical_type), the exceptional-row database, and the
-    Cartan-type shortcut.  Memoized by diagram and by canonical key, in plain
-    dicts with no locking, each holding at most MEMO_LIMIT entries."""
+    Cartan-type shortcut.  Memoized by canonical key at the minimal modulus,
+    in a plain dict with no locking, holding at most MEMO_LIMIT entries."""
 
     def __init__(self, db: ArithmeticDatabase | None = None):
         self.db = db if db is not None else ArithmeticDatabase()
         self._memo: dict[bytes, OracleVerdict] = {}
-        self._exact: dict[GDD, OracleVerdict] = {}
 
     # -- the oracle ----------------------------------------------------------
 
@@ -78,13 +77,8 @@ class Oracle:
         return OracleVerdict(True, ("all-components",))
 
     def _connected(self, g: GDD) -> OracleVerdict:
-        hit = self._exact.get(g)
-        if hit is not None:
-            return hit
-        verdict = self._connected_uncached(g)
-        if len(self._exact) < MEMO_LIMIT:
-            self._exact[g] = verdict
-        return verdict
+        # Kept so perfbench/tracer.py can count queries here, decisions below.
+        return self._connected_uncached(g)
 
     def _connected_uncached(self, g: GDD) -> OracleVerdict:
         """The verdict on a connected diagram: classical by recognition, then

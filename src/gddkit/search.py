@@ -29,6 +29,18 @@ rank n-1 among the bases, so the index and the key set are built from all
 of collect_bases (classical, stored and finite-Cartan diagrams) whichever
 bases are walked.
 
+A labelled candidate (x's label and pairs in A's coordinates) is built from
+each non-cut v of A at which x's pairs outside v are a pattern of A - v, and
+decided only from its owner (CandidateDeletions.owns): the least non-cut u
+of A at which x keeps an edge outside u, that is the least non-cut vertex
+v0, or the next one, v1, when x's only edge goes to v0.  No survivor is
+lost: if every deletion of g = A + x passes and x keeps an edge outside a
+non-cut u, then g - u is connected and arithmetic, hence a base, so g is
+built from u, in particular from its owner; any other copy repeats the
+owner's or fails its verdict at the owner.  The owner is the first vertex
+to build a candidate, so the found set keeps its order and labellings, and
+the report still counts every candidate built.
+
 A diagram computes its canonical key once (GDD.canonical_key).  A survivor
 already at its minimal modulus therefore shares one key between the oracle
 and the found set, and such a base one key between collect_bases, the twist
@@ -75,9 +87,6 @@ class EnumerationReport:
     elapsed: float = 0.0
     comparison: "Comparison | None" = None
 
-    def sorted_found(self) -> list[tuple[bytes, GDD]]:
-        return sorted(self.found.items())
-
     def to_text(self) -> str:
         lines = [
             f"# quasi-affine enumeration rank={self.rank} modulus={self.modulus}",
@@ -85,7 +94,7 @@ class EnumerationReport:
             f"# bases={self.bases_tried} candidates={self.candidates_examined} "
             f"pruned-by-filters=0 found={len(self.found)}",
         ]
-        for i, (key, g) in enumerate(self.sorted_found(), start=1):
+        for i, (key, g) in enumerate(sorted(self.found.items()), start=1):
             tag = self.shape_tags.get(key, "")
             lines.append("")
             lines.append(f"# item={i} shape={tag}")
@@ -129,12 +138,12 @@ def _pattern_order(pattern) -> tuple:
 
 
 class BaseIndex:
-    """Bases indexed by their connected one-vertex deletions.  Each class of
-    deletions B - w, by canonical key, has a representative R (the first
-    B - w seen) and R's patterns: the label of w and its (vertex, edge label)
-    pairs, carried to R by every isomorphism R -> B - w, for every base B and
-    vertex w of the class.  The patterns of a class are computed once, when
-    it is first asked for."""
+    """The bases' canonical keys (keys), and the bases indexed by their
+    connected one-vertex deletions.  Each class of deletions B - w, by
+    canonical key, has a representative R (the first B - w seen) and R's
+    patterns: the label of w and its (vertex, edge label) pairs, carried to
+    R by every isomorphism R -> B - w, for every base B and vertex w of the
+    class.  The patterns of a class are computed once, when first asked for."""
 
     def __init__(self, bases: list[GDD]):
         # canonical key -> [(B - w, the label of w, the label of the edge
@@ -143,6 +152,7 @@ class BaseIndex:
         # canonical key -> (R, R's patterns), for the classes asked for,
         # which leave _entries
         self._classes: dict[bytes, tuple[GDD, set]] = {}
+        self.keys = {b.canonical_key() for b in bases}
         for b in bases:
             for w in range(b.rank):
                 rest = b.delete_vertex(w)
@@ -196,6 +206,7 @@ class CandidateDeletions:
 
     def __init__(self, base: GDD, index: BaseIndex):
         self.base = base
+        self.base_keys = index.keys
         # non-cut vertex u of A -> index.patterns(A - u), in order and as a set
         self.patterns: dict[int, list] = {}
         self.arithmetic: dict[int, set] = {}
@@ -204,7 +215,15 @@ class CandidateDeletions:
             if trimmed.is_connected():
                 self.patterns[u] = index.patterns(trimmed)
                 self.arithmetic[u] = set(self.patterns[u])
-        self.order = sorted(range(base.rank), key=lambda u: u not in self.arithmetic)
+        self.cut = [u for u in range(base.rank) if u not in self.arithmetic]
+        # A connected diagram has at least two non-cut vertices.
+        self.v0, self.v1 = list(self.arithmetic)[:2]
+
+    def owns(self, v: int, pairs) -> bool:
+        """Whether v is the owner of the candidate with x's pairs: the least
+        non-cut vertex of A at which x keeps an edge outside it (see the
+        module docstring)."""
+        return v == (self.v1 if [w for w, _ in pairs] == [self.v0] else self.v0)
 
     def candidates(self, back):
         """Every candidate: x attached by a pattern of A - v, carried to A,
@@ -222,28 +241,23 @@ class CandidateDeletions:
                     else:
                         yield v, diag, sorted(lifted + [(v, v_edge)])
 
-    def verdicts(self, v: int, diag: UnityRoot, pairs, cut_ok):
+    def verdicts(self, v: int, diag: UnityRoot, pairs):
         """(u, whether g - u is arithmetic) for the candidate g = (v, diag,
         pairs) and every vertex u != v of A at which g - u is connected,
         the non-cut vertices of A first.  At a non-cut u, g - u is
         (A - u) + x, x's pairs outside u renumbered to A - u (with none
         left, x is isolated there).  At a cut vertex u, g is built, once,
-        and cut_ok(g - u) decides."""
-        g = None
-        for u in self.order:
-            if u == v:
-                continue
-            arithmetic = self.arithmetic.get(u)
-            if arithmetic is not None:
+        and g - u is arithmetic exactly when it is a base."""
+        for u, arithmetic in self.arithmetic.items():
+            if u != v:
                 rest = tuple((w if w < u else w - 1, lab) for w, lab in pairs if w != u)
                 if rest:
                     yield u, (diag, rest) in arithmetic
-                continue
-            if g is None:
-                g = self.base.add_vertex(diag, pairs)
+        g = self.base.add_vertex(diag, pairs) if self.cut else None
+        for u in self.cut:
             sub = g.delete_vertex(u)
             if sub.is_connected():
-                yield u, cut_ok(sub)
+                yield u, sub.canonical_key() in self.base_keys
 
 
 def collect_bases(rank: int, modulus: int, db: ArithmeticDatabase) -> list[GDD]:
@@ -299,17 +313,6 @@ def enumerate_quasi_affine(
 
     all_bases = collect_bases(rank - 1, modulus, db)
     index = BaseIndex(all_bases)
-    # A connected deletion has rank n-1, so it is arithmetic exactly when it
-    # is a base (all at modulus M, as the deletions are).
-    base_keys = {g.canonical_key() for g in all_bases}
-    decided: dict[GDD, bool] = {}
-
-    def cut_deletion_ok(sub: GDD) -> bool:
-        ok = decided.get(sub)
-        if ok is None:
-            ok = decided[sub] = sub.canonical_key() in base_keys
-        return ok
-
     twist_closed = bases is None
     if twist_closed:
         bases = twist_representatives(all_bases)
@@ -321,7 +324,9 @@ def enumerate_quasi_affine(
         deletions = CandidateDeletions(base, index)
         for v, diag, pairs in deletions.candidates(back):
             report.candidates_examined += 1
-            verdicts = deletions.verdicts(v, diag, pairs, cut_deletion_ok)
+            if not deletions.owns(v, pairs):
+                continue
+            verdicts = deletions.verdicts(v, diag, pairs)
             if not all(ok for _, ok in verdicts):
                 continue
             g = base.add_vertex(diag, pairs)

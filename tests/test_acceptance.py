@@ -1,9 +1,11 @@
 """Acceptance suite: one test per criterion, each printing a PASS line.
 
-Run with `pytest tests/test_acceptance.py -v -s`.  The enumeration runs are
-the slow part (a few minutes total).
+Run with `pytest tests/test_acceptance.py -v -s`.  The seven criteria take
+about 16 s together; the slowest steps are the independent-oracle set-up of
+criterion 5 and the rank-6, M=6 enumeration run.
 """
 
+import hashlib
 import time
 from itertools import product
 from pathlib import Path
@@ -92,6 +94,12 @@ def test_criterion_2_enumeration_completeness(db, rank6_run):
     for key, g in report.found.items():
         assert fresh.is_quasi_affine(g), g.to_text()
     assert report.elapsed < 600, f"enumeration took {report.elapsed:.0f}s"
+    # the found set as first recorded, so a search change that adds or loses
+    # a diagram fails even when every fixture is still found
+    assert len(report.found) == 810
+    assert hashlib.sha256(b"\n".join(sorted(report.found))).hexdigest() == (
+        "34cc0318bbb2a25b680ca17a969829f35935eac15ed8e89dde73fc95dc64fa35"
+    )
     print(f"\nACCEPTANCE 2: PASS - found {len(report.found)} diagrams in "
           f"{report.elapsed:.0f}s; all {len(blocks)} fixtures matched, "
           f"0 missing; every found item re-verified")

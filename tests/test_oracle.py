@@ -226,9 +226,9 @@ def test_branch_filter_exempts_finite_cartan(oracle, db):
     assert forbidden_branch_pattern(sub, exception_keys) is None
 
 
-def test_memo_limit_bounds_both_memos(db, monkeypatch):
-    """Past MEMO_LIMIT entries neither memo grows, and verdicts stay those
-    of an unbounded oracle."""
+def test_memo_limit_bounds_the_memo(db, monkeypatch):
+    """Past MEMO_LIMIT entries the memo no longer grows, and verdicts stay
+    those of an unbounded oracle."""
     queries = list(generate_classical(5, 6))[:40]
     queries += [g.permute([4, 3, 2, 1, 0]) for g in queries]
     unbounded = Oracle(db)
@@ -236,4 +236,4 @@ def test_memo_limit_bounds_both_memos(db, monkeypatch):
     monkeypatch.setattr(oracle_module, "MEMO_LIMIT", 5)
     bounded = Oracle(db)
     assert [bounded._connected(g) for g in queries] == expected
-    assert len(bounded._exact) == 5 and len(bounded._memo) == 5
+    assert len(bounded._memo) == 5

@@ -1,3 +1,5 @@
+import hashlib
+from collections import Counter
 from itertools import combinations, product
 from math import gcd
 from pathlib import Path
@@ -208,6 +210,26 @@ def test_rank6_m4_default_search_finds_every_fixture(rank6_m4):
     assert comparison.ok, [name for _, name in comparison.missing]
 
 
+def found_digest(report):
+    """SHA-256 of the found set's canonical keys, sorted, one per line."""
+    return hashlib.sha256(b"\n".join(sorted(report.found))).hexdigest()
+
+
+def test_rank6_m4_found_set_is_pinned(rank6_m4):
+    """The default rank 6, M=4 found set and its shape tags, as first
+    recorded: a change to the search that loses or adds a diagram fails
+    here, not only one that misses a fixture."""
+    report = rank6_m4[0]
+    assert len(report.found) == 128
+    assert found_digest(report) == (
+        "ceda71dac62ec8a1d79dfdf415f67822f045cdfc727cbd999cf2ffa5f8d0a8b5"
+    )
+    assert Counter(report.shape_tags.values()) == {
+        "BiClassical": 78, "ClassicalPlusSemiClassical": 8, "Continual": 18,
+        "Other": 10, "SimpleCycle": 14,
+    }
+
+
 @pytest.mark.parametrize("modulus, orbits", [(4, 61), (6, 194), (10, 145)])
 def test_bases_are_closed_under_twists(db, modulus, orbits):
     """The orbit search covers every base only because the base set is
@@ -351,22 +373,23 @@ def compare_deletion_verdicts(rank, modulus, db, bases=None):
     twist orbit) and compare the verdict the search takes on every connected
     deletion with the oracle's: from the index, from the base keys at the
     cut vertices of the base, and arithmetic by construction at v and at
-    the new vertex.  Returns ((candidates, index verdicts, base-key
-    verdicts), mismatched (candidate, vertex) pairs)."""
+    the new vertex.  Per base, the owned survivors (candidates whose
+    verdicts all pass) must be distinct and hold every survivor's (label,
+    pairs).  Returns ((candidates, index verdicts, base-key verdicts, owned
+    candidates, survivors, owned survivors), mismatched (candidate, vertex)
+    pairs)."""
     all_bases = collect_bases(rank - 1, modulus, db)
     index = BaseIndex(all_bases)
-    base_keys = {g.canonical_key() for g in all_bases}
     oracle = Oracle(db)
     back = [None] + [UnityRoot(e, modulus) for e in range(1, modulus)]
-    candidates = from_index = from_keys = 0
+    candidates = from_index = from_keys = owned = survivors = owned_survivors = 0
     mismatched = []
     for base in twist_representatives(all_bases) if bases is None else bases:
         deletions = CandidateDeletions(base, index)
+        survived, survived_owned = set(), []
         for v, diag, pairs in deletions.candidates(back):
             g = base.add_vertex(diag, pairs)
-            decided = dict(deletions.verdicts(
-                v, diag, pairs, lambda sub: sub.canonical_key() in base_keys
-            ))
+            decided = dict(deletions.verdicts(v, diag, pairs))
             by_keys = [u for u in decided if u not in deletions.arithmetic]
             verdicts = {**decided, v: True, base.rank: True}
             connected = [u for u in range(g.rank) if g.delete_vertex(u).is_connected()]
@@ -377,17 +400,30 @@ def compare_deletion_verdicts(rank, modulus, db, bases=None):
             candidates += 1
             from_index += len(decided) - len(by_keys)
             from_keys += len(by_keys)
-    return (candidates, from_index, from_keys), mismatched
+            owns = deletions.owns(v, pairs)
+            owned += owns
+            if all(decided.values()):
+                item = (diag, tuple(pairs))
+                survivors += 1
+                survived.add(item)
+                if owns:
+                    survived_owned.append(item)
+        assert set(survived_owned) == survived, base.to_text()
+        assert len(set(survived_owned)) == len(survived_owned), base.to_text()
+        owned_survivors += len(survived_owned)
+    return (candidates, from_index, from_keys, owned, survivors, owned_survivors), mismatched
 
 
 @pytest.mark.parametrize(
     "rank, modulus, base_of, counts",
-    [(6, 4, None, (3960, 5187, 3285)), (7, 4, "19.7.1", (80, 146, 57))],
+    [(6, 4, None, (3960, 5187, 3285, 1379, 647, 408)),
+     (7, 4, "19.7.1", (80, 146, 57, 28, 10, 5))],
 )
 def test_deletion_verdicts_equal_oracle(db, rank, modulus, base_of, counts):
     """Every connected deletion of every candidate the search builds, in the
     default rank 6, M=4 search and on a base of fixture 19.7.1 at rank 7,
-    gets the oracle's verdict from the index or the base keys."""
+    gets the oracle's verdict from the index or the base keys, and the
+    candidates a base owns hold each of its survivors once."""
     bases = None if base_of is None else [fixture_item(base_of).delete_vertex(4)]
     got, mismatched = compare_deletion_verdicts(rank, modulus, db, bases)
     assert got == counts
@@ -419,3 +455,6 @@ def test_rank7_m4_search_finds_affine_e6(db):
                 and affine_family_of(g).name == "E1_6")
     assert e6 == [1, 2, 3]
     assert len(report.found) == 204
+    assert found_digest(report) == (
+        "500502e1eabdec34ef934fb0e6ca1dc42111d54f8d60a96a4b0347264b77b722"
+    )

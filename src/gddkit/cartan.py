@@ -10,6 +10,7 @@ called affine when the matrix is an affine generalized Cartan matrix.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 from .core import GDD, components_of, least_form
 from .roots import UnityRoot, discrete_log_nonpositive
@@ -310,6 +311,20 @@ def catalogue(q: UnityRoot, max_rank: int = 9) -> list[tuple[AffineFamily, GDD]]
     return out
 
 
+@cache
+def _affine_families(rank: int) -> dict[tuple, AffineFamily]:
+    """The least form of each family's reference matrix at the given rank ->
+    the first family in FAMILY_NAMES order with that matrix."""
+    table: dict[tuple, AffineFamily] = {}
+    for name in FAMILY_NAMES:
+        ref = _reference_matrix(name, rank)
+        if ref is not None:
+            lo, _ = _SIZE_RULES[name]
+            family = AffineFamily(name, None if lo is None else rank - 1)
+            table.setdefault(_least_form(ref), family)
+    return table
+
+
 def affine_family_of(g: GDD) -> AffineFamily | None:
     """Identify which affine family's matrix the diagram carries, if any."""
     if g.has_degenerate_diag():
@@ -317,13 +332,7 @@ def affine_family_of(g: GDD) -> AffineFamily | None:
     a = braiding_exponents(g)
     if a is None or not is_indecomposable(a) or not is_affine_cartan(a):
         return None
-    rank = g.rank
-    for name in FAMILY_NAMES:
-        ref = _reference_matrix(name, rank)
-        if ref is not None and same_up_to_permutation(a, ref):
-            lo, _ = _SIZE_RULES[name]
-            return AffineFamily(name, None if lo is None else rank - 1)
-    return None
+    return _affine_families(g.rank).get(_least_form(a))
 
 
 def arithmetic_via_cartan(g: GDD) -> bool | None:
@@ -345,7 +354,13 @@ def finite_cartan_diagrams(rank: int, modulus: int) -> list[GDD]:
     finite Cartan matrix is a tree, and deleting a leaf leaves a connected
     one of finite type.  Since a_ij * a_ji <= 3 in a finite matrix, the edge
     to the new leaf is q^-a for the label q of the vertex it joins, and d^-b
-    for the label d of the leaf, with a and b in {1, 2, 3}."""
+    for the label d of the leaf, with a and b in {1, 2, 3}.
+
+    Each leaf is decided before it is built.  For h = g + x with x joined to
+    v, order x last: the leading minors of A_g are positive, so by the
+    criterion of is_finite_cartan h is of finite type exactly when
+    det A_h = 2 det A_g - a_vx a_xv det A_{g-v} > 0, where a_vx and a_xv are
+    the exponents of the new edge label at q and at d."""
     labels = [UnityRoot(e, modulus) for e in range(1, modulus)]
     powers = {
         d: [t for t in dict.fromkeys(d ** -a for a in (1, 2, 3)) if not t.is_one]
@@ -355,13 +370,19 @@ def finite_cartan_diagrams(rank: int, modulus: int) -> list[GDD]:
     for _ in range(rank - 1):
         grown: dict[bytes, GDD] = {}
         for g in level.values():
+            a = braiding_exponents(g)
+            det_g = _det(a)
             for v in range(g.rank):
-                for t in powers[g.diag[v]]:
+                q = g.diag[v]
+                det_rest = _det(_submatrix(a, [u for u in range(g.rank) if u != v]))
+                for t in powers[q]:
+                    a_vx = discrete_log_nonpositive(q, t)
                     for d in labels:
                         if t not in powers[d]:
                             continue
-                        h = g.add_vertex(d, [(v, t)])
-                        if arithmetic_via_cartan(h):
+                        a_xv = discrete_log_nonpositive(d, t)
+                        if 2 * det_g > a_vx * a_xv * det_rest:
+                            h = g.add_vertex(d, [(v, t)])
                             grown.setdefault(h.canonical_key(), h)
         level = grown
     return [level[k] for k in sorted(level)]

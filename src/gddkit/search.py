@@ -55,6 +55,16 @@ The report header counts what was searched: ``bases`` is the number of orbit
 representatives and ``candidates`` the candidates built from them, while
 ``found`` counts the closed set.  An explicit ``bases`` list is searched as
 given, with no reduction and no closure.
+
+Shape tags are computed once per twist orbit, on the diagram of the orbit
+found first, and every twist in the orbit gets that tag; a diagram found
+directly that is a twist of an earlier one adds nothing to the closure.  A
+tag is invariant under the twists and under vertex relabelling.  Every
+shape predicate tests only equalities of products and powers of labels,
+whether a label is 1 or -1, label orders, and the oracle's arithmeticity.
+The twist z -> z^t is an automorphism of mu_M, so it preserves equalities,
+1 and orders, and it fixes -1 because t is odd (M is even); arithmeticity
+is invariant as above.
 """
 
 from __future__ import annotations
@@ -137,13 +147,20 @@ def _pattern_order(pattern) -> tuple:
     )
 
 
+def connected_deletions(g: GDD) -> dict[int, GDD]:
+    """{v: g - v} for every vertex v of g at which g - v is connected."""
+    rests = {v: g.delete_vertex(v) for v in range(g.rank)}
+    return {v: rest for v, rest in rests.items() if rest.is_connected()}
+
+
 class BaseIndex:
-    """The bases' canonical keys (keys), and the bases indexed by their
-    connected one-vertex deletions.  Each class of deletions B - w, by
-    canonical key, has a representative R (the first B - w seen) and R's
-    patterns: the label of w and its (vertex, edge label) pairs, carried to
-    R by every isomorphism R -> B - w, for every base B and vertex w of the
-    class.  The patterns of a class are computed once, when first asked for."""
+    """The bases' canonical keys (keys), their connected one-vertex
+    deletions (deletions: B -> {w: B - w}), and the bases indexed by those
+    deletions.  Each class of deletions B - w, by canonical key, has a
+    representative R (the first B - w seen) and R's patterns: the label of
+    w and its (vertex, edge label) pairs, carried to R by every isomorphism
+    R -> B - w, for every base B and vertex w of the class.  The patterns of
+    a class are computed once, when first asked for."""
 
     def __init__(self, bases: list[GDD]):
         # canonical key -> [(B - w, the label of w, the label of the edge
@@ -153,13 +170,12 @@ class BaseIndex:
         # which leave _entries
         self._classes: dict[bytes, tuple[GDD, set]] = {}
         self.keys = {b.canonical_key() for b in bases}
-        for b in bases:
-            for w in range(b.rank):
-                rest = b.delete_vertex(w)
-                if rest.is_connected():
-                    to_w = [b.edge_label(w, u) for u in range(b.rank) if u != w]
-                    entry = (rest, b.diag[w], to_w)
-                    self._entries.setdefault(rest.canonical_key(), []).append(entry)
+        self.deletions = {b: connected_deletions(b) for b in bases}
+        for b, rests in self.deletions.items():
+            for w, rest in rests.items():
+                to_w = [b.edge_label(w, u) for u in range(b.rank) if u != w]
+                entry = (rest, b.diag[w], to_w)
+                self._entries.setdefault(rest.canonical_key(), []).append(entry)
 
     def patterns(self, trimmed: GDD) -> list[tuple[UnityRoot, tuple]]:
         """(label of the new vertex, (vertex, edge label) pairs sorted by
@@ -210,11 +226,10 @@ class CandidateDeletions:
         # non-cut vertex u of A -> index.patterns(A - u), in order and as a set
         self.patterns: dict[int, list] = {}
         self.arithmetic: dict[int, set] = {}
-        for u in range(base.rank):
-            trimmed = base.delete_vertex(u)
-            if trimmed.is_connected():
-                self.patterns[u] = index.patterns(trimmed)
-                self.arithmetic[u] = set(self.patterns[u])
+        rests = index.deletions.get(base) or connected_deletions(base)
+        for u, trimmed in rests.items():
+            self.patterns[u] = index.patterns(trimmed)
+            self.arithmetic[u] = set(self.patterns[u])
         self.cut = [u for u in range(base.rank) if u not in self.arithmetic]
         # A connected diagram has at least two non-cut vertices.
         self.v0, self.v1 = list(self.arithmetic)[:2]
@@ -334,15 +349,25 @@ def enumerate_quasi_affine(
                 continue
             found.setdefault(normalized_key(g), g)
 
+    # the key of each found diagram -> the key of the diagram it is a twist
+    # of, whose shape tag it shares (itself when there is no closure)
+    source: dict[bytes, bytes] = {}
     if twist_closed:
-        # Items found directly keep their own diagram.
-        for g in list(found.values()):
+        for key, g in list(found.items()):
+            if key in source:
+                continue  # a twin of an earlier find: its orbit is closed
             for h in g.twists():
-                found.setdefault(normalized_key(h), h)
+                # Items found directly keep their own diagram.
+                twin = normalized_key(h)
+                found.setdefault(twin, h)
+                source[twin] = key
+    else:
+        source = {key: key for key in found}
     report.found = dict(sorted(found.items()))
     if collect_shapes:
-        for key, g in report.found.items():
-            report.shape_tags[key] = oracle.shape_tag(g)
+        orbits = sorted(set(source.values()))
+        tags = {key: oracle.shape_tag(found[key]) for key in orbits}
+        report.shape_tags = {key: tags[source[key]] for key in report.found}
     report.elapsed = time.monotonic() - start
     return report
 

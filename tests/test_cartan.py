@@ -302,3 +302,39 @@ def test_finite_cartan_diagrams_match_every_labelling(rank, modulus):
                 expected.add(g.canonical_key())
     grown = finite_cartan_diagrams(rank, modulus)
     assert [g.canonical_key() for g in grown] == sorted(expected)
+
+
+def grow_by_full_test(rank, modulus):
+    """The leaf-by-leaf growth that builds every grown leaf and tests it with
+    arithmetic_via_cartan: the reference for finite_cartan_diagrams, which
+    decides each leaf by one determinant before building it."""
+    labels = [u(e, modulus) for e in range(1, modulus)]
+    powers = {
+        d: [t for t in dict.fromkeys(d ** -a for a in (1, 2, 3)) if not t.is_one]
+        for d in labels
+    }
+    level = {g.canonical_key(): g for g in (GDD(modulus, (d,)) for d in labels)}
+    for _ in range(rank - 1):
+        grown = {}
+        for g in level.values():
+            for v in range(g.rank):
+                for t in powers[g.diag[v]]:
+                    for d in labels:
+                        if t in powers[d]:
+                            h = g.add_vertex(d, [(v, t)])
+                            if arithmetic_via_cartan(h):
+                                grown.setdefault(h.canonical_key(), h)
+        level = grown
+    return [level[k] for k in sorted(level)]
+
+
+@pytest.mark.parametrize(
+    "rank, modulus", [(5, 4), (5, 6), (5, 10), (6, 4), (6, 6), (7, 4), (8, 4)]
+)
+def test_determinant_leaf_rule_matches_full_test(rank, modulus):
+    """The determinant rule keeps the leaves the full test keeps: the same
+    representatives in the same order.  Ranks 7 and 8 bring in E7 and E8."""
+    grown = finite_cartan_diagrams(rank, modulus)
+    reference = grow_by_full_test(rank, modulus)
+    assert [g.to_text() for g in grown] == [g.to_text() for g in reference]
+    assert [g.canonical_key() for g in grown] == [g.canonical_key() for g in reference]

@@ -448,8 +448,9 @@ def test_bases_include_finite_cartan_diagrams(db, rank, modulus):
 
 def test_rank7_m4_search_finds_affine_e6(db):
     """The default rank 7, M=4 search finds the affine E6^(1) diagram at
-    q = i, -1 and -i: each extends the finite-Cartan base E6."""
-    report = enumerate_quasi_affine(7, 4, db, collect_shapes=False)
+    q = i, -1 and -i: each extends the finite-Cartan base E6.  Its shape
+    tags, computed once per twist orbit, are each diagram's own."""
+    report = enumerate_quasi_affine(7, 4, db)
     e6 = sorted(g.diag[0].exponent for g in report.found.values()
                 if affine_family_of(g) is not None
                 and affine_family_of(g).name == "E1_6")
@@ -458,3 +459,11 @@ def test_rank7_m4_search_finds_affine_e6(db):
     assert found_digest(report) == (
         "500502e1eabdec34ef934fb0e6ca1dc42111d54f8d60a96a4b0347264b77b722"
     )
+    oracle = Oracle(db)
+    assert report.shape_tags == {
+        key: oracle.shape_tag(g) for key, g in report.found.items()
+    }
+    assert Counter(report.shape_tags.values()) == {
+        "BiClassical": 142, "ClassicalPlusSemiClassical": 4, "Continual": 34,
+        "Other": 5, "SimpleCycle": 19,
+    }

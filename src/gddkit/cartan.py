@@ -149,10 +149,11 @@ def same_up_to_permutation(a: Matrix, b: Matrix) -> bool:
 
 def _least_form(a: Matrix) -> tuple:
     n = len(a)
-    return least_form(
+    form, _ = least_form(
         [a[v][v] for v in range(n)],
         [[(a[v][u], a[u][v]) for u in range(n)] for v in range(n)],
     )
+    return form
 
 
 # -- the affine catalogue ------------------------------------------------------

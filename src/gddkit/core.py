@@ -8,6 +8,9 @@ Two diagrams related by a vertex relabelling are regarded as the same; the
 canonical key realizes that identification.  It encodes the diagram in the
 least vertex order that least_form finds by a pruned search, position by
 position, after refining the vertices into cells; cartan uses the same search.
+least_form returns that canonical order with the form, and a diagram keeps
+both: two diagrams with equal keys are carried onto each other by pairing
+their canonical orders position by position, with no isomorphism search.
 """
 
 from __future__ import annotations
@@ -52,6 +55,9 @@ class GDD:
             if lab.is_one:
                 raise ValueError(f"edge ({u}, {v}) labelled 1 is no edge")
             fixed[_edge(u, v)] = lab
+        if len(fixed) != len(self.edges):
+            u, v = next(e for e in self.edges if e[0] > e[1] and e[::-1] in self.edges)
+            raise ValueError(f"duplicate edge ({v}, {u}) given as ({u}, {v}) too")
         object.__setattr__(self, "edges", fixed)
 
     def __hash__(self):
@@ -207,22 +213,30 @@ class GDD:
         """Byte string equal exactly for diagrams that differ by a vertex
         relabelling: the rank, the modulus and the least form (see
         least_form) of the vertex exponents and the edge-exponent matrix.
-        Computed once per object and kept on it, outside the dataclass
-        fields, so equality and hashing ignore it."""
+        Computed once per object, together with canonical_order, and kept
+        on it, outside the dataclass fields, so equality and hashing ignore
+        it."""
         try:
-            return self._canonical_key
+            return self._canonical[0]
         except AttributeError:
             pass
         n = self.rank
         labels = [[0] * n for _ in range(n)]
         for (u, v), lab in self.edges.items():
             labels[u][v] = labels[v][u] = lab.exponent
-        payload = (n, self.modulus) + least_form(
-            [d.exponent for d in self.diag], labels
-        )
-        key = b"k" + b",".join(str(x).encode() for x in payload)
-        object.__setattr__(self, "_canonical_key", key)
+        form, order = least_form([d.exponent for d in self.diag], labels)
+        key = ("k" + ",".join(map(str, (n, self.modulus) + form))).encode()
+        # One attribute for both: every further attribute enlarges the
+        # instance dict of each keyed diagram, and the peak memory with it.
+        object.__setattr__(self, "_canonical", (key, order))
         return key
+
+    def canonical_order(self) -> tuple[int, ...]:
+        """The vertex order that reads as the least form of canonical_key:
+        position i holds vertex order[i].  For two diagrams with equal keys,
+        order_g[i] -> order_h[i] is an isomorphism g -> h."""
+        self.canonical_key()
+        return self._canonical[1]
 
     # -- formatting ----------------------------------------------------------
 
@@ -272,36 +286,45 @@ def components_of(adj: list[list[int]]) -> list[list[int]]:
 def _refine(colours: list, labels: list[list]) -> list[int]:
     """The stable refinement of the colouring: each vertex's colour is
     repeatedly extended by the sorted (label, colour) pairs of its
-    neighbours (labels[v][u] != 0) until no cell splits.  Returns colour
-    indices 0, 1, ... in order of signature."""
+    neighbours (labels[v][u] != 0) until no cell splits, or every vertex
+    has a cell of its own.  Returns colour indices 0, 1, ... in order of
+    signature.  Labels and colours are coded by rank, and a pair as label
+    code * n + colour, so a signature is a tuple of integers ordered as the
+    pairs it codes."""
     n = len(colours)
-    adj = [
-        [(labels[v][u], u) for u in range(n) if u != v and labels[v][u] != 0]
-        for v in range(n)
-    ]
-    colour, count = list(colours), len(set(colours))
+    code = dict.fromkeys(x for row in labels for x in row)
+    code.pop(0, None)
+    for i, x in enumerate(sorted(code)):
+        code[x] = i * n
+    adj = [[(code[x], u) for u, x in enumerate(row) if x != 0 and u != v]
+           for v, row in enumerate(labels)]
+    first = {c: i for i, c in enumerate(sorted(set(colours)))}
+    colour, count = [first[c] for c in colours], len(first)
     while True:
-        sig = [
-            (colour[v], tuple(sorted([(x, colour[u]) for x, u in adj[v]])))
-            for v in range(n)
-        ]
+        sig = [(colour[v], *sorted([x + colour[u] for x, u in adj[v]])) for v in range(n)]
         distinct = sorted(set(sig))
         index = {s: i for i, s in enumerate(distinct)}
         colour = [index[s] for s in sig]
-        if len(distinct) == count:
+        if len(distinct) in (count, n):
             return colour
         count = len(distinct)
 
 
-def least_form(colours: list, labels: list[list]) -> tuple:
+def least_form(colours: list, labels: list[list]) -> tuple[tuple, tuple[int, ...]]:
     """Canonical form of vertices v coloured colours[v], each ordered pair
-    labelled labels[v][u] (0: no edge; labels[u][v] must follow from it): the
-    colours, then the rows labels[o_i][o_j] (j > i), in the least vertex order
-    o among those keeping each refined cell contiguous.  o is chosen position
+    labelled labels[v][u] (0: no edge; labels[u][v] must follow from it),
+    and the canonical vertex order o that gives it: the form is the colours
+    colours[o_i], then the rows labels[o_i][o_j] (j > i), and o is the least
+    order among those keeping each refined cell contiguous.  When refinement
+    splits every cell, o is the cell order.  Otherwise o is chosen position
     by position from the first remaining part; choosing o_i fixes row i once
-    each later part is sorted, and split, by label to o_i.  Only choices tying
-    for the least row are followed, twins (swapping them changes no label) are
-    tried once, and prefixes worse than the best form found are dropped."""
+    each later part is sorted, and split, by label to o_i.  Only choices
+    tying for the least row are followed, twins (swapping them changes no
+    label) are tried once, and prefixes worse than the best form found are
+    dropped; o is the path of the first best leaf.
+
+    Two relabelled copies g and h have equal forms, and pairing their
+    orders position by position (o_g[i] -> o_h[i]) is an isomorphism g -> h."""
     n = len(colours)
     # The cells are ordered by signature, and canonical key bytes depend on
     # that order.
@@ -310,12 +333,20 @@ def least_form(colours: list, labels: list[list]) -> tuple:
     cells: list[list[int]] = [[] for _ in range(count)]
     for v in range(n):
         cells[colour[v]].append(v)
-    head = tuple(colours[v] for c in cells for v in c)
     if count == n:
-        order = [c[0] for c in cells]
-        return head + tuple(
-            labels[order[i]][order[j]] for i in range(n) for j in range(i + 1, n)
-        )
+        order = tuple(c[0] for c in cells)
+    else:
+        order = _least_order(cells, colour, labels)
+    form = [colours[v] for v in order]
+    for i, v in enumerate(order):
+        row = labels[v]
+        form.extend([row[w] for w in order[i + 1:]])
+    return tuple(form), order
+
+
+def _least_order(cells: list[list[int]], colour: list[int], labels: list[list]) -> tuple:
+    """The search of least_form over orders keeping the cells contiguous."""
+    n = len(colour)
 
     def is_twin(v: int, w: int) -> bool:
         return colour[v] == colour[w] and labels[v][w] == labels[w][v] and all(
@@ -323,38 +354,47 @@ def least_form(colours: list, labels: list[list]) -> tuple:
         )
 
     twin = [next(w for w in range(n) if w == v or is_twin(v, w)) for v in range(n)]
-    best: list[tuple] | None = None
+    best: list[list] | None = None
+    best_order: tuple = ()
 
-    def search(parts: list[list[int]], rows: list[tuple]) -> None:
-        nonlocal best
+    def search(parts: list[list[int]], rows: list[list], path: tuple) -> None:
+        nonlocal best, best_order
         if not parts:
             if best is None or rows < best:
-                best = rows
+                best, best_order = rows, path
             return
+        head, tail = parts[0], parts[1:]
         least, chosen, tried = None, [], set()
-        for v in parts[0]:
+        for v in head:
             if twin[v] not in tried:
                 tried.add(twin[v])
-                rest = [[u for u in parts[0] if u != v]] + parts[1:]
-                row = tuple(x for p in rest for x in sorted([labels[v][u] for u in p]))
+                lab = labels[v]
+                first = [u for u in head if u != v]
+                row = sorted([lab[u] for u in first])
+                for p in tail:
+                    row += sorted([lab[u] for u in p])
                 if least is None or row < least:
                     least, chosen = row, []
                 if row == least:
-                    chosen.append((v, rest))
+                    chosen.append((v, first))
         rows = rows + [least]
         if best is not None and rows > best[: len(rows)]:
             return
-        for v, rest in chosen:
+        for v, first in chosen:
+            lab = labels[v]
             split = []
-            for p in rest:
-                groups: dict = {}
-                for u in p:
-                    groups.setdefault(labels[v][u], []).append(u)
-                split.extend(groups[x] for x in sorted(groups))
-            search(split, rows)
+            for p in [first] + tail:
+                if len(p) == 1:
+                    split.append(p)
+                elif p:
+                    groups: dict = {}
+                    for u in p:
+                        groups.setdefault(lab[u], []).append(u)
+                    split.extend(groups[x] for x in sorted(groups))
+            search(split, rows, path + (v,))
 
-    search(cells, [])
-    return head + tuple(x for row in best for x in row)
+    search(cells, [], ())
+    return best_order
 
 
 def isomorphisms(g: GDD, h: GDD):
@@ -429,9 +469,12 @@ def minimal_modulus(g: GDD) -> int:
 
 def with_modulus(g: GDD, modulus: int) -> GDD:
     """Re-express g inside mu_modulus; the new modulus must be a multiple of
-    every label order (and even)."""
+    every label order (and even).  g itself, with the keys it keeps, when
+    it is already there."""
     if modulus % 2 != 0 or modulus % minimal_modulus(g) != 0:
         raise ValueError(f"labels of g do not fit inside mu_{modulus}")
+    if modulus == g.modulus:
+        return g
 
     def conv(x: UnityRoot) -> UnityRoot:
         return UnityRoot(x.exponent * modulus // x.modulus, modulus)
@@ -451,8 +494,16 @@ def at_minimal_modulus(g: GDD) -> GDD:
 
 def normalized_key(g: GDD) -> bytes:
     """Canonical key at the minimal even modulus, so the same abstract
-    diagram stored over different ambient groups compares equal."""
-    return at_minimal_modulus(g).canonical_key()
+    diagram stored over different ambient groups compares equal.  Kept on
+    g, like the canonical key, so a diagram above its minimal modulus
+    builds and keys its copy there once."""
+    try:
+        return g._normalized_key
+    except AttributeError:
+        pass
+    key = at_minimal_modulus(g).canonical_key()
+    object.__setattr__(g, "_normalized_key", key)
+    return key
 
 
 # -- text format -------------------------------------------------------------

@@ -8,26 +8,33 @@ whose deletions are all arithmetic while the candidate itself is not.
 
 A connected deletion has rank n-1, so it is arithmetic exactly when it is a
 base.  The search therefore indexes every base B by the canonical key of
-each connected B - w (BaseIndex).  Carried by every isomorphism from a
-representative R of the class onto B - w, w's label and edges are the
-attachments that make R a base; they are gathered once per class, and one
-isomorphism T -> R carries them to any connected diagram T of the class.
-For a base A the search reads these patterns on A - u once, for every
-non-cut vertex u of A.
+each connected B - w (BaseIndex); equal labelled deletions of different
+bases are one object, keyed once.  Patterns are carried by canonical
+orders: core.least_form returns, with the form, the vertex order that reads
+as it, so for two diagrams with equal keys the map pairing their orders
+position by position is an isomorphism, and every isomorphism from a
+representative R of the class onto B - w is that pairing composed with an
+automorphism of R (one core.isomorphisms(R, R) per class).  Carried by all
+of them, w's label and edges are the attachments that make R a base; they
+are gathered once per class, and the pairing of R with any connected
+diagram T of the class carries them to T.  For a base A the search reads
+these patterns on A - u once, for every non-cut vertex u of A.
 
 A candidate g = A + x attaches x by a pattern of A - v plus an optional edge
 back to v (CandidateDeletions).  Its deletions are decided without building
 g: g - x is A and g - v is an extension from the index, by construction; at
-any other non-cut u, g - u is (A - u) + x, disconnected when x keeps no edge
-there and otherwise arithmetic exactly when x's pattern is one of A - u's.
-Only at the cut vertices of A is g built, and a connected g - u is looked up
-among the bases' canonical keys; the verdicts at the non-cut vertices come
-first, so a candidate they reject is never built.  The oracle is asked only
-whether a candidate whose deletions all pass is itself arithmetic, and for
-the shape tags.  All of this needs every connected arithmetic diagram of
-rank n-1 among the bases, so the index and the key set are built from all
-of collect_bases (classical, stored and finite-Cartan diagrams) whichever
-bases are walked.
+any other vertex u, g - u is (A - u) + x.  At a non-cut u it is disconnected
+when x keeps no edge there and otherwise arithmetic exactly when x's
+pattern is one of A - u's.  At a cut vertex u the components of A - u are
+found once per base, and (A - u) + x is connected exactly when x has an
+edge into every one of them; only a connected g - u is built, and it is
+looked up among the bases' canonical keys.  The verdicts at the non-cut
+vertices come first, so a candidate they reject builds nothing.  The oracle
+is asked only whether a candidate whose deletions all pass is itself
+arithmetic, and for the shape tags.  All of this needs every connected
+arithmetic diagram of rank n-1 among the bases, so the index and the key
+set are built from all of collect_bases (classical, stored and
+finite-Cartan diagrams) whichever bases are walked.
 
 A labelled candidate (x's label and pairs in A's coordinates) is built from
 each non-cut v of A at which x's pairs outside v are a pattern of A - v, and
@@ -41,10 +48,11 @@ owner's or fails its verdict at the owner.  The owner is the first vertex
 to build a candidate, so the found set keeps its order and labellings, and
 the report still counts every candidate built.
 
-A diagram computes its canonical key once (GDD.canonical_key).  A survivor
+A diagram computes its canonical key and order once (GDD.canonical_key),
+and its key at the minimal modulus once (core.normalized_key).  A survivor
 already at its minimal modulus therefore shares one key between the oracle
 and the found set, and such a base one key between collect_bases, the twist
-orbits and the base keys.
+orbits and the base keys; a stored row brings its key from the database.
 
 Arithmeticity, and so quasi-affineness, is invariant under the power twists
 g -> g^t with t a unit of Z/M (the conjugate parameters), and the bases are
@@ -156,11 +164,14 @@ def connected_deletions(g: GDD) -> dict[int, GDD]:
 class BaseIndex:
     """The bases' canonical keys (keys), their connected one-vertex
     deletions (deletions: B -> {w: B - w}), and the bases indexed by those
-    deletions.  Each class of deletions B - w, by canonical key, has a
+    deletions.  Equal labelled deletions of different bases are one object,
+    keyed once.  Each class of deletions B - w, by canonical key, has a
     representative R (the first B - w seen) and R's patterns: the label of
     w and its (vertex, edge label) pairs, carried to R by every isomorphism
-    R -> B - w, for every base B and vertex w of the class.  The patterns of
-    a class are computed once, when first asked for."""
+    R -> B - w, for every base B and vertex w of the class.  These
+    isomorphisms are the map pairing R's canonical order with that of
+    B - w, composed with every automorphism of R.  The patterns of a class
+    are computed once, when first asked for."""
 
     def __init__(self, bases: list[GDD]):
         # canonical key -> [(B - w, the label of w, the label of the edge
@@ -170,9 +181,12 @@ class BaseIndex:
         # which leave _entries
         self._classes: dict[bytes, tuple[GDD, set]] = {}
         self.keys = {b.canonical_key() for b in bases}
-        self.deletions = {b: connected_deletions(b) for b in bases}
-        for b, rests in self.deletions.items():
-            for w, rest in rests.items():
+        self.deletions: dict[GDD, dict[int, GDD]] = {}
+        shared: dict[GDD, GDD] = {}
+        for b in bases:
+            rests = self.deletions[b] = {}
+            for w, rest in connected_deletions(b).items():
+                rest = rests[w] = shared.setdefault(rest, rest)
                 to_w = [b.edge_label(w, u) for u in range(b.rank) if u != w]
                 entry = (rest, b.diag[w], to_w)
                 self._entries.setdefault(rest.canonical_key(), []).append(entry)
@@ -184,32 +198,41 @@ class BaseIndex:
         label exponent, then the number of attached vertices, the attached
         vertices and their edge-label exponents (_pattern_order).  Such an
         extension is a base B with trimmed as B - w; the class of trimmed
-        keeps the patterns on its representative R, and one isomorphism
-        trimmed -> R carries them to trimmed."""
+        keeps the patterns on its representative R, closed under the
+        automorphisms of R, and the map pairing trimmed's canonical order
+        with R's carries them to trimmed."""
         key = trimmed.canonical_key()
         if key not in self._classes:
             entries = self._entries.pop(key, None)
             if entries is None:
                 return []
             rep = entries[0][0]
+            automorphisms = list(isomorphisms(rep, rep))
             found = set()
             for rest, diag, to_w in entries:
-                for phi in isomorphisms(rep, rest):
+                phi = _pairing(rep, rest)
+                for alpha in automorphisms:
+                    image = [to_w[phi[a]] for a in alpha]
                     found.add((diag, tuple(
-                        (r, to_w[phi[r]]) for r in range(rep.rank)
-                        if to_w[phi[r]] is not None
+                        (r, lab) for r, lab in enumerate(image) if lab is not None
                     )))
             self._classes[key] = (rep, found)
         rep, patterns = self._classes[key]
-        psi = next(isomorphisms(trimmed, rep))
-        back = [0] * trimmed.rank
-        for t, r in enumerate(psi):
-            back[r] = t
+        back = _pairing(rep, trimmed)
         return sorted(
             ((diag, tuple(sorted((back[r], lab) for r, lab in pairs)))
              for diag, pairs in patterns),
             key=_pattern_order,
         )
+
+
+def _pairing(g: GDD, h: GDD) -> list[int]:
+    """The isomorphism g -> h of two diagrams with equal canonical keys
+    that pairs their canonical orders position by position."""
+    phi = [0] * g.rank
+    for v, w in zip(g.canonical_order(), h.canonical_order()):
+        phi[v] = w
+    return phi
 
 
 class CandidateDeletions:
@@ -218,7 +241,9 @@ class CandidateDeletions:
     (see the module docstring).  A candidate is (v, label of x, x's (vertex,
     edge label) pairs in A coordinates, sorted by vertex); built, x is the
     vertex of index A.rank.  The verdicts are read at the non-cut vertices
-    of A before the cut vertices."""
+    of A before the cut vertices.  For a cut vertex u, the components of
+    A - u are found once: g - u = (A - u) + x is connected exactly when x
+    has an edge into each of them, and only then is it built and keyed."""
 
     def __init__(self, base: GDD, index: BaseIndex):
         self.base = base
@@ -230,7 +255,18 @@ class CandidateDeletions:
         for u, trimmed in rests.items():
             self.patterns[u] = index.patterns(trimmed)
             self.arithmetic[u] = set(self.patterns[u])
-        self.cut = [u for u in range(base.rank) if u not in self.arithmetic]
+        # cut vertex u of A -> (A - u, the component index of each of its
+        # vertices, the number of components)
+        self.cut: dict[int, tuple[GDD, list[int], int]] = {}
+        for u in range(base.rank):
+            if u not in self.arithmetic:
+                rest = base.delete_vertex(u)
+                comps = rest.component_vertex_sets()
+                component = [0] * rest.rank
+                for i, comp in enumerate(comps):
+                    for w in comp:
+                        component[w] = i
+                self.cut[u] = (rest, component, len(comps))
         # A connected diagram has at least two non-cut vertices.
         self.v0, self.v1 = list(self.arithmetic)[:2]
 
@@ -259,20 +295,21 @@ class CandidateDeletions:
     def verdicts(self, v: int, diag: UnityRoot, pairs):
         """(u, whether g - u is arithmetic) for the candidate g = (v, diag,
         pairs) and every vertex u != v of A at which g - u is connected,
-        the non-cut vertices of A first.  At a non-cut u, g - u is
-        (A - u) + x, x's pairs outside u renumbered to A - u (with none
-        left, x is isolated there).  At a cut vertex u, g is built, once,
-        and g - u is arithmetic exactly when it is a base."""
+        the non-cut vertices of A first.  g - u is (A - u) + x, x's pairs
+        outside u renumbered to A - u.  At a non-cut u it is connected when
+        x keeps an edge there, and arithmetic exactly when x's pattern is
+        one of A - u's.  At a cut vertex u it is connected when x has an
+        edge into every component of A - u, and arithmetic exactly when it
+        is a base."""
         for u, arithmetic in self.arithmetic.items():
             if u != v:
                 rest = tuple((w if w < u else w - 1, lab) for w, lab in pairs if w != u)
                 if rest:
                     yield u, (diag, rest) in arithmetic
-        g = self.base.add_vertex(diag, pairs) if self.cut else None
-        for u in self.cut:
-            sub = g.delete_vertex(u)
-            if sub.is_connected():
-                yield u, sub.canonical_key() in self.base_keys
+        for u, (without_u, component, count) in self.cut.items():
+            rest = [(w if w < u else w - 1, lab) for w, lab in pairs if w != u]
+            if len({component[w] for w, _ in rest}) == count:
+                yield u, without_u.add_vertex(diag, rest).canonical_key() in self.base_keys
 
 
 def collect_bases(rank: int, modulus: int, db: ArithmeticDatabase) -> list[GDD]:
@@ -283,24 +320,26 @@ def collect_bases(rank: int, modulus: int, db: ArithmeticDatabase) -> list[GDD]:
     seen: dict[bytes, GDD] = {}
     for g in generate_classical(rank, modulus):
         seen.setdefault(normalized_key(g), g)
-    for g, _meta in db.entries(rank):
-        if modulus % minimal_modulus(g) == 0:
-            lifted = with_modulus(g, modulus)
-            seen.setdefault(normalized_key(lifted), lifted)
+    # A stored row's key is normalized, so it is the key of its lifted copy.
+    for key, g in db.keyed(rank):
+        if key not in seen and modulus % minimal_modulus(g) == 0:
+            seen[key] = with_modulus(g, modulus)
     for g in finite_cartan_diagrams(rank, modulus):
         seen.setdefault(normalized_key(g), g)
     return [seen[k] for k in sorted(seen)]
 
 
 def twist_representatives(bases: list[GDD]) -> list[GDD]:
-    """The first base of each power-twist orbit, in the given order."""
+    """The first base of each power-twist orbit, in the given order.  A
+    twist equal to a base, as labelled diagrams, reads the base's key."""
+    known = {g: g for g in bases}
     seen: set[bytes] = set()
     out = []
     for g in bases:
         key = normalized_key(g)
         if key not in seen:
             out.append(g)
-            seen.update(normalized_key(h) for h in g.twists())
+            seen.update(normalized_key(known.get(h, h)) for h in g.twists())
     return out
 
 

@@ -61,6 +61,10 @@ class ArithmeticDatabase:
             for key, meta in self.by_rank.get(r, {}).items():
                 yield self.representatives[key], meta
 
+    def keyed(self, rank: int) -> list[tuple[bytes, GDD]]:
+        """(normalized key, diagram) of every entry of the given rank."""
+        return [(key, self.representatives[key]) for key in self.by_rank.get(rank, {})]
+
     def keys_at_rank(self, rank: int) -> set[bytes]:
         return set(self.by_rank.get(rank, {}))
 

@@ -5,12 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from brute import cell_order_key
+from brute import _row_major, cell_order_key
+import gddkit.core
 from gddkit.core import (
     GDD,
     ParseError,
     from_braiding_matrix,
     isomorphisms,
+    least_form,
     minimal_modulus,
     normalized_key,
     parse_blocks,
@@ -283,10 +285,12 @@ def test_canonical_key_examples():
     assert c.canonical_key() == d.canonical_key()
 
 
-def test_canonical_key_is_kept_per_object():
+def test_canonical_key_is_kept_per_object(monkeypatch):
     """The key is computed once and kept on the object: equal bytes on every
     call, no effect on == and hash, and every derived diagram computes its
-    own key, which a relabelled copy shares."""
+    own key, which a relabelled copy shares.  So is the normalized key: a
+    diagram above its minimal modulus keys its copy there once, and the
+    second normalized_key call runs no least_form."""
     rng = random.Random(31)
     for _ in range(40):
         m = rng.choice([4, 6, 12])
@@ -304,6 +308,90 @@ def test_canonical_key_is_kept_per_object():
             assert h.canonical_key() == cell_order_key(h), h.to_text()
         assert derived[0].canonical_key() == key
         assert derived[3].canonical_key() != key
+
+    runs = []
+
+    def counted(colours, labels):
+        runs.append(len(colours))
+        return least_form(colours, labels)
+
+    monkeypatch.setattr(gddkit.core, "least_form", counted)
+    g = path([3, 1, 2], [2, 3], m=4)
+    lifted = with_modulus(g, 12)
+    assert minimal_modulus(lifted) == 4
+    key = normalized_key(lifted)
+    assert runs == [3]
+    assert normalized_key(lifted) == key
+    assert runs == [3]
+    assert key == g.canonical_key() == normalized_key(g)
+    assert lifted == with_modulus(g, 12)
+
+
+@st.composite
+def _branching_diagrams(draw):
+    """Cycles, stars and diagrams with twins, all with equal labels where
+    it matters, at M in {2, 4, 6, 10}: the inputs on which least_form
+    branches.  A cycle or star may carry one distinguished vertex label.
+    Paths of rank 8 or 9 that read the same from both ends add the inputs
+    whose first branch to the end is not always the least."""
+    m = draw(st.sampled_from([2, 4, 6, 10]))
+    n = draw(st.integers(3, 6))
+    d, x = u(draw(st.integers(0, m - 1)), m), u(draw(st.integers(1, m - 1)), m)
+    diag = (u(draw(st.integers(0, m - 1)), m),) + (d,) * (n - 1)
+    kind = draw(st.sampled_from(["cycle", "star", "twins", "palindrome"]))
+    if kind == "palindrome":
+        n = draw(st.integers(8, 9))
+        ds = [u(draw(st.integers(0, m - 1)), m) for _ in range((n + 1) // 2)]
+        es = [u(draw(st.integers(1, m - 1)), m) for _ in range(n // 2)]
+        return GDD(m, tuple(ds[min(i, n - 1 - i)] for i in range(n)),
+                   {(i, i + 1): es[min(i, n - 2 - i)] for i in range(n - 1)})
+    if kind == "cycle":
+        return GDD(m, diag, {(i, (i + 1) % n): x for i in range(n)})
+    if kind == "star":
+        return GDD(m, diag, {(0, i): x for i in range(1, n)})
+    # Copies of vertex 0 of a random diagram, joined to its neighbours by
+    # its own edge labels, and possibly to vertex 0 by x.
+    k = draw(st.integers(2, n - 1))
+    edges = {
+        (i, j): u(draw(st.integers(1, m - 1)), m)
+        for i in range(k) for j in range(i + 1, k) if draw(st.booleans())
+    }
+    g = GDD(m, diag[:1] + tuple(u(draw(st.integers(0, m - 1)), m) for _ in range(k - 1)),
+            edges)
+    to_zero = [(w, lab) for (a, w), lab in g.edges.items() if a == 0]
+    joined = draw(st.booleans())
+    for _ in range(n - k):
+        g = g.add_vertex(g.diag[0], to_zero + ([(0, x)] if joined else []))
+    return g
+
+
+@settings(max_examples=150, deadline=None)
+@given(_branching_diagrams(), st.randoms(use_true_random=False))
+def test_canonical_order_reads_the_least_form(g, rng):
+    """Reading g in its canonical order gives its key, and pairing the
+    canonical orders of g and a relabelled copy h is an isomorphism g -> h."""
+    order = g.canonical_order()
+    assert sorted(order) == list(range(g.rank))
+    payload = (g.rank, g.modulus) + _row_major(g, order)
+    assert b"k" + b",".join(str(x).encode() for x in payload) == g.canonical_key()
+    assert g.canonical_key() == cell_order_key(g)
+    sigma = list(range(g.rank))
+    rng.shuffle(sigma)
+    h = g.permute(sigma)
+    phi = [0] * g.rank
+    for v, w in zip(order, h.canonical_order()):
+        phi[v] = w
+    assert phi in list(isomorphisms(g, h))
+
+
+def test_edge_given_in_both_orientations_is_rejected():
+    m = 4
+    with pytest.raises(ValueError, match="duplicate edge"):
+        GDD(m, (u(1, m), u(1, m)), {(0, 1): u(1, m), (1, 0): u(3, m)})
+    with pytest.raises(ValueError, match="duplicate edge"):
+        GDD(m, (u(1, m),) * 3, {(0, 1): u(2, m), (2, 1): u(3, m), (1, 2): u(3, m)})
+    g = GDD(m, (u(1, m), u(1, m)), {(1, 0): u(3, m)})
+    assert g.edges == {(0, 1): u(3, m)}
 
 
 def test_power_twist():

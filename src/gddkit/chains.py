@@ -9,6 +9,10 @@ simple when
 
 The fixed parameter of the orientation is q = d_n^2 * t_n, and the index set
 records where t_i = q (with t_1 read as (d_1^2 * t_2)^{-1}).
+
+The tests read the labels as exponents mod M: a product of labels is a sum
+of exponents, 1 is 0 and -1 is M/2.  A UnityRoot is built only for a
+returned parameter.
 """
 
 from __future__ import annotations
@@ -25,8 +29,10 @@ class ChainProfile:
 
     ``end`` records which vertex of the source diagram played v_n; it does not
     take part in equality, so profiles from differently-labelled copies of the
-    same chain compare equal.  A rank-1 chain with vertex label -1 matches any
-    parameter; that is the ``wildcard`` profile.
+    same chain compare equal.  A profile of a body read inside a larger
+    diagram g, as classify reads them, gives ``end`` in g's numbering.  A
+    rank-1 chain with vertex label -1 matches any parameter; that is the
+    ``wildcard`` profile.
     """
 
     q: UnityRoot | None
@@ -38,16 +44,18 @@ class ChainProfile:
         return self.wildcard or self.q == p
 
 
-def _labels(g: GDD, order: list[int]) -> tuple[list[UnityRoot], list[UnityRoot]]:
-    diag = [g.diag[v] for v in order]
-    ties = [g.edges[tuple(sorted((order[i - 1], order[i])))] for i in range(1, len(order))]
+def _exponents(g: GDD, order: list[int]) -> tuple[list[int], list[int]]:
+    """The vertex and edge label exponents along ``order``."""
+    diag = [g.diag[v].exponent for v in order]
+    ties = [g.edges[(u, v) if u < v else (v, u)].exponent for u, v in zip(order, order[1:])]
     return diag, ties
 
 
 def chain_condition_failures(g: GDD, order: list[int] | None = None) -> list[int]:
     """Positions along the chain order where the simple-chain conditions
     fail; rank 1 never fails.  A caller that knows g.chain_order() passes it
-    as ``order``."""
+    as ``order``; any path order of some of g's vertices may be passed.
+    The conditions are read on label exponents mod M (-1 is M/2)."""
     if order is None:
         order = g.chain_order()
     if order is None:
@@ -55,16 +63,18 @@ def chain_condition_failures(g: GDD, order: list[int] | None = None) -> list[int
     n = len(order)
     if n == 1:
         return []
-    d, t = _labels(g, order)
+    m = g.modulus
+    half = m // 2
+    d, t = _exponents(g, order)
     bad = []
-    if not ((d[0] * t[0]).is_one or d[0].is_minus_one):
+    if (d[0] + t[0]) % m and d[0] != half:
         bad.append(0)
     for i in range(1, n - 1):
-        branch_minus_one = d[i].is_minus_one and (t[i - 1] * t[i]).is_one
-        branch_inverse = (d[i] * t[i - 1]).is_one and (d[i] * t[i]).is_one
+        branch_minus_one = d[i] == half and (t[i - 1] + t[i]) % m == 0
+        branch_inverse = (d[i] + t[i - 1]) % m == 0 and (d[i] + t[i]) % m == 0
         if not (branch_minus_one or branch_inverse):
             bad.append(i)
-    if not ((d[-1] * t[-1]).is_one or d[-1].is_minus_one):
+    if (d[-1] + t[-1]) % m and d[-1] != half:
         bad.append(n - 1)
     return bad
 
@@ -96,21 +106,24 @@ def chain_profile(g: GDD) -> set[ChainProfile]:
 
 
 def oriented_profile(g: GDD, order: list[int]) -> ChainProfile | None:
-    """Profile for one explicit orientation (last element of order is v_n)."""
-    d, t = _labels(g, order)
+    """Profile for one explicit orientation (last element of order is v_n),
+    which may run over some of g's vertices; read on label exponents."""
     n = len(order)
     if n == 1:
-        if d[0].is_minus_one:
+        d = g.diag[order[0]]
+        if d.is_minus_one:
             return ChainProfile(None, frozenset(), wildcard=True, end=order[0])
-        return None if d[0].is_one else ChainProfile(d[0], frozenset(), end=order[0])
-    q = d[-1] ** 2 * t[-1]
-    if q.is_one:
+        return None if d.is_one else ChainProfile(d, frozenset(), end=order[0])
+    m = g.modulus
+    d, t = _exponents(g, order)
+    q = (2 * d[-1] + t[-1]) % m
+    if q == 0:
         return None
     index = {i for i in range(2, n + 1) if t[i - 2] == q}
-    virtual = (d[0] ** 2 * t[0]) ** -1
-    if virtual == q:
+    # The virtual label (d_1^2 t_2)^{-1} equals q.
+    if (2 * d[0] + t[0] + q) % m == 0:
         index.add(1)
-    return ChainProfile(q, frozenset(index), end=order[-1])
+    return ChainProfile(UnityRoot(q, m), frozenset(index), end=order[-1])
 
 
 def _end_options(q: UnityRoot, in_index: bool | None):

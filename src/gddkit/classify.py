@@ -6,6 +6,16 @@ orientations, solve the head pattern for its parameter, and ask the body to
 be a simple chain with the matching fixed parameter.  Type 3 is the same as
 Type 2 under the substitution of -q^{-1} for the parameter, so tags are
 normalized to Type 2 and kind "T3" is never emitted.
+
+Recognition reads vertex subsets of one diagram g in place and builds no
+sub-diagram.  A subset is a sorted tuple of g's vertices: its path order and
+components come from g's adjacency restricted to it (core.path_order,
+core.components_of), its chain tests from the labels of g along that order,
+and its readings (heads, tails) are numbered as in g.  The one diagram built
+is the trunk handed to the ``continual`` callback of
+is_classical_plus_semiclassical.  Head patterns, like the chain tests, are
+read on label exponents mod M; a UnityRoot is built only for a returned
+parameter.
 """
 
 from __future__ import annotations
@@ -14,7 +24,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .chains import ChainProfile, is_simple_chain, oriented_profile
-from .core import GDD, components_of
+from .core import GDD, components_of, path_order
 from .roots import UnityRoot, minus_one
 
 @dataclass(frozen=True)
@@ -30,176 +40,6 @@ class TypeTag:
     body_profile: ChainProfile
     head: tuple[int, ...]
     tail: int
-
-
-def _square_roots(x: UnityRoot) -> list[UnityRoot]:
-    return [
-        UnityRoot(e, x.modulus)
-        for e in range(x.modulus)
-        if (2 * e) % x.modulus == x.exponent
-    ]
-
-
-def _some_square_root(x: UnityRoot) -> UnityRoot:
-    """A square root of x, lifting into mu_{2M} when none exists in mu_M."""
-    roots = [r for r in _square_roots(x) if not r.is_one and not r.is_minus_one]
-    if roots:
-        return roots[0]
-    return UnityRoot(x.exponent, 2 * x.modulus)
-
-
-def _attached_profile(
-    g: GDD, body_vertices: list[int], attach: int
-) -> tuple[ChainProfile, int] | None:
-    """Profile of the body read with ``attach`` as its oriented end, plus the
-    body's far-end vertex (in g numbering); None when the body is not a
-    simple chain ending at ``attach``."""
-    body = g.induced(body_vertices)
-    order = body.chain_order()
-    if order is None or not is_simple_chain(body, order):
-        return None
-    pos = {v: i for i, v in enumerate(body_vertices)}
-    a = pos[attach]
-    if order[-1] != a:
-        if order[0] != a:
-            return None
-        order = order[::-1]
-    profile = oriented_profile(body, order)
-    if profile is None:
-        return None
-    return profile, body_vertices[order[0]]
-
-
-def classical_type(g: GDD) -> set[TypeTag]:
-    """All readings of g as one of the classical types; empty when g is not
-    classical.  One adjacency serves the connectivity test, the chain order
-    and the head patterns."""
-    adj = g.adjacency()
-    if len(components_of(adj)) != 1:
-        raise ValueError("classical recognition needs a connected diagram")
-    tags: set[TypeTag] = set()
-    n = g.rank
-    order = g.chain_order(adj)
-
-    # Type 7: the whole diagram is a simple chain C_{n, q^{-1}, I}.
-    if order is not None and is_simple_chain(g, order):
-        for o in ([order, order[::-1]] if n > 1 else [order]):
-            profile = oriented_profile(g, o)
-            if profile is None:
-                continue
-            if profile.wildcard:
-                q = minus_one(g.modulus)  # rank-1 vertex -1; parameter is free
-                tags.add(TypeTag("T7", q, profile, (), o[0]))
-            else:
-                tags.add(TypeTag("T7", profile.q ** -1, profile, (), o[0]))
-
-    # Types 1-6: a head on one end of a simple-chain body.
-    for head in head_patterns(g, adj):
-        if len(head.vertices) == 1 and order is None:
-            continue  # one end vertex on a chain body makes g a chain
-        body_vertices = [v for v in range(n) if v not in head.vertices]
-        got = _attached_profile(g, body_vertices, head.attach)
-        if got is None:
-            continue
-        profile, tail = got
-        if not head.matches_body(profile):
-            continue
-        if head.kind == "T1":
-            # The body pins p down (its square is the end label), so no
-            # square root is taken unless a rank-1 body labelled -1 leaves
-            # p free.
-            if profile.wildcard:
-                q = _some_square_root(head.body_param_square)
-            else:
-                q = profile.q
-        elif head.kind in ("T2", "T4"):
-            q = g.diag[head.vertices[0]]
-        else:
-            q = head.body_param
-        tags.add(TypeTag(head.kind, q, profile, head.vertices, tail))
-    return tags
-
-
-def classical_tails(g: GDD) -> set[int]:
-    return {t.tail for t in classical_type(g)}
-
-
-def quasi_classical_tails(g: GDD) -> set[int]:
-    """Tail vertices in the sense of the quasi-classical definition.
-
-    Chain case: omitting one end leaves a classical diagram whose tail is the
-    other end.  Non-chain case: two distinct vertex deletions leave connected
-    classical diagrams with the same tail vertex.
-    """
-    if not g.is_connected():
-        raise ValueError("needs a connected diagram")
-    if g.rank < 2:
-        return set()
-    tails: set[int] = set()
-    order = g.chain_order()
-    if order is not None:
-        for e, other in ((order[0], order[-1]), (order[-1], order[0])):
-            rest = [v for v in range(g.rank) if v != e]
-            sub = g.induced(rest)
-            sub_tails = {rest[t] for t in classical_tails(sub)}
-            if other in sub_tails:
-                tails.add(other)
-        return tails
-    witness: dict[int, set[int]] = {}
-    for v in range(g.rank):
-        rest = [u for u in range(g.rank) if u != v]
-        sub = g.induced(rest)
-        if not sub.is_connected():
-            continue
-        for t in classical_tails(sub):
-            witness.setdefault(rest[t], set()).add(v)
-    return {t for t, vs in witness.items() if len(vs) >= 2}
-
-
-def tail_vertices(g: GDD) -> set[int]:
-    """Tails of g read as a classical or quasi-classical structure."""
-    return classical_tails(g) | quasi_classical_tails(g)
-
-
-def is_semi_classical(g: GDD) -> bool:
-    """Structural part of the semi-classical definition (the caller vouches
-    that g is arithmetic)."""
-    if not g.is_connected():
-        raise ValueError("needs a connected diagram")
-    if g.rank < 2:
-        return False
-    if g.is_chain():
-        order = g.chain_order()
-        for e in (order[0], order[-1]):
-            sub = g.delete_vertex(e)
-            if sub.is_chain() and is_simple_chain(sub):
-                return True
-        return False
-    good = 0
-    for v in range(g.rank):
-        sub = g.delete_vertex(v)
-        if sub.is_connected() and sub.is_chain() and is_simple_chain(sub):
-            good += 1
-            if good == 2:
-                return True
-    return False
-
-
-def is_quasi_classical(g: GDD) -> bool:
-    return bool(quasi_classical_tails(g)) or bool(classical_type(g))
-
-
-def is_simple_cycle(g: GDD) -> bool:
-    if not g.is_cycle():
-        return False
-    for v in range(g.rank):
-        sub = g.delete_vertex(v)
-        if not (sub.is_chain() and is_simple_chain(sub)):
-            return False
-    return True
-
-
-# -- gluings -----------------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -225,27 +65,49 @@ class HeadPattern:
         return profile.q == self.body_param
 
 
+def _square_roots(x: UnityRoot) -> list[UnityRoot]:
+    return [
+        UnityRoot(e, x.modulus)
+        for e in range(x.modulus)
+        if (2 * e) % x.modulus == x.exponent
+    ]
+
+
+def _some_square_root(x: UnityRoot) -> UnityRoot:
+    """A square root of x, lifting into mu_{2M} when none exists in mu_M."""
+    roots = [r for r in _square_roots(x) if not r.is_one and not r.is_minus_one]
+    if roots:
+        return roots[0]
+    return UnityRoot(x.exponent, 2 * x.modulus)
+
+
 def head_patterns(g: GDD, adj: list[list[int]] | None = None) -> list[HeadPattern]:
     """All head readings available on end vertices of g; ``adj`` is
-    g.adjacency(), if the caller has built it."""
+    g.adjacency(), if the caller has built it, or that adjacency restricted
+    to a vertex subset (empty lists outside it) to read the heads of the
+    subdiagram on the subset.  Read on label exponents mod M."""
     out = []
     m = g.modulus
+    half = m // 2
     nbs = adj if adj is not None else g.adjacency()
+    d = [x.exponent for x in g.diag]
     for e in range(g.rank):
         if len(nbs[e]) != 1:
             continue
         (b,) = nbs[e]
-        d_e, t_eb = g.diag[e], g.edge_label(e, b)
+        d_e, t_eb = d[e], g.edge_label(e, b).exponent
+        if d_e == 0:
+            continue  # no head end is labelled 1
         # Type 1: end p^2, edge p^-2, body parameter p.
-        if (d_e * t_eb).is_one and not d_e.is_one:
-            out.append(HeadPattern("T1", (e,), b, body_param_square=d_e))
+        if (d_e + t_eb) % m == 0:
+            out.append(HeadPattern("T1", (e,), b, body_param_square=g.diag[e]))
         # Type 2 (== Type 3 with -p^{-1} for p): end p, edge p^-2, body
         # parameter p^2.
-        if not d_e.is_one and not d_e.is_minus_one and t_eb == d_e ** -2:
-            out.append(HeadPattern("T2", (e,), b, body_param=d_e ** 2))
+        if d_e != half and (2 * d_e + t_eb) % m == 0:
+            out.append(HeadPattern("T2", (e,), b, body_param=UnityRoot(2 * d_e % m, m)))
         # Type 4: end p with ord(p) = 3, edge -p, body parameter -p^-1.
-        if d_e.order() == 3 and t_eb == d_e * minus_one(m):
-            out.append(HeadPattern("T4", (e,), b, body_param=d_e ** -1 * minus_one(m)))
+        if 3 * d_e % m == 0 and t_eb == (d_e + half) % m:
+            out.append(HeadPattern("T4", (e,), b, body_param=UnityRoot((half - d_e) % m, m)))
     # Types 5 (ends p, no link) and 6 (ends -1, link p^2): two head vertices
     # on a common body end c, edges p^-1.  Each is a neighbour of c with no
     # neighbour but c and its partner; pairs are taken in vertex order.
@@ -256,62 +118,300 @@ def head_patterns(g: GDD, adj: list[list[int]] | None = None) -> list[HeadPatter
             if set(nbs[h1]) <= {c, h2} and set(nbs[h2]) <= {c, h1}:
                 forks.append((min(h1, h2), max(h1, h2), c))
     for h1, h2, c in sorted(forks):
-        link = g.edge_label(h1, h2)
-        t1, t2 = g.edge_label(h1, c), g.edge_label(h2, c)
-        if t1 != t2:
+        t1 = g.edge_label(h1, c).exponent
+        if t1 != g.edge_label(h2, c).exponent:
             continue
-        p = t1 ** -1
-        if link is None and g.diag[h1] == p and g.diag[h2] == p and not p.is_one:
-            out.append(HeadPattern("T5", (h1, h2), c, body_param=p))
+        p = -t1 % m
+        link = g.edge_label(h1, h2)
+        if link is None and d[h1] == p and d[h2] == p and p != 0:
+            out.append(HeadPattern("T5", (h1, h2), c, body_param=UnityRoot(p, m)))
         if (
             link is not None
-            and g.diag[h1].is_minus_one
-            and g.diag[h2].is_minus_one
-            and link == p ** 2
-            and not (p ** 2).is_one
+            and d[h1] == half
+            and d[h2] == half
+            and link.exponent == 2 * p % m
+            and 2 * p % m != 0
         ):
-            out.append(HeadPattern("T6", (h1, h2), c, body_param=p))
+            out.append(HeadPattern("T6", (h1, h2), c, body_param=UnityRoot(p, m)))
     return out
+
+
+def _attached_profile(
+    g: GDD, adj: list[list[int]], body: list[int], attach: int
+) -> tuple[ChainProfile, int] | None:
+    """Profile of the subdiagram of g on ``body`` read with ``attach`` as its
+    oriented end, plus the body's far-end vertex; None when the body is not
+    a simple chain ending at ``attach``."""
+    order = path_order(adj, body)
+    if order is None or not is_simple_chain(g, order):
+        return None
+    if order[-1] != attach:
+        if order[0] != attach:
+            return None
+        order = order[::-1]
+    profile = oriented_profile(g, order)
+    if profile is None:
+        return None
+    return profile, order[0]
+
+
+def _without(keep: tuple[int, ...], drop) -> tuple[int, ...]:
+    return tuple(v for v in keep if v not in drop)
+
+
+class _Subsets:
+    """The vertex subsets of one diagram g, read in place (see the module
+    docstring).  A subset ``keep`` is a sorted tuple of g's vertices; each
+    method answers for the subdiagram of g on it, numbered as in g, and
+    takes it connected unless it says otherwise."""
+
+    def __init__(self, g: GDD):
+        self.g = g
+        self.adj = g.adjacency()
+        self.all = tuple(range(g.rank))
+
+    def is_connected(self, keep: tuple[int, ...]) -> bool:
+        """Whether the subdiagram on ``keep`` (any subset) is connected."""
+        return len(components_of(self.adj, keep)) == 1
+
+    def is_simple_path(self, keep: tuple[int, ...]) -> bool:
+        """Whether the subdiagram on ``keep`` (any subset) is a simple chain."""
+        order = path_order(self.adj, keep)
+        return order is not None and is_simple_chain(self.g, order)
+
+    def readings(self, keep: tuple[int, ...]) -> set[TypeTag]:
+        """All readings of the subdiagram on ``keep`` as one of the
+        classical types.  The heads are read on g's adjacency restricted to
+        ``keep``."""
+        g, adj = self.g, self.adj
+        nbs = adj
+        if len(keep) < len(adj):
+            inside = set(keep)
+            nbs = [[] for _ in adj]
+            for v in keep:
+                nbs[v] = [u for u in adj[v] if u in inside]
+        tags: set[TypeTag] = set()
+        order = path_order(adj, keep)
+
+        # Type 7: the whole subdiagram is a simple chain C_{n, q^{-1}, I}.
+        if order is not None and is_simple_chain(g, order):
+            for o in ([order, order[::-1]] if len(order) > 1 else [order]):
+                profile = oriented_profile(g, o)
+                if profile is None:
+                    continue
+                if profile.wildcard:
+                    q = minus_one(g.modulus)  # rank-1 vertex -1: q is free
+                    tags.add(TypeTag("T7", q, profile, (), o[0]))
+                else:
+                    tags.add(TypeTag("T7", profile.q ** -1, profile, (), o[0]))
+
+        # Types 1-6: a head on one end of a simple-chain body.
+        for head in head_patterns(g, nbs):
+            if len(head.vertices) == 1 and order is None:
+                continue  # one end vertex on a chain body makes a chain
+            body = [v for v in keep if v not in head.vertices]
+            got = _attached_profile(g, adj, body, head.attach)
+            if got is None:
+                continue
+            profile, tail = got
+            if not head.matches_body(profile):
+                continue
+            if head.kind == "T1":
+                # The body pins p down (its square is the end label), so no
+                # square root is taken unless a rank-1 body labelled -1 leaves
+                # p free.
+                if profile.wildcard:
+                    q = _some_square_root(head.body_param_square)
+                else:
+                    q = profile.q
+            elif head.kind in ("T2", "T4"):
+                q = g.diag[head.vertices[0]]
+            else:
+                q = head.body_param
+            tags.add(TypeTag(head.kind, q, profile, head.vertices, tail))
+        return tags
+
+    def tails(self, keep: tuple[int, ...]) -> set[int]:
+        return {t.tail for t in self.readings(keep)}
+
+    def quasi_classical_tails(self, keep: tuple[int, ...]) -> set[int]:
+        if len(keep) < 2:
+            return set()
+        order = path_order(self.adj, keep)
+        if order is not None:
+            return {
+                other
+                for e, other in ((order[0], order[-1]), (order[-1], order[0]))
+                if other in self.tails(_without(keep, (e,)))
+            }
+        witness: dict[int, set[int]] = {}
+        for v in keep:
+            rest = _without(keep, (v,))
+            if not self.is_connected(rest):
+                continue
+            for t in self.tails(rest):
+                witness.setdefault(t, set()).add(v)
+        return {t for t, vs in witness.items() if len(vs) >= 2}
+
+    def is_semi_classical(self, keep: tuple[int, ...]) -> bool:
+        if len(keep) < 2:
+            return False
+        order = path_order(self.adj, keep)
+        if order is not None:
+            return any(
+                self.is_simple_path(_without(keep, (e,))) for e in (order[0], order[-1])
+            )
+        good = 0
+        for v in keep:
+            if self.is_simple_path(_without(keep, (v,))):
+                good += 1
+                if good == 2:
+                    return True
+        return False
+
+    # -- shapes of the whole diagram ------------------------------------------
+
+    def is_bi_classical(self) -> bool:
+        g = self.g
+        for head1, head2 in combinations(head_patterns(g, self.adj), 2):
+            if set(head1.vertices) & set(head2.vertices):
+                continue
+            body = _without(self.all, head1.vertices + head2.vertices)
+            if head1.attach not in body or head2.attach not in body:
+                continue
+            order = path_order(self.adj, body)
+            if order is None or not is_simple_chain(g, order):
+                continue
+            if len(body) == 1:
+                prof1 = prof2 = oriented_profile(g, order)
+            else:
+                ends = (order[0], order[-1])
+                if head1.attach not in ends or head2.attach not in ends:
+                    continue
+                if head1.attach == head2.attach:
+                    continue
+                o1 = order if order[-1] == head1.attach else order[::-1]
+                prof1 = oriented_profile(g, o1)
+                prof2 = oriented_profile(g, o1[::-1])
+            if prof1 is None or prof2 is None:
+                continue
+            if head1.matches_body(prof1) and head2.matches_body(prof2):
+                return True
+        return False
+
+    def is_simple_cycle(self) -> bool:
+        return self.g.is_cycle() and all(
+            self.is_simple_path(_without(self.all, (v,))) for v in self.all
+        )
+
+    def is_continual_extension(self) -> bool:
+        g, adj = self.g, self.adj
+        for w in self.all:
+            if len(adj[w]) != 1:
+                continue
+            (tau,) = adj[w]
+            if len(adj[tau]) != 2:
+                continue
+            (nb,) = [u for u in adj[tau] if u != w]
+            t_out = g.edge_label(w, tau)
+            if t_out not in _continuations(g.diag[tau], g.edge_label(tau, nb)):
+                continue
+            t5 = g.diag[w] == t_out ** -1
+            t6 = g.diag[w].is_minus_one
+            if not (t5 or t6):
+                continue
+            if tau in self.quasi_classical_tails(_without(self.all, (w,))):
+                return True
+        return False
+
+    def is_classical_plus_semiclassical(self, continual) -> bool:
+        g = self.g
+        for head in head_patterns(g, self.adj):
+            trunk = _without(self.all, head.vertices)
+            tau = head.attach
+            if len(trunk) < 2 or not self.is_connected(trunk):
+                continue
+            if not self.is_semi_classical(trunk):
+                continue
+            if tau not in self.quasi_classical_tails(trunk):
+                continue
+            # The head parameter must continue the trunk's chain at the tail.
+            profile_ok = False
+            for nb in self.adj[tau]:
+                if nb in trunk:
+                    local = g.diag[tau] ** 2 * g.edge_label(tau, nb)
+                    fake = ChainProfile(local, frozenset())
+                    if not local.is_one and head.matches_body(fake):
+                        profile_ok = True
+            if not profile_ok:
+                continue
+            if head.kind in ("T5", "T6"):
+                if continual is None or not continual(
+                    g.induced(list(trunk)), trunk.index(tau), head.kind
+                ):
+                    continue
+            return True
+        return False
+
+
+def _connected(g: GDD) -> _Subsets:
+    """The subsets of g, which must be connected."""
+    s = _Subsets(g)
+    if not s.is_connected(s.all):
+        raise ValueError("needs a connected diagram")
+    return s
+
+
+def classical_type(g: GDD) -> set[TypeTag]:
+    """All readings of g as one of the classical types; empty when g is not
+    classical."""
+    s = _Subsets(g)
+    if not s.is_connected(s.all):
+        raise ValueError("classical recognition needs a connected diagram")
+    return s.readings(s.all)
+
+
+def classical_tails(g: GDD) -> set[int]:
+    return {t.tail for t in classical_type(g)}
+
+
+def quasi_classical_tails(g: GDD) -> set[int]:
+    """Tail vertices in the sense of the quasi-classical definition.
+
+    Chain case: omitting one end leaves a classical diagram whose tail is the
+    other end.  Non-chain case: two distinct vertex deletions leave connected
+    classical diagrams with the same tail vertex.
+    """
+    s = _connected(g)
+    return s.quasi_classical_tails(s.all)
+
+
+def tail_vertices(g: GDD) -> set[int]:
+    """Tails of g read as a classical or quasi-classical structure."""
+    s = _connected(g)
+    return s.tails(s.all) | s.quasi_classical_tails(s.all)
+
+
+def is_semi_classical(g: GDD) -> bool:
+    """Structural part of the semi-classical definition (the caller vouches
+    that g is arithmetic)."""
+    s = _connected(g)
+    return s.is_semi_classical(s.all)
+
+
+def is_quasi_classical(g: GDD) -> bool:
+    s = _connected(g)
+    return bool(s.quasi_classical_tails(s.all)) or bool(s.readings(s.all))
+
+
+def is_simple_cycle(g: GDD) -> bool:
+    return _Subsets(g).is_simple_cycle()
 
 
 def is_bi_classical(g: GDD) -> bool:
     """Two classical head patterns glued to the ends of a shared simple-chain
     body, fixed parameters matched on each side."""
-    if not g.is_connected():
-        raise ValueError("needs a connected diagram")
-    heads = head_patterns(g)
-    for head1, head2 in combinations(heads, 2):
-        if set(head1.vertices) & set(head2.vertices):
-            continue
-        drop = head1.vertices + head2.vertices
-        body_vertices = [v for v in range(g.rank) if v not in drop]
-        if not body_vertices:
-            continue
-        if head1.attach not in body_vertices or head2.attach not in body_vertices:
-            continue
-        body = g.induced(body_vertices)
-        order = body.chain_order()
-        if order is None or not is_simple_chain(body):
-            continue
-        pos = {v: i for i, v in enumerate(body_vertices)}
-        if len(body_vertices) == 1:
-            if head1.attach != head2.attach:
-                continue
-            prof1 = prof2 = oriented_profile(body, order)
-        else:
-            ends = (order[0], order[-1])
-            if pos[head1.attach] not in ends or pos[head2.attach] not in ends:
-                continue
-            if pos[head1.attach] == pos[head2.attach]:
-                continue
-            o1 = order if order[-1] == pos[head1.attach] else order[::-1]
-            prof1 = oriented_profile(body, o1)
-            prof2 = oriented_profile(body, o1[::-1])
-        if prof1 is None or prof2 is None:
-            continue
-        if head1.matches_body(prof1) and head2.matches_body(prof2):
-            return True
-    return False
+    return _connected(g).is_bi_classical()
 
 
 def is_classical_plus_semiclassical(g: GDD, continual=None) -> bool:
@@ -320,65 +420,27 @@ def is_classical_plus_semiclassical(g: GDD, continual=None) -> bool:
     One-vertex heads need no side condition; fork heads additionally require
     the trunk to be continual via the matching one-vertex end form, decided
     by the injected ``continual(trunk, tail, kind)`` callable (fork heads are
-    skipped when no oracle is supplied)."""
-    if not g.is_connected():
-        raise ValueError("needs a connected diagram")
-    for head in head_patterns(g):
-        drop = set(head.vertices)
-        rest = [v for v in range(g.rank) if v not in drop]
-        if len(rest) < 2 or head.attach not in rest:
-            continue
-        trunk = g.induced(rest)
-        if not trunk.is_connected():
-            continue
-        pos = {v: i for i, v in enumerate(rest)}
-        tau = pos[head.attach]
-        if not is_semi_classical(trunk):
-            continue
-        if tau not in quasi_classical_tails(trunk):
-            continue
-        # The head parameter must continue the trunk's chain at the tail.
-        profile_ok = False
-        for nb in trunk.neighbors(tau):
-            local = trunk.diag[tau] ** 2 * trunk.edge_label(tau, nb)
-            fake = ChainProfile(local, frozenset())
-            if not local.is_one and head.matches_body(fake):
-                profile_ok = True
-        if not profile_ok:
-            continue
-        if head.kind in ("T5", "T6"):
-            if continual is None or not continual(trunk, tau, head.kind):
-                continue
-        return True
-    return False
+    skipped when no oracle is supplied).  The trunk is the one sub-diagram
+    recognition builds, numbered in the order of g's vertices."""
+    return _connected(g).is_classical_plus_semiclassical(continual)
 
 
 def is_bi_semi_classical(g: GDD, all_deletions_arithmetic) -> bool:
     """Two semi-classical diagrams sharing their tail vertex, with every
     single-vertex deletion arithmetic (decided by the injected callable).
     Classical diagrams are arithmetic and never count as this gluing."""
-    if not g.is_connected():
-        raise ValueError("needs a connected diagram")
-    if classical_type(g):
+    s = _connected(g)
+    if s.readings(s.all):
         return False
-    for t in range(g.rank):
-        rest = [v for v in range(g.rank) if v != t]
-        parts = g.induced(rest).component_vertex_sets()
+    for t in s.all:
+        parts = components_of(s.adj, _without(s.all, (t,)))
         if len(parts) != 2:
             continue
-        ok = True
-        for part in parts:
-            side_vertices = [rest[v] for v in sorted(part)] + [t]
-            sub = g.induced(side_vertices)
-            tau = len(side_vertices) - 1
-            if not (
-                sub.rank >= 2
-                and is_semi_classical(sub)
-                and tau in quasi_classical_tails(sub)
-            ):
-                ok = False
-                break
-        if ok and all_deletions_arithmetic(g):
+        sides = [tuple(sorted(part + [t])) for part in parts]
+        if all(
+            s.is_semi_classical(side) and t in s.quasi_classical_tails(side)
+            for side in sides
+        ) and all_deletions_arithmetic(g):
             return True
     return False
 
@@ -386,52 +448,27 @@ def is_bi_semi_classical(g: GDD, all_deletions_arithmetic) -> bool:
 def is_continual_extension(g: GDD) -> bool:
     """g is a one-vertex end form (q-end or -1-end) added on the tail of a
     quasi-classical trunk, continuing the chain there."""
-    adj = g.adjacency()
-    for w in range(g.rank):
-        if len(adj[w]) != 1:
-            continue
-        (tau,) = adj[w]
-        if len(adj[tau]) != 2:
-            continue
-        rest = [v for v in range(g.rank) if v != w]
-        trunk = g.induced(rest)
-        pos = {v: i for i, v in enumerate(rest)}
-        t_out = g.edge_label(w, tau)
-        if t_out not in continuation_patterns(trunk, pos[tau]):
-            continue
-        t5 = g.diag[w] == t_out ** -1
-        t6 = g.diag[w].is_minus_one
-        if not (t5 or t6):
-            continue
-        if pos[tau] in quasi_classical_tails(trunk):
-            return True
-    return False
+    return _connected(g).is_continual_extension()
 
 
 def shape_tag(g: GDD, continual=None) -> str:
     """First matching tag in the listed priority order (the caller vouches
-    that g is quasi-affine)."""
-    if is_bi_classical(g):
+    that g is quasi-affine).  The predicates share g's adjacency."""
+    s = _connected(g)
+    if s.is_bi_classical():
         return "BiClassical"
-    if is_simple_cycle(g):
+    if s.is_simple_cycle():
         return "SimpleCycle"
-    if is_continual_extension(g):
+    if s.is_continual_extension():
         return "Continual"
-    if is_classical_plus_semiclassical(g, continual=continual):
+    if s.is_classical_plus_semiclassical(continual):
         return "ClassicalPlusSemiClassical"
     return "Other"
 
 
-def continuation_patterns(g: GDD, v: int):
-    """Ways of continuing the local chain past vertex v: edge labels t such
-    that v becomes a valid simple-chain interior vertex.
-
-    Returns a list of edge labels; v must have exactly one neighbor."""
-    nbs = g.neighbors(v)
-    if len(nbs) != 1:
-        return []
-    t_in = g.edge_label(v, nbs[0])
-    d = g.diag[v]
+def _continuations(d: UnityRoot, t_in: UnityRoot) -> list[UnityRoot]:
+    """Edge labels t != 1 that make a vertex labelled d, entered by an edge
+    labelled t_in, a valid simple-chain interior vertex."""
     out = []
     if (d * t_in).is_one:
         out.append(d ** -1)  # d*t_in = d*t_out = 1
@@ -442,3 +479,14 @@ def continuation_patterns(g: GDD, v: int):
         if not t.is_one and t not in dedup:
             dedup.append(t)
     return dedup
+
+
+def continuation_patterns(g: GDD, v: int):
+    """Ways of continuing the local chain past vertex v: edge labels t such
+    that v becomes a valid simple-chain interior vertex.
+
+    Returns a list of edge labels; v must have exactly one neighbor."""
+    nbs = g.adjacency()[v]
+    if len(nbs) != 1:
+        return []
+    return _continuations(g.diag[v], g.edge_label(v, nbs[0]))

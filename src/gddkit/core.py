@@ -87,9 +87,6 @@ class GDD:
             adj[v].append(u)
         return adj
 
-    def neighbors(self, v: int) -> list[int]:
-        return sorted(self.adjacency()[v])
-
     def has_degenerate_diag(self) -> bool:
         """True when some vertex is labelled 1 (no arithmetic diagram has it)."""
         return any(d.is_one for d in self.diag)
@@ -176,24 +173,7 @@ class GDD:
     def chain_order(self, adj: list[list[int]] | None = None) -> list[int] | None:
         """Vertices in path order when the graph is a path, else None.  A
         caller that has built adjacency() passes it as ``adj``."""
-        if self.rank == 1:
-            return [0]
-        if adj is None:
-            adj = self.adjacency()
-        ends = [v for v, nbs in enumerate(adj) if len(nbs) == 1]
-        if len(ends) != 2 or any(len(nbs) > 2 for nbs in adj):
-            return None
-        # The walk from one end stops short of rank vertices, at the other
-        # end, when another component exists.
-        order = [ends[0]]
-        prev = -1
-        while len(order) < self.rank:
-            nxt = [u for u in adj[order[-1]] if u != prev]
-            if len(nxt) != 1:
-                return None
-            prev = order[-1]
-            order.append(nxt[0])
-        return order
+        return path_order(adj if adj is not None else self.adjacency(), range(self.rank))
 
     def is_cycle(self) -> bool:
         if self.rank < 3:
@@ -262,12 +242,17 @@ class GDD:
         return "\n".join(lines)
 
 
-def components_of(adj: list[list[int]]) -> list[list[int]]:
+def components_of(adj: list[list[int]], vertices=None) -> list[list[int]]:
     """Vertex sets of the connected components of a graph given by
-    adjacency lists, each sorted, in order of least vertex."""
-    seen = [False] * len(adj)
+    adjacency lists, or of its subgraph induced on the sorted ``vertices``,
+    each sorted, in order of least vertex."""
+    if vertices is None:
+        vertices = range(len(adj))
+    seen = [True] * len(adj)
+    for v in vertices:
+        seen[v] = False
     out = []
-    for s in range(len(adj)):
+    for s in vertices:
         if seen[s]:
             continue
         comp, stack = [], [s]
@@ -281,6 +266,32 @@ def components_of(adj: list[list[int]]) -> list[list[int]]:
                     stack.append(u)
         out.append(sorted(comp))
     return out
+
+
+def path_order(adj: list[list[int]], vertices) -> list[int] | None:
+    """The sorted ``vertices`` in path order, from the least end, when the
+    subgraph induced on them of the graph given by adjacency lists is a
+    path (one vertex counts), else None."""
+    if len(vertices) == 1:
+        return [vertices[0]]
+    nbs = adj
+    if len(vertices) < len(adj):
+        inside = set(vertices)
+        nbs = {v: [u for u in adj[v] if u in inside] for v in vertices}
+    ends = [v for v in vertices if len(nbs[v]) == 1]
+    if len(ends) != 2 or any(len(nbs[v]) > 2 for v in vertices):
+        return None
+    # The walk from one end stops short of every vertex, at the other end,
+    # when another component exists.
+    order = [ends[0]]
+    prev = -1
+    while len(order) < len(vertices):
+        nxt = [u for u in nbs[order[-1]] if u != prev]
+        if len(nxt) != 1:
+            return None
+        prev = order[-1]
+        order.append(nxt[0])
+    return order
 
 
 def _refine(colours: list, labels: list[list]) -> list[int]:

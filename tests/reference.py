@@ -1,0 +1,373 @@
+"""Reference recognizers: the build-and-recognize classifiers and the
+UnityRoot chain tests that ``gddkit.classify`` and ``gddkit.chains``
+replaced.
+
+Each classifier here builds every sub-diagram it asks about (``induced``,
+``delete_vertex``) and recognizes it on its own numbering, and every chain
+test multiplies ``UnityRoot`` labels.  The library reads vertex subsets of
+one diagram in place, on integer exponents mod M; the tests compare the two.
+"""
+
+from __future__ import annotations
+
+from itertools import combinations
+
+from gddkit.chains import ChainProfile
+from gddkit.classify import HeadPattern, TypeTag, _some_square_root
+from gddkit.core import GDD, components_of
+from gddkit.roots import minus_one
+
+# -- chain tests on UnityRoot labels -------------------------------------------
+
+
+def _labels(g, order):
+    diag = [g.diag[v] for v in order]
+    ties = [g.edges[tuple(sorted((order[i - 1], order[i])))] for i in range(1, len(order))]
+    return diag, ties
+
+
+def chain_condition_failures(g, order=None):
+    if order is None:
+        order = g.chain_order()
+    if order is None:
+        raise ValueError("not a chain")
+    n = len(order)
+    if n == 1:
+        return []
+    d, t = _labels(g, order)
+    bad = []
+    if not ((d[0] * t[0]).is_one or d[0].is_minus_one):
+        bad.append(0)
+    for i in range(1, n - 1):
+        branch_minus_one = d[i].is_minus_one and (t[i - 1] * t[i]).is_one
+        branch_inverse = (d[i] * t[i - 1]).is_one and (d[i] * t[i]).is_one
+        if not (branch_minus_one or branch_inverse):
+            bad.append(i)
+    if not ((d[-1] * t[-1]).is_one or d[-1].is_minus_one):
+        bad.append(n - 1)
+    return bad
+
+
+def is_simple_chain(g, order=None):
+    return not chain_condition_failures(g, order)
+
+
+def oriented_profile(g, order):
+    d, t = _labels(g, order)
+    n = len(order)
+    if n == 1:
+        if d[0].is_minus_one:
+            return ChainProfile(None, frozenset(), wildcard=True, end=order[0])
+        return None if d[0].is_one else ChainProfile(d[0], frozenset(), end=order[0])
+    q = d[-1] ** 2 * t[-1]
+    if q.is_one:
+        return None
+    index = {i for i in range(2, n + 1) if t[i - 2] == q}
+    virtual = (d[0] ** 2 * t[0]) ** -1
+    if virtual == q:
+        index.add(1)
+    return ChainProfile(q, frozenset(index), end=order[-1])
+
+
+# -- classifiers that build each sub-diagram -------------------------------------
+
+
+def _neighbors(g, v):
+    return sorted(g.adjacency()[v])
+
+
+def _attached_profile(g, body_vertices, attach):
+    body = g.induced(body_vertices)
+    order = body.chain_order()
+    if order is None or not is_simple_chain(body, order):
+        return None
+    pos = {v: i for i, v in enumerate(body_vertices)}
+    a = pos[attach]
+    if order[-1] != a:
+        if order[0] != a:
+            return None
+        order = order[::-1]
+    profile = oriented_profile(body, order)
+    if profile is None:
+        return None
+    return profile, body_vertices[order[0]]
+
+
+def head_patterns(g, adj=None):
+    out = []
+    m = g.modulus
+    nbs = adj if adj is not None else g.adjacency()
+    for e in range(g.rank):
+        if len(nbs[e]) != 1:
+            continue
+        (b,) = nbs[e]
+        d_e, t_eb = g.diag[e], g.edge_label(e, b)
+        if (d_e * t_eb).is_one and not d_e.is_one:
+            out.append(HeadPattern("T1", (e,), b, body_param_square=d_e))
+        if not d_e.is_one and not d_e.is_minus_one and t_eb == d_e ** -2:
+            out.append(HeadPattern("T2", (e,), b, body_param=d_e ** 2))
+        if d_e.order() == 3 and t_eb == d_e * minus_one(m):
+            out.append(HeadPattern("T4", (e,), b, body_param=d_e ** -1 * minus_one(m)))
+    forks = []
+    for c in range(g.rank):
+        tips = [h for h in nbs[c] if len(nbs[h]) <= 2]
+        for h1, h2 in combinations(tips, 2):
+            if set(nbs[h1]) <= {c, h2} and set(nbs[h2]) <= {c, h1}:
+                forks.append((min(h1, h2), max(h1, h2), c))
+    for h1, h2, c in sorted(forks):
+        link = g.edge_label(h1, h2)
+        t1, t2 = g.edge_label(h1, c), g.edge_label(h2, c)
+        if t1 != t2:
+            continue
+        p = t1 ** -1
+        if link is None and g.diag[h1] == p and g.diag[h2] == p and not p.is_one:
+            out.append(HeadPattern("T5", (h1, h2), c, body_param=p))
+        if (
+            link is not None
+            and g.diag[h1].is_minus_one
+            and g.diag[h2].is_minus_one
+            and link == p ** 2
+            and not (p ** 2).is_one
+        ):
+            out.append(HeadPattern("T6", (h1, h2), c, body_param=p))
+    return out
+
+
+def classical_type(g):
+    adj = g.adjacency()
+    if len(components_of(adj)) != 1:
+        raise ValueError("classical recognition needs a connected diagram")
+    tags = set()
+    n = g.rank
+    order = g.chain_order(adj)
+    if order is not None and is_simple_chain(g, order):
+        for o in ([order, order[::-1]] if n > 1 else [order]):
+            profile = oriented_profile(g, o)
+            if profile is None:
+                continue
+            if profile.wildcard:
+                q = minus_one(g.modulus)
+                tags.add(TypeTag("T7", q, profile, (), o[0]))
+            else:
+                tags.add(TypeTag("T7", profile.q ** -1, profile, (), o[0]))
+    for head in head_patterns(g, adj):
+        if len(head.vertices) == 1 and order is None:
+            continue
+        body_vertices = [v for v in range(n) if v not in head.vertices]
+        got = _attached_profile(g, body_vertices, head.attach)
+        if got is None:
+            continue
+        profile, tail = got
+        if not head.matches_body(profile):
+            continue
+        if head.kind == "T1":
+            if profile.wildcard:
+                q = _some_square_root(head.body_param_square)
+            else:
+                q = profile.q
+        elif head.kind in ("T2", "T4"):
+            q = g.diag[head.vertices[0]]
+        else:
+            q = head.body_param
+        tags.add(TypeTag(head.kind, q, profile, head.vertices, tail))
+    return tags
+
+
+def classical_tails(g):
+    return {t.tail for t in classical_type(g)}
+
+
+def quasi_classical_tails(g):
+    if not g.is_connected():
+        raise ValueError("needs a connected diagram")
+    if g.rank < 2:
+        return set()
+    tails = set()
+    order = g.chain_order()
+    if order is not None:
+        for e, other in ((order[0], order[-1]), (order[-1], order[0])):
+            rest = [v for v in range(g.rank) if v != e]
+            sub = g.induced(rest)
+            sub_tails = {rest[t] for t in classical_tails(sub)}
+            if other in sub_tails:
+                tails.add(other)
+        return tails
+    witness = {}
+    for v in range(g.rank):
+        rest = [u for u in range(g.rank) if u != v]
+        sub = g.induced(rest)
+        if not sub.is_connected():
+            continue
+        for t in classical_tails(sub):
+            witness.setdefault(rest[t], set()).add(v)
+    return {t for t, vs in witness.items() if len(vs) >= 2}
+
+
+def is_semi_classical(g):
+    if not g.is_connected():
+        raise ValueError("needs a connected diagram")
+    if g.rank < 2:
+        return False
+    if g.is_chain():
+        order = g.chain_order()
+        for e in (order[0], order[-1]):
+            sub = g.delete_vertex(e)
+            if sub.is_chain() and is_simple_chain(sub):
+                return True
+        return False
+    good = 0
+    for v in range(g.rank):
+        sub = g.delete_vertex(v)
+        if sub.is_connected() and sub.is_chain() and is_simple_chain(sub):
+            good += 1
+            if good == 2:
+                return True
+    return False
+
+
+def is_simple_cycle(g):
+    if not g.is_cycle():
+        return False
+    for v in range(g.rank):
+        sub = g.delete_vertex(v)
+        if not (sub.is_chain() and is_simple_chain(sub)):
+            return False
+    return True
+
+
+def is_bi_classical(g):
+    if not g.is_connected():
+        raise ValueError("needs a connected diagram")
+    heads = head_patterns(g)
+    for head1, head2 in combinations(heads, 2):
+        if set(head1.vertices) & set(head2.vertices):
+            continue
+        drop = head1.vertices + head2.vertices
+        body_vertices = [v for v in range(g.rank) if v not in drop]
+        if not body_vertices:
+            continue
+        if head1.attach not in body_vertices or head2.attach not in body_vertices:
+            continue
+        body = g.induced(body_vertices)
+        order = body.chain_order()
+        if order is None or not is_simple_chain(body):
+            continue
+        pos = {v: i for i, v in enumerate(body_vertices)}
+        if len(body_vertices) == 1:
+            if head1.attach != head2.attach:
+                continue
+            prof1 = prof2 = oriented_profile(body, order)
+        else:
+            ends = (order[0], order[-1])
+            if pos[head1.attach] not in ends or pos[head2.attach] not in ends:
+                continue
+            if pos[head1.attach] == pos[head2.attach]:
+                continue
+            o1 = order if order[-1] == pos[head1.attach] else order[::-1]
+            prof1 = oriented_profile(body, o1)
+            prof2 = oriented_profile(body, o1[::-1])
+        if prof1 is None or prof2 is None:
+            continue
+        if head1.matches_body(prof1) and head2.matches_body(prof2):
+            return True
+    return False
+
+
+def is_classical_plus_semiclassical(g, continual=None):
+    if not g.is_connected():
+        raise ValueError("needs a connected diagram")
+    for head in head_patterns(g):
+        drop = set(head.vertices)
+        rest = [v for v in range(g.rank) if v not in drop]
+        if len(rest) < 2 or head.attach not in rest:
+            continue
+        trunk = g.induced(rest)
+        if not trunk.is_connected():
+            continue
+        pos = {v: i for i, v in enumerate(rest)}
+        tau = pos[head.attach]
+        if not is_semi_classical(trunk):
+            continue
+        if tau not in quasi_classical_tails(trunk):
+            continue
+        profile_ok = False
+        for nb in _neighbors(trunk, tau):
+            local = trunk.diag[tau] ** 2 * trunk.edge_label(tau, nb)
+            fake = ChainProfile(local, frozenset())
+            if not local.is_one and head.matches_body(fake):
+                profile_ok = True
+        if not profile_ok:
+            continue
+        if head.kind in ("T5", "T6"):
+            if continual is None or not continual(trunk, tau, head.kind):
+                continue
+        return True
+    return False
+
+
+def continuation_patterns(g, v):
+    nbs = _neighbors(g, v)
+    if len(nbs) != 1:
+        return []
+    t_in = g.edge_label(v, nbs[0])
+    d = g.diag[v]
+    out = []
+    if (d * t_in).is_one:
+        out.append(d ** -1)
+    if d.is_minus_one:
+        out.append(t_in ** -1)
+    dedup = []
+    for t in out:
+        if not t.is_one and t not in dedup:
+            dedup.append(t)
+    return dedup
+
+
+def is_continual_extension(g):
+    adj = g.adjacency()
+    for w in range(g.rank):
+        if len(adj[w]) != 1:
+            continue
+        (tau,) = adj[w]
+        if len(adj[tau]) != 2:
+            continue
+        rest = [v for v in range(g.rank) if v != w]
+        trunk = g.induced(rest)
+        pos = {v: i for i, v in enumerate(rest)}
+        t_out = g.edge_label(w, tau)
+        if t_out not in continuation_patterns(trunk, pos[tau]):
+            continue
+        t5 = g.diag[w] == t_out ** -1
+        t6 = g.diag[w].is_minus_one
+        if not (t5 or t6):
+            continue
+        if pos[tau] in quasi_classical_tails(trunk):
+            return True
+    return False
+
+
+def is_bi_semi_classical(g, all_deletions_arithmetic):
+    if not g.is_connected():
+        raise ValueError("needs a connected diagram")
+    if classical_type(g):
+        return False
+    for t in range(g.rank):
+        rest = [v for v in range(g.rank) if v != t]
+        parts = g.induced(rest).component_vertex_sets()
+        if len(parts) != 2:
+            continue
+        ok = True
+        for part in parts:
+            side_vertices = [rest[v] for v in sorted(part)] + [t]
+            sub = g.induced(side_vertices)
+            tau = len(side_vertices) - 1
+            if not (
+                sub.rank >= 2
+                and is_semi_classical(sub)
+                and tau in quasi_classical_tails(sub)
+            ):
+                ok = False
+                break
+        if ok and all_deletions_arithmetic(g):
+            return True
+    return False

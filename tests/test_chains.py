@@ -1,10 +1,14 @@
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import reference
 from gddkit.chains import (
     ChainProfile,
     build_simple_chain,
+    chain_condition_failures,
     chain_profile,
     chains_with_parameter,
     is_simple_chain,
@@ -155,3 +159,38 @@ def test_oriented_profile_orientation_dependence():
     at_other = oriented_profile(g, [2, 1, 0])
     assert at_minus_one.q == q
     assert at_other.q == q ** -1
+
+
+@st.composite
+def path_orders(draw):
+    """A diagram at M in {2, 4, ..., 12} with up to 8 vertices and a path
+    order through some of them (all, or a proper subset), labels -1 often;
+    further edges join vertices off the order's consecutive pairs."""
+    m = draw(st.sampled_from([2, 4, 6, 8, 10, 12]))
+    n = draw(st.integers(1, 8))
+    half = m // 2
+    diag = [draw(st.one_of(st.just(half), st.integers(0, m - 1))) for _ in range(n)]
+    order = draw(st.permutations(range(n)))[: draw(st.integers(1, n))]
+    label = st.one_of(st.just(half), st.integers(1, m - 1))
+    edges = {}
+    for u, v in zip(order, order[1:]):
+        edges[(min(u, v), max(u, v))] = UnityRoot(draw(label), m)
+    steps = set(edges)
+    for u in range(n):
+        for v in range(u + 1, n):
+            if (u, v) not in steps and draw(st.booleans()):
+                edges[(u, v)] = UnityRoot(draw(label), m)
+    return GDD(m, tuple(UnityRoot(e, m) for e in diag), edges), order
+
+
+@settings(max_examples=400, deadline=None)
+@given(path_orders())
+def test_exponent_chain_tests_match_unity_root_reference(case):
+    """The chain tests read on exponents equal the UnityRoot reference on
+    any path order, in both orientations; ``end`` is compared too."""
+    g, order = case
+    for o in (order, order[::-1]):
+        assert chain_condition_failures(g, o) == reference.chain_condition_failures(g, o)
+        got, want = oriented_profile(g, o), reference.oriented_profile(g, o)
+        assert got == want
+        assert (got is None) or got.end == want.end

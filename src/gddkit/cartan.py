@@ -326,6 +326,13 @@ def _affine_families(rank: int) -> dict[tuple, AffineFamily]:
     return table
 
 
+def family_of_affine_matrix(a: Matrix) -> AffineFamily | None:
+    """The catalogue family whose matrix is a up to a simultaneous
+    permutation of rows and columns, if any; a must be an indecomposable
+    affine Cartan matrix."""
+    return _affine_families(len(a)).get(_least_form(a))
+
+
 def affine_family_of(g: GDD) -> AffineFamily | None:
     """Identify which affine family's matrix the diagram carries, if any."""
     if g.has_degenerate_diag():
@@ -333,7 +340,7 @@ def affine_family_of(g: GDD) -> AffineFamily | None:
     a = braiding_exponents(g)
     if a is None or not is_indecomposable(a) or not is_affine_cartan(a):
         return None
-    return _affine_families(g.rank).get(_least_form(a))
+    return family_of_affine_matrix(a)
 
 
 def arithmetic_via_cartan(g: GDD) -> bool | None:

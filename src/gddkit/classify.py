@@ -16,6 +16,12 @@ is the trunk handed to the ``continual`` callback of
 is_classical_plus_semiclassical.  Head patterns, like the chain tests, are
 read on label exponents mod M; a UnityRoot is built only for a returned
 parameter.
+
+The shape predicates ask whether one given vertex is a tail, never for the
+set of all tails: ``_Subsets.readings(keep, tail)`` reads only the chain
+orientation, heads and bodies that can end at that tail, and
+``_Subsets.has_quasi_tail`` asks each deletion for that tail alone and stops
+at the second witness.  No subset's readings are kept between queries.
 """
 
 from __future__ import annotations
@@ -137,18 +143,23 @@ def head_patterns(g: GDD, adj: list[list[int]] | None = None) -> list[HeadPatter
 
 
 def _attached_profile(
-    g: GDD, adj: list[list[int]], body: list[int], attach: int
+    g: GDD, adj: list[list[int]], body: list[int], attach: int, tail: int | None
 ) -> tuple[ChainProfile, int] | None:
     """Profile of the subdiagram of g on ``body`` read with ``attach`` as its
     oriented end, plus the body's far-end vertex; None when the body is not
-    a simple chain ending at ``attach``."""
+    a simple chain ending at ``attach``, or its far end is not ``tail``
+    when one is given."""
     order = path_order(adj, body)
-    if order is None or not is_simple_chain(g, order):
+    if order is None:
         return None
     if order[-1] != attach:
         if order[0] != attach:
             return None
         order = order[::-1]
+    if tail is not None and order[0] != tail:
+        return None
+    if not is_simple_chain(g, order):
+        return None
     profile = oriented_profile(g, order)
     if profile is None:
         return None
@@ -179,10 +190,12 @@ class _Subsets:
         order = path_order(self.adj, keep)
         return order is not None and is_simple_chain(self.g, order)
 
-    def readings(self, keep: tuple[int, ...]) -> set[TypeTag]:
+    def readings(self, keep: tuple[int, ...], tail: int | None = None) -> set[TypeTag]:
         """All readings of the subdiagram on ``keep`` as one of the
-        classical types.  The heads are read on g's adjacency restricted to
-        ``keep``."""
+        classical types, or only those with the given tail.  The heads are
+        read on g's adjacency restricted to ``keep``.  A tail skips the other
+        chain orientation, the heads holding it and the bodies ending
+        elsewhere."""
         g, adj = self.g, self.adj
         nbs = adj
         if len(keep) < len(adj):
@@ -193,9 +206,15 @@ class _Subsets:
         tags: set[TypeTag] = set()
         order = path_order(adj, keep)
 
-        # Type 7: the whole subdiagram is a simple chain C_{n, q^{-1}, I}.
-        if order is not None and is_simple_chain(g, order):
-            for o in ([order, order[::-1]] if len(order) > 1 else [order]):
+        # Type 7: the whole subdiagram is a simple chain C_{n, q^{-1}, I},
+        # read from each end (the tail is the end it starts at).
+        starts = [order] if order is not None else []
+        if order is not None and len(order) > 1:
+            starts.append(order[::-1])
+        if tail is not None:
+            starts = [o for o in starts if o[0] == tail]
+        if starts and is_simple_chain(g, order):
+            for o in starts:
                 profile = oriented_profile(g, o)
                 if profile is None:
                     continue
@@ -209,11 +228,13 @@ class _Subsets:
         for head in head_patterns(g, nbs):
             if len(head.vertices) == 1 and order is None:
                 continue  # one end vertex on a chain body makes a chain
+            if tail in head.vertices:
+                continue
             body = [v for v in keep if v not in head.vertices]
-            got = _attached_profile(g, adj, body, head.attach)
+            got = _attached_profile(g, adj, body, head.attach, tail)
             if got is None:
                 continue
-            profile, tail = got
+            profile, far = got
             if not head.matches_body(profile):
                 continue
             if head.kind == "T1":
@@ -228,11 +249,34 @@ class _Subsets:
                 q = g.diag[head.vertices[0]]
             else:
                 q = head.body_param
-            tags.add(TypeTag(head.kind, q, profile, head.vertices, tail))
+            tags.add(TypeTag(head.kind, q, profile, head.vertices, far))
         return tags
 
     def tails(self, keep: tuple[int, ...]) -> set[int]:
         return {t.tail for t in self.readings(keep)}
+
+    def has_quasi_tail(self, keep: tuple[int, ...], t: int) -> bool:
+        """Whether t is in quasi_classical_tails(keep).  Each deletion is
+        asked only for readings with tail t, and the search stops at the
+        second witness."""
+        if len(keep) < 2 or t not in keep:
+            return False
+        order = path_order(self.adj, keep)
+        if order is not None:
+            if t not in (order[0], order[-1]):
+                return False
+            other = order[-1] if t == order[0] else order[0]
+            return bool(self.readings(_without(keep, (other,)), t))
+        witnesses = 0
+        for v in keep:
+            if v == t:
+                continue  # deleting the tail leaves no reading with it
+            rest = _without(keep, (v,))
+            if self.is_connected(rest) and self.readings(rest, t):
+                witnesses += 1
+                if witnesses == 2:
+                    return True
+        return False
 
     def quasi_classical_tails(self, keep: tuple[int, ...]) -> set[int]:
         if len(keep) < 2:
@@ -320,7 +364,7 @@ class _Subsets:
             t6 = g.diag[w].is_minus_one
             if not (t5 or t6):
                 continue
-            if tau in self.quasi_classical_tails(_without(self.all, (w,))):
+            if self.has_quasi_tail(_without(self.all, (w,)), tau):
                 return True
         return False
 
@@ -333,7 +377,7 @@ class _Subsets:
                 continue
             if not self.is_semi_classical(trunk):
                 continue
-            if tau not in self.quasi_classical_tails(trunk):
+            if not self.has_quasi_tail(trunk, tau):
                 continue
             # The head parameter must continue the trunk's chain at the tail.
             profile_ok = False
@@ -438,7 +482,7 @@ def is_bi_semi_classical(g: GDD, all_deletions_arithmetic) -> bool:
             continue
         sides = [tuple(sorted(part + [t])) for part in parts]
         if all(
-            s.is_semi_classical(side) and t in s.quasi_classical_tails(side)
+            s.is_semi_classical(side) and s.has_quasi_tail(side, t)
             for side in sides
         ) and all_deletions_arithmetic(g):
             return True

@@ -88,13 +88,13 @@ def cmd_check(args) -> int:
                         else "indefinite"
                     )
                     print(f"  Cartan type: yes ({kind}); matrix [{rows}]")
-                    fam = cartan.affine_family_of(g)
+                    fam = cartan.family_of_affine_matrix(a) if kind == "affine" else None
                     if fam is not None:
                         print(f"  affine family: {cartan.DISPLAY[fam.name]}"
                               + (f" at N={fam.size}" if fam.size is not None else ""))
         if oracle is not None and connected:
             try:
-                verdict = oracle.is_arithmetic(g)
+                verdict = oracle.is_arithmetic(g, classical=tags)
                 print(f"  arithmetic: {'yes' if verdict.arithmetic else 'no'} "
                       f"(witness: {verdict.witness[0]})")
                 if not verdict.arithmetic and g.rank >= 2:

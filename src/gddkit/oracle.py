@@ -25,7 +25,7 @@ from itertools import combinations
 
 from . import cartan, classify
 from .chains import chain_condition_failures
-from .core import GDD, at_minimal_modulus, normalized_key
+from .core import GDD, at_minimal_modulus, components_of, normalized_key
 from .roots import minus_one
 from .tables import ArithmeticDatabase
 
@@ -61,17 +61,30 @@ class Oracle:
     def __init__(self, db: ArithmeticDatabase | None = None):
         self.db = db if db is not None else ArithmeticDatabase()
         self._memo: dict[bytes, OracleVerdict] = {}
+        # (diagram, its classify.classical_type) handed in by is_arithmetic
+        # for the query it makes, else None; _connected_uncached takes the
+        # diagram alone, the signature perfbench/tracer.py wraps.
+        self._given: tuple[GDD, set] | None = None
 
     # -- the oracle ----------------------------------------------------------
 
-    def is_arithmetic(self, g: GDD) -> OracleVerdict:
+    def is_arithmetic(self, g: GDD, *, classical: set | None = None) -> OracleVerdict:
         """Componentwise arithmetic decision (a disconnected diagram is
-        arithmetic exactly when all its components are)."""
-        comps = g.components()
-        if len(comps) == 1:
-            return self._connected(g)
-        for comp in comps:
-            v = self._connected(comp)
+        arithmetic exactly when all its components are).  A caller that has
+        computed classify.classical_type(g) of a connected g passes it as
+        ``classical``; it stands for the oracle's own reading when g is
+        already at its minimal modulus."""
+        parts = g.component_vertex_sets()
+        if len(parts) == 1:
+            if classical is None:
+                return self._connected(g)
+            self._given = (g, classical)
+            try:
+                return self._connected(g)
+            finally:
+                self._given = None
+        for part in parts:
+            v = self._connected(g.induced(part))
             if not v.arithmetic:
                 return OracleVerdict(False, ("component",) + v.witness)
         return OracleVerdict(True, ("all-components",))
@@ -96,7 +109,12 @@ class Oracle:
         if hit is not None:
             return hit
         positive = None
-        if classify.classical_type(normal):
+        given = self._given
+        if given is not None and given[0] is normal:
+            tags = given[1]
+        else:
+            tags = classify.classical_type(normal)
+        if tags:
             positive = OracleVerdict(True, ("classical",))
         else:
             meta = self.db.lookup(g.rank, key)
@@ -130,16 +148,22 @@ class Oracle:
 
         Decided through connected deletions only (see the module docstring);
         at rank >= 6 those have rank >= 5 and stay inside the oracle domain.
+        The cut vertices are read from g's adjacency, so only the connected
+        deletions are built.
         """
-        if not g.is_connected():
+        adj = g.adjacency()
+        if len(components_of(adj)) != 1:
             raise ValueError("quasi-affine is defined for connected diagrams")
         if g.rank < 2:
             return False
         if self._connected(g).arithmetic:
             return False
         for v in range(g.rank):
-            sub = g.delete_vertex(v)
-            if sub.is_connected() and not self._connected(sub).arithmetic:
+            rest = [u for u in range(g.rank) if u != v]
+            if (
+                len(components_of(adj, rest)) == 1
+                and not self._connected(g.delete_vertex(v)).arithmetic
+            ):
                 return False
         return True
 

@@ -33,6 +33,7 @@ from gddkit.oracle import (
 from gddkit.roots import UnityRoot
 from gddkit.search import collect_bases, enumerate_quasi_affine, verify_against
 from gddkit.tables import generate_classical, load
+from test_search import shape_digest
 
 HERE = Path(__file__).parent
 DATA = HERE.parent / "src" / "gddkit" / "data" / "exceptional_rows.gdd"
@@ -57,7 +58,7 @@ def oracle(db):
 
 @pytest.fixture(scope="module")
 def rank6_run(db):
-    return enumerate_quasi_affine(6, 6, db, collect_shapes=False)
+    return enumerate_quasi_affine(6, 6, db)
 
 
 def test_criterion_1_fixture_soundness(oracle):
@@ -94,11 +95,15 @@ def test_criterion_2_enumeration_completeness(db, rank6_run):
     for key, g in report.found.items():
         assert fresh.is_quasi_affine(g), g.to_text()
     assert report.elapsed < 600, f"enumeration took {report.elapsed:.0f}s"
-    # the found set as first recorded, so a search change that adds or loses
-    # a diagram fails even when every fixture is still found
+    # the found set and its shape tags as first recorded, so a search change
+    # that adds or loses a diagram, or a recognition change that renames
+    # one, fails even when every fixture is still found
     assert len(report.found) == 810
     assert hashlib.sha256(b"\n".join(sorted(report.found))).hexdigest() == (
         "34cc0318bbb2a25b680ca17a969829f35935eac15ed8e89dde73fc95dc64fa35"
+    )
+    assert shape_digest(report) == (
+        "aac73d6c6398a19c475790a9cd6e1e2292d864941d7bb3f616d5bcd178b29042"
     )
     print(f"\nACCEPTANCE 2: PASS - found {len(report.found)} diagrams in "
           f"{report.elapsed:.0f}s; all {len(blocks)} fixtures matched, "

@@ -1,3 +1,4 @@
+import hashlib
 import re
 from pathlib import Path
 
@@ -81,6 +82,20 @@ def test_check_is_deterministic(files, capsys):
     main(["check", files["item"], "--db", DATA])
     second = capsys.readouterr().out
     assert first == second
+
+
+def test_check_output_is_pinned(capsys):
+    """The stdout of ``check --db`` on every transcribed fixture block and
+    every stored row, as first recorded: every line it prints (classical
+    readings, Cartan type and affine family, verdict, quasi-affinity and
+    shape) is held fixed."""
+    digest = hashlib.sha256()
+    for path in sorted(FIXTURES.glob("*.gdd")) + [Path(DATA)]:
+        assert main(["check", str(path), "--db", DATA]) == 0
+        digest.update(capsys.readouterr().out.encode())
+    assert digest.hexdigest() == (
+        "fed4a41272406cb8abea6faf9e24a6d152f836dd7c368a7e3de57f0ae838cd57"
+    )
 
 
 def test_check_parse_error_exit_1(tmp_path, capsys):

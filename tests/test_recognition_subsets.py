@@ -7,6 +7,10 @@ stored row and the default rank 6, M=4 found set, on connected single
 deletions (and double deletions of the found set), and on a seeded
 relabelling of each diagram.  The classical verdict on each subset is also
 checked against ``brute.indep_is_classical``.
+
+The targeted queries the shape predicates make (``readings`` with a tail,
+``has_quasi_tail``) are held to the full readings and tail sets on the whole
+diagram and its connected single and double deletions.
 """
 
 import random
@@ -122,3 +126,34 @@ def test_subset_readings_match_reference_and_brute_force(diagrams):
                 name, keep)
             read += 1
     assert read == 4480
+
+
+def test_targeted_tail_queries_match_full_readings(diagrams):
+    """readings(keep, t) is the full readings with tail t, and
+    has_quasi_tail(keep, t) is membership in quasi_classical_tails(keep), at
+    every vertex t of g.  has_quasi_tail asks no deletion that drops t."""
+    asked = []
+    checked = 0
+    for name, g, _ in diagrams:
+        reader, keeps = subsets(g, True)
+        read = reader.readings
+
+        def recording(keep, tail=None):
+            asked.append((keep, tail))
+            return read(keep, tail)
+
+        for keep in [reader.all] + keeps:
+            full = read(keep)
+            tails = reader.quasi_classical_tails(keep)
+            for t in reader.all:
+                assert read(keep, t) == {r for r in full if r.tail == t}, (name, keep, t)
+                reader.readings = recording
+                try:
+                    got = reader.has_quasi_tail(keep, t)
+                finally:
+                    del reader.readings
+                assert got == (t in tails), (name, keep, t)
+                assert all(tail in part for part, tail in asked), (name, keep, t)
+                asked.clear()
+                checked += 1
+    assert checked == 57910

@@ -215,6 +215,13 @@ def found_digest(report):
     return hashlib.sha256(b"\n".join(sorted(report.found))).hexdigest()
 
 
+def shape_digest(report):
+    """SHA-256 of the found set's (key, shape tag) pairs, sorted, one per
+    line as the key in hex and the tag."""
+    text = "\n".join(f"{key.hex()} {tag}" for key, tag in sorted(report.shape_tags.items()))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 def test_rank6_m4_found_set_is_pinned(rank6_m4):
     """The default rank 6, M=4 found set and its shape tags, as first
     recorded: a change to the search that loses or adds a diagram fails
@@ -228,6 +235,9 @@ def test_rank6_m4_found_set_is_pinned(rank6_m4):
         "BiClassical": 78, "ClassicalPlusSemiClassical": 8, "Continual": 18,
         "Other": 10, "SimpleCycle": 14,
     }
+    assert shape_digest(report) == (
+        "a4f342c848be4094d042e2dacc87415cc63f518b427b70c62d5f5dc30f202d1f"
+    )
 
 
 @pytest.mark.parametrize("modulus, orbits", [(4, 61), (6, 194), (10, 145)])
@@ -467,3 +477,6 @@ def test_rank7_m4_search_finds_affine_e6(db):
         "BiClassical": 142, "ClassicalPlusSemiClassical": 4, "Continual": 34,
         "Other": 5, "SimpleCycle": 19,
     }
+    assert shape_digest(report) == (
+        "6a52c9d13f467e5b2dddc283cc2f4d30a2ee32f62a48be3bb6add15e152b667b"
+    )

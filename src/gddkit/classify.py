@@ -256,9 +256,9 @@ class _Subsets:
         return {t.tail for t in self.readings(keep)}
 
     def has_quasi_tail(self, keep: tuple[int, ...], t: int) -> bool:
-        """Whether t is in quasi_classical_tails(keep).  Each deletion is
-        asked only for readings with tail t, and the search stops at the
-        second witness."""
+        """Whether t is a quasi-classical tail of the subdiagram on ``keep``
+        (see quasi_classical_tails).  Each deletion is asked only for
+        readings with tail t, and the search stops at the second witness."""
         if len(keep) < 2 or t not in keep:
             return False
         order = path_order(self.adj, keep)
@@ -279,23 +279,7 @@ class _Subsets:
         return False
 
     def quasi_classical_tails(self, keep: tuple[int, ...]) -> set[int]:
-        if len(keep) < 2:
-            return set()
-        order = path_order(self.adj, keep)
-        if order is not None:
-            return {
-                other
-                for e, other in ((order[0], order[-1]), (order[-1], order[0]))
-                if other in self.tails(_without(keep, (e,)))
-            }
-        witness: dict[int, set[int]] = {}
-        for v in keep:
-            rest = _without(keep, (v,))
-            if not self.is_connected(rest):
-                continue
-            for t in self.tails(rest):
-                witness.setdefault(t, set()).add(v)
-        return {t for t, vs in witness.items() if len(vs) >= 2}
+        return {t for t in keep if self.has_quasi_tail(keep, t)}
 
     def is_semi_classical(self, keep: tuple[int, ...]) -> bool:
         if len(keep) < 2:

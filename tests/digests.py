@@ -1,0 +1,16 @@
+"""SHA-256 digests of an enumeration report, for tests that pin a found set
+and its shape tags as first recorded."""
+
+import hashlib
+
+
+def found_digest(report):
+    """SHA-256 of the found set's canonical keys, sorted, one per line."""
+    return hashlib.sha256(b"\n".join(sorted(report.found))).hexdigest()
+
+
+def shape_digest(report):
+    """SHA-256 of the found set's (key, shape tag) pairs, sorted, one per
+    line as the key in hex and the tag."""
+    text = "\n".join(f"{key.hex()} {tag}" for key, tag in sorted(report.shape_tags.items()))
+    return hashlib.sha256(text.encode()).hexdigest()

@@ -5,13 +5,13 @@ about 16 s together; the slowest steps are the independent-oracle set-up of
 criterion 5 and the rank-6, M=6 enumeration run.
 """
 
-import hashlib
 import time
 from itertools import product
 from pathlib import Path
 
 import pytest
 
+from digests import found_digest, shape_digest
 from gddkit.cartan import (
     AffineFamily,
     affine_family_of,
@@ -33,7 +33,6 @@ from gddkit.oracle import (
 from gddkit.roots import UnityRoot
 from gddkit.search import collect_bases, enumerate_quasi_affine, verify_against
 from gddkit.tables import generate_classical, load
-from test_search import shape_digest
 
 HERE = Path(__file__).parent
 DATA = HERE.parent / "src" / "gddkit" / "data" / "exceptional_rows.gdd"
@@ -99,7 +98,7 @@ def test_criterion_2_enumeration_completeness(db, rank6_run):
     # that adds or loses a diagram, or a recognition change that renames
     # one, fails even when every fixture is still found
     assert len(report.found) == 810
-    assert hashlib.sha256(b"\n".join(sorted(report.found))).hexdigest() == (
+    assert found_digest(report) == (
         "34cc0318bbb2a25b680ca17a969829f35935eac15ed8e89dde73fc95dc64fa35"
     )
     assert shape_digest(report) == (

@@ -1,4 +1,3 @@
-import hashlib
 from collections import Counter
 from itertools import combinations, product
 from math import gcd
@@ -7,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from brute import bf_canon
+from digests import found_digest, shape_digest
 from gddkit.cartan import affine_family_of, finite_cartan_diagrams
 from gddkit.classify import classical_type
 from gddkit.core import GDD, isomorphisms, normalized_key, parse_blocks
@@ -208,18 +208,6 @@ def test_rank6_m4_default_search_finds_every_fixture(rank6_m4):
     report = rank6_m4[0]
     comparison = verify_against(report, "\n\n".join(blocks))
     assert comparison.ok, [name for _, name in comparison.missing]
-
-
-def found_digest(report):
-    """SHA-256 of the found set's canonical keys, sorted, one per line."""
-    return hashlib.sha256(b"\n".join(sorted(report.found))).hexdigest()
-
-
-def shape_digest(report):
-    """SHA-256 of the found set's (key, shape tag) pairs, sorted, one per
-    line as the key in hex and the tag."""
-    text = "\n".join(f"{key.hex()} {tag}" for key, tag in sorted(report.shape_tags.items()))
-    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def test_rank6_m4_found_set_is_pinned(rank6_m4):

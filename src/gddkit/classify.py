@@ -364,14 +364,8 @@ class _Subsets:
             if not self.has_quasi_tail(trunk, tau):
                 continue
             # The head parameter must continue the trunk's chain at the tail.
-            profile_ok = False
-            for nb in self.adj[tau]:
-                if nb in trunk:
-                    local = g.diag[tau] ** 2 * g.edge_label(tau, nb)
-                    fake = ChainProfile(local, frozenset())
-                    if not local.is_one and head.matches_body(fake):
-                        profile_ok = True
-            if not profile_ok:
+            profiles = [oriented_profile(g, [nb, tau]) for nb in self.adj[tau] if nb in trunk]
+            if not any(p is not None and head.matches_body(p) for p in profiles):
                 continue
             if head.kind in ("T5", "T6"):
                 if continual is None or not continual(
@@ -397,10 +391,6 @@ def classical_type(g: GDD) -> set[TypeTag]:
     if not s.is_connected(s.all):
         raise ValueError("classical recognition needs a connected diagram")
     return s.readings(s.all)
-
-
-def classical_tails(g: GDD) -> set[int]:
-    return {t.tail for t in classical_type(g)}
 
 
 def quasi_classical_tails(g: GDD) -> set[int]:

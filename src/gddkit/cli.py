@@ -17,7 +17,7 @@ from pathlib import Path
 
 from . import cartan, classify
 from .chains import chain_profile, is_simple_chain
-from .core import GDD, ParseError, normalized_key, parse_blocks
+from .core import GDD, ParseError, parse_blocks
 from .oracle import Oracle, OracleGap
 from .roots import Parameter
 from .search import diff_keys, enumerate_quasi_affine, verify_against
@@ -138,7 +138,7 @@ def cmd_verify(args) -> int:
     expected list, by canonical key."""
     got = parse_blocks(_read(args.report))
     want = parse_blocks(_read(args.expected))
-    comparison = diff_keys({normalized_key(g) for g, _, _ in got}, want)
+    comparison = diff_keys({g.canonical_key() for g, _, _ in got}, want)
     print(f"matched={len(comparison.matched)} missing={len(comparison.missing)} "
           f"extra={len(comparison.extra)}")
     for _, name in comparison.missing:

@@ -4,19 +4,22 @@ A diagram has a vertex label (a root of unity, usually written q_ii) on each
 of its n vertices and a symmetric edge label != 1 on each edge.  Vertices are
 0-indexed internally; the text format and renderings are 1-indexed.
 
-Two diagrams related by a vertex relabelling are regarded as the same; the
-canonical key realizes that identification.  It encodes the diagram in the
-least vertex order that least_form finds by a pruned search, position by
-position, after refining the vertices into cells; cartan uses the same search.
-least_form returns that canonical order with the form, and a diagram keeps
-both: two diagrams with equal keys are carried onto each other by pairing
-their canonical orders position by position, with no isomorphism search.
+Two diagrams related by a vertex relabelling are regarded as the same, and
+so are two that write the same labels in different groups mu_M (z^e in
+mu_M is z^(ek) in mu_Mk); the canonical key realizes that identification.
+It encodes the diagram at the least even modulus m that holds its labels,
+in the least vertex order that least_form finds by a pruned search, position
+by position, after refining the vertices into cells; cartan uses the same
+search.  least_form returns that canonical order with the form, and a
+diagram keeps both: two diagrams with equal keys and the same modulus are
+carried onto each other by pairing their canonical orders position by
+position, with no isomorphism search.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import gcd, lcm
+from math import gcd
 
 from .roots import Parameter, UnityRoot
 
@@ -191,8 +194,10 @@ class GDD:
 
     def canonical_key(self) -> bytes:
         """Byte string equal exactly for diagrams that differ by a vertex
-        relabelling: the rank, the modulus and the least form (see
-        least_form) of the vertex exponents and the edge-exponent matrix.
+        relabelling and by the group mu_M their labels are written in: the
+        rank, the least even modulus m holding every label (minimal_modulus)
+        and the least form (see least_form) of the vertex exponents and the
+        edge-exponent matrix in mu_m, that is, the exponents divided by M/m.
         Computed once per object, together with canonical_order, and kept
         on it, outside the dataclass fields, so equality and hashing ignore
         it."""
@@ -201,11 +206,13 @@ class GDD:
         except AttributeError:
             pass
         n = self.rank
+        m = minimal_modulus(self)
+        k = self.modulus // m
         labels = [[0] * n for _ in range(n)]
         for (u, v), lab in self.edges.items():
-            labels[u][v] = labels[v][u] = lab.exponent
-        form, order = least_form([d.exponent for d in self.diag], labels)
-        key = ("k" + ",".join(map(str, (n, self.modulus) + form))).encode()
+            labels[u][v] = labels[v][u] = lab.exponent // k
+        form, order = least_form([d.exponent // k for d in self.diag], labels)
+        key = ("k" + ",".join(map(str, (n, m) + form))).encode()
         # One attribute for both: every further attribute enlarges the
         # instance dict of each keyed diagram, and the peak memory with it.
         object.__setattr__(self, "_canonical", (key, order))
@@ -213,8 +220,10 @@ class GDD:
 
     def canonical_order(self) -> tuple[int, ...]:
         """The vertex order that reads as the least form of canonical_key:
-        position i holds vertex order[i].  For two diagrams with equal keys,
-        order_g[i] -> order_h[i] is an isomorphism g -> h."""
+        position i holds vertex order[i].  Dividing every exponent by M/m
+        keeps every comparison least_form makes, so it is the order the
+        exponents in mu_M give too.  For two diagrams with equal keys and the
+        same modulus, order_g[i] -> order_h[i] is an isomorphism g -> h."""
         self.canonical_key()
         return self._canonical[1]
 
@@ -266,6 +275,14 @@ def components_of(adj: list[list[int]], vertices=None) -> list[list[int]]:
                     stack.append(u)
         out.append(sorted(comp))
     return out
+
+
+def non_cut_vertices(adj: list[list[int]]) -> list[int]:
+    """The vertices v, in order, of a graph given by adjacency lists whose
+    deletion leaves it connected."""
+    n = len(adj)
+    return [v for v in range(n)
+            if len(components_of(adj, [u for u in range(n) if u != v])) == 1]
 
 
 def path_order(adj: list[list[int]], vertices) -> list[int] | None:
@@ -469,18 +486,17 @@ def from_braiding_matrix(matrix: list[list[UnityRoot]]) -> GDD:
 
 
 def minimal_modulus(g: GDD) -> int:
-    """Smallest even modulus containing all labels of g."""
-    m = 2
-    for d in g.diag:
-        m = lcm(m, d.order())
-    for lab in g.edges.values():
-        m = lcm(m, lab.order())
-    return m
+    """Smallest even modulus containing all labels of g: M/k for k the gcd
+    of M and every exponent, halved when M/k is odd."""
+    k = gcd(g.modulus, *(d.exponent for d in g.diag),
+            *(lab.exponent for lab in g.edges.values()))
+    m = g.modulus // k
+    return m if m % 2 == 0 else 2 * m
 
 
 def with_modulus(g: GDD, modulus: int) -> GDD:
     """Re-express g inside mu_modulus; the new modulus must be a multiple of
-    every label order (and even).  g itself, with the keys it keeps, when
+    every label order (and even).  g itself, with the key it keeps, when
     it is already there."""
     if modulus % 2 != 0 or modulus % minimal_modulus(g) != 0:
         raise ValueError(f"labels of g do not fit inside mu_{modulus}")
@@ -495,26 +511,6 @@ def with_modulus(g: GDD, modulus: int) -> GDD:
         tuple(conv(d) for d in g.diag),
         {e: conv(lab) for e, lab in g.edges.items()},
     )
-
-
-def at_minimal_modulus(g: GDD) -> GDD:
-    """g re-expressed inside mu_M for its minimal even modulus M."""
-    m = minimal_modulus(g)
-    return g if m == g.modulus else with_modulus(g, m)
-
-
-def normalized_key(g: GDD) -> bytes:
-    """Canonical key at the minimal even modulus, so the same abstract
-    diagram stored over different ambient groups compares equal.  Kept on
-    g, like the canonical key, so a diagram above its minimal modulus
-    builds and keys its copy there once."""
-    try:
-        return g._normalized_key
-    except AttributeError:
-        pass
-    key = at_minimal_modulus(g).canonical_key()
-    object.__setattr__(g, "_normalized_key", key)
-    return key
 
 
 # -- text format -------------------------------------------------------------

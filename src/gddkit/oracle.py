@@ -7,6 +7,14 @@ classical type, the database looks up its canonical key, and the Cartan
 shortcut eliminates its exponent matrix once.  No family is generated to
 answer a query.
 
+The oracle decides a query on the diagram as given, in its own mu_M, and
+keys it by its canonical key, which is the same for its copy in any other
+group (core.GDD.canonical_key).  That is sound because recognition, the
+Cartan shortcut (roots.discrete_log_nonpositive) and the database test only
+equalities of label exponents, and whether a label is 1 or -1; the
+embedding mu_m -> mu_M, z -> z^(M/m), preserves all of these, because both
+moduli are even.
+
 Below rank 5 the oracle can certify positives (classical / Cartan / stored)
 but refuses to certify a negative unless the database covers that rank: it
 raises OracleGap instead of guessing.
@@ -25,7 +33,7 @@ from itertools import combinations
 
 from . import cartan, classify
 from .chains import chain_condition_failures
-from .core import GDD, at_minimal_modulus, components_of, normalized_key
+from .core import GDD, components_of, non_cut_vertices
 from .roots import minus_one
 from .tables import ArithmeticDatabase
 
@@ -55,8 +63,8 @@ class OracleVerdict:
 class Oracle:
     """Arithmetic decisions by recognition: the classical types
     (classify.classical_type), the exceptional-row database, and the
-    Cartan-type shortcut.  Memoized by canonical key at the minimal modulus,
-    in a plain dict with no locking, holding at most MEMO_LIMIT entries."""
+    Cartan-type shortcut.  Memoized by canonical key, in a plain dict with
+    no locking, holding at most MEMO_LIMIT entries."""
 
     def __init__(self, db: ArithmeticDatabase | None = None):
         self.db = db if db is not None else ArithmeticDatabase()
@@ -72,8 +80,7 @@ class Oracle:
         """Componentwise arithmetic decision (a disconnected diagram is
         arithmetic exactly when all its components are).  A caller that has
         computed classify.classical_type(g) of a connected g passes it as
-        ``classical``; it stands for the oracle's own reading when g is
-        already at its minimal modulus."""
+        ``classical``; it stands for the oracle's own reading."""
         parts = g.component_vertex_sets()
         if len(parts) == 1:
             if classical is None:
@@ -101,19 +108,18 @@ class Oracle:
             return OracleVerdict(not g.diag[0].is_one, ("rank-1",))
         if g.has_degenerate_diag():
             return OracleVerdict(False, ("degenerate-diag",))
-        # The one canonicalization of this query: the key at the minimal
-        # modulus indexes the memo and the database.
-        normal = at_minimal_modulus(g)
-        key = normal.canonical_key()
+        # The one canonicalization of this query: its key indexes the memo
+        # and the database.
+        key = g.canonical_key()
         hit = self._memo.get(key)
         if hit is not None:
             return hit
         positive = None
         given = self._given
-        if given is not None and given[0] is normal:
+        if given is not None and given[0] is g:
             tags = given[1]
         else:
-            tags = classify.classical_type(normal)
+            tags = classify.classical_type(g)
         if tags:
             positive = OracleVerdict(True, ("classical",))
         else:
@@ -158,12 +164,8 @@ class Oracle:
             return False
         if self._connected(g).arithmetic:
             return False
-        for v in range(g.rank):
-            rest = [u for u in range(g.rank) if u != v]
-            if (
-                len(components_of(adj, rest)) == 1
-                and not self._connected(g.delete_vertex(v)).arithmetic
-            ):
+        for v in non_cut_vertices(adj):
+            if not self._connected(g.delete_vertex(v)).arithmetic:
                 return False
         return True
 
@@ -233,7 +235,7 @@ def forbidden_branch_pattern(g: GDD, exception_keys: set[bytes]) -> tuple | None
         for x, y in ((d, e), (e, d)):
             if g.diag[x] == g.diag[y]:
                 if (
-                    normalized_key(g) in exception_keys
+                    g.canonical_key() in exception_keys
                     or classify.classical_type(g)
                     or cartan.arithmetic_via_cartan(g)
                 ):
@@ -250,6 +252,6 @@ def forbidden_by_chain_failures(g: GDD, exception_keys: set[bytes]) -> tuple | N
     bad = chain_condition_failures(g)
     if len(bad) < 2:
         return None
-    if normalized_key(g) in exception_keys:
+    if g.canonical_key() in exception_keys:
         return None
     return ("chain-failures", tuple(bad))

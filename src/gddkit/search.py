@@ -11,14 +11,15 @@ base.  The search therefore indexes every base B by the canonical key of
 each connected B - w (BaseIndex); equal labelled deletions of different
 bases are one object, keyed once.  Patterns are carried by canonical
 orders: core.least_form returns, with the form, the vertex order that reads
-as it, so for two diagrams with equal keys the map pairing their orders
-position by position is an isomorphism, and every isomorphism from a
-representative R of the class onto B - w is that pairing composed with an
-automorphism of R (one core.isomorphisms(R, R) per class).  Carried by all
-of them, w's label and edges are the attachments that make R a base; they
-are gathered once per class, and the pairing of R with any connected
-diagram T of the class carries them to T.  For a base A the search reads
-these patterns on A - u once, for every non-cut vertex u of A.
+as it, so for two diagrams with equal keys and the same modulus (here M)
+the map pairing their orders position by position is an isomorphism, and
+every isomorphism from a representative R of the class onto B - w is that
+pairing composed with an automorphism of R (one core.isomorphisms(R, R) per
+class).  Carried by all of them, w's label and edges are the attachments
+that make R a base; they are gathered once per class, and the pairing of R
+with any connected diagram T of the class carries them to T.  For a base A
+the search reads these patterns on A - u once, for every non-cut vertex u
+of A.
 
 A candidate g = A + x attaches x by a pattern of A - v plus an optional edge
 back to v (CandidateDeletions).  Its deletions are decided without building
@@ -47,12 +48,6 @@ built from u, in particular from its owner; any other copy repeats the
 owner's or fails its verdict at the owner.  The owner is the first vertex
 to build a candidate, so the found set keeps its order and labellings, and
 the report still counts every candidate built.
-
-A diagram computes its canonical key and order once (GDD.canonical_key),
-and its key at the minimal modulus once (core.normalized_key).  A survivor
-already at its minimal modulus therefore shares one key between the oracle
-and the found set, and such a base one key between collect_bases, the twist
-orbits and the base keys; a stored row brings its key from the database.
 
 Arithmeticity, and so quasi-affineness, is invariant under the power twists
 g -> g^t with t a unit of Z/M (the conjugate parameters), and the bases are
@@ -85,7 +80,7 @@ from .core import (
     GDD,
     isomorphisms,
     minimal_modulus,
-    normalized_key,
+    non_cut_vertices,
     parse_blocks,
     with_modulus,
 )
@@ -156,9 +151,9 @@ def _pattern_order(pattern) -> tuple:
 
 
 def connected_deletions(g: GDD) -> dict[int, GDD]:
-    """{v: g - v} for every vertex v of g at which g - v is connected."""
-    rests = {v: g.delete_vertex(v) for v in range(g.rank)}
-    return {v: rest for v, rest in rests.items() if rest.is_connected()}
+    """{v: g - v} for every vertex v of g at which g - v is connected; only
+    those deletions are built."""
+    return {v: g.delete_vertex(v) for v in non_cut_vertices(g.adjacency())}
 
 
 class BaseIndex:
@@ -227,8 +222,9 @@ class BaseIndex:
 
 
 def _pairing(g: GDD, h: GDD) -> list[int]:
-    """The isomorphism g -> h of two diagrams with equal canonical keys
-    that pairs their canonical orders position by position."""
+    """The isomorphism g -> h of two diagrams with equal canonical keys and
+    the same modulus that pairs their canonical orders position by
+    position."""
     phi = [0] * g.rank
     for v, w in zip(g.canonical_order(), h.canonical_order()):
         phi[v] = w
@@ -319,13 +315,12 @@ def collect_bases(rank: int, modulus: int, db: ArithmeticDatabase) -> list[GDD]:
     order."""
     seen: dict[bytes, GDD] = {}
     for g in generate_classical(rank, modulus):
-        seen.setdefault(normalized_key(g), g)
-    # A stored row's key is normalized, so it is the key of its lifted copy.
+        seen.setdefault(g.canonical_key(), g)
     for key, g in db.keyed(rank):
         if key not in seen and modulus % minimal_modulus(g) == 0:
             seen[key] = with_modulus(g, modulus)
     for g in finite_cartan_diagrams(rank, modulus):
-        seen.setdefault(normalized_key(g), g)
+        seen.setdefault(g.canonical_key(), g)
     return [seen[k] for k in sorted(seen)]
 
 
@@ -336,10 +331,10 @@ def twist_representatives(bases: list[GDD]) -> list[GDD]:
     seen: set[bytes] = set()
     out = []
     for g in bases:
-        key = normalized_key(g)
+        key = g.canonical_key()
         if key not in seen:
             out.append(g)
-            seen.update(normalized_key(known.get(h, h)) for h in g.twists())
+            seen.update(known.get(h, h).canonical_key() for h in g.twists())
     return out
 
 
@@ -386,7 +381,7 @@ def enumerate_quasi_affine(
             g = base.add_vertex(diag, pairs)
             if oracle._connected(g).arithmetic:
                 continue
-            found.setdefault(normalized_key(g), g)
+            found.setdefault(g.canonical_key(), g)
 
     # the key of each found diagram -> the key of the diagram it is a twist
     # of, whose shape tag it shares (itself when there is no closure)
@@ -397,7 +392,7 @@ def enumerate_quasi_affine(
                 continue  # a twin of an earlier find: its orbit is closed
             for h in g.twists():
                 # Items found directly keep their own diagram.
-                twin = normalized_key(h)
+                twin = h.canonical_key()
                 found.setdefault(twin, h)
                 source[twin] = key
     else:
@@ -418,7 +413,7 @@ def diff_keys(found_keys, expected_blocks) -> Comparison:
     expected: dict[bytes, str] = {}
     for g, meta, lineno in expected_blocks:
         name = meta.get("item") or meta.get("row") or f"line {lineno}"
-        expected.setdefault(normalized_key(g), name)
+        expected.setdefault(g.canonical_key(), name)
     matched = sorted(k for k in expected if k in found_keys)
     missing = [(k, name) for k, name in expected.items() if k not in found_keys]
     extra = sorted(set(found_keys) - expected.keys())

@@ -4,8 +4,8 @@ Only the exceptional rows are stored, transcribed into the text format and
 instantiated at one primitive parameter per stated order.  Loading expands
 each entry over the conjugate parameters (label-wise power twists), so
 membership is independent of which primitive root the caller picked.
-Lookups go through canonical keys at the minimal even modulus and are thus
-relabelling-invariant.
+Lookups go through canonical keys, which are relabelling-invariant and do
+not depend on the group mu_M a diagram's labels are written in.
 
 The classical families are generated from their defining types: the search
 takes its bases and shape bounds from them, and the tests take them as the
@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .chains import chains_with_parameter
-from .core import GDD, normalized_key, parse_blocks
+from .core import GDD, parse_blocks
 from .roots import UnityRoot, minus_one
 
 
@@ -40,7 +40,7 @@ class ArithmeticDatabase:
 
     def add(self, g: GDD, meta: EntryMeta) -> bool:
         """Store g (and return True) unless an equivalent entry exists."""
-        key = normalized_key(g)
+        key = g.canonical_key()
         rankmap = self.by_rank.setdefault(g.rank, {})
         if key in rankmap:
             return False
@@ -49,10 +49,10 @@ class ArithmeticDatabase:
         return True
 
     def contains(self, g: GDD) -> EntryMeta | None:
-        return self.lookup(g.rank, normalized_key(g))
+        return self.lookup(g.rank, g.canonical_key())
 
     def lookup(self, rank: int, key: bytes) -> EntryMeta | None:
-        """The entry stored under a normalized key of the given rank."""
+        """The entry stored under a canonical key of the given rank."""
         return self.by_rank.get(rank, {}).get(key)
 
     def entries(self, rank: int | None = None):
@@ -62,7 +62,7 @@ class ArithmeticDatabase:
                 yield self.representatives[key], meta
 
     def keyed(self, rank: int) -> list[tuple[bytes, GDD]]:
-        """(normalized key, diagram) of every entry of the given rank."""
+        """(canonical key, diagram) of every entry of the given rank."""
         return [(key, self.representatives[key]) for key in self.by_rank.get(rank, {})]
 
     def keys_at_rank(self, rank: int) -> set[bytes]:
@@ -126,7 +126,7 @@ def validate_report(path: str | Path) -> list[str]:
             )
         else:
             seen_ids[ident] = lineno
-        key = normalized_key(g)
+        key = g.canonical_key()
         if key in seen_keys:
             notes.append(
                 f"warning: diagrams at lines {seen_keys[key]} and {lineno} "
@@ -193,7 +193,7 @@ def generate_classical(rank: int, modulus: int) -> set[GDD]:
 
 
 def classical_keys(rank: int, modulus: int) -> set[bytes]:
-    """Normalized keys of every classical diagram of the given rank over
+    """Canonical keys of every classical diagram of the given rank over
     mu_modulus: the generated reference that classical recognition is
     tested against."""
-    return {normalized_key(g) for g in generate_classical(rank, modulus)}
+    return {g.canonical_key() for g in generate_classical(rank, modulus)}

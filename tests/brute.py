@@ -6,6 +6,7 @@ modules it checks.
 """
 
 from itertools import permutations
+from math import gcd, lcm
 
 import numpy as np
 
@@ -31,20 +32,20 @@ def bf_canon(n, modulus, diag, edges):
 
 
 def gdd_to_tuple(g):
-    from gddkit.core import minimal_modulus, with_modulus
-
-    g = with_modulus(g, minimal_modulus(g))
+    """(rank, m, vertex exponents, {edge: exponent}) of g written in mu_m,
+    m the least even modulus holding every label, read from the exponents
+    alone: z^e in mu_M has order M / gcd(e, M), and is z^(e/k) in mu_m for
+    k = M/m."""
+    m = 2
+    for x in g.diag + tuple(g.edges.values()):
+        m = lcm(m, g.modulus // gcd(x.exponent, g.modulus))
+    k = g.modulus // m
     return (
         g.rank,
-        g.modulus,
-        tuple(d.exponent for d in g.diag),
-        {e: lab.exponent for e, lab in g.edges.items()},
+        m,
+        tuple(d.exponent // k for d in g.diag),
+        {e: lab.exponent // k for e, lab in g.edges.items()},
     )
-
-
-def bf_canon_gdd(g):
-    n, m, diag, edges = gdd_to_tuple(g)
-    return bf_canon(n, m, diag, edges)
 
 
 def bf_canon_gdd_raw(g):
@@ -57,15 +58,15 @@ def bf_canon_gdd_raw(g):
     )
 
 
-def _refined_cells(g):
-    """Stable label-refinement partition of g's vertices, cells in the order
+def _refined_cells(n, diag, edges):
+    """Stable label-refinement partition of the vertices of the diagram
+    with vertex exponents diag and edge exponents edges, cells in the order
     of their final signatures."""
-    n = g.rank
     adj = [[] for _ in range(n)]
-    for (u, v), lab in g.edges.items():
-        adj[u].append((lab.exponent, v))
-        adj[v].append((lab.exponent, u))
-    color = [(g.diag[v].exponent,) for v in range(n)]
+    for (u, v), x in edges.items():
+        adj[u].append((x, v))
+        adj[v].append((x, u))
+    color = [(diag[v],) for v in range(n)]
     ncolors = len(set(color))
     while True:
         sig = [
@@ -83,16 +84,15 @@ def _refined_cells(g):
         ncolors = len(distinct)
 
 
-def _row_major(g, order):
+def _row_major(n, diag, edges, order):
     """Vertex exponents, then the upper-triangle edge exponents row by row
     (0 off edges), in the given vertex order."""
     pos = {v: i for i, v in enumerate(order)}
-    n = g.rank
     adj = [0] * (n * (n - 1) // 2)
-    for (u, v), lab in g.edges.items():
+    for (u, v), x in edges.items():
         i, j = sorted((pos[u], pos[v]))
-        adj[i * (2 * n - i - 1) // 2 + (j - i - 1)] = lab.exponent
-    return tuple(g.diag[v].exponent for v in order) + tuple(adj)
+        adj[i * (2 * n - i - 1) // 2 + (j - i - 1)] = x
+    return tuple(diag[v] for v in order) + tuple(adj)
 
 
 def _cell_orders(cells):
@@ -107,10 +107,13 @@ def _cell_orders(cells):
 
 def cell_order_key(g):
     """The bytes of GDD.canonical_key by exhaustive search: the least
-    row-major encoding over every order that keeps the refined cells
+    row-major encoding of g in mu_m, m the least even modulus holding its
+    labels (gdd_to_tuple), over every order that keeps the refined cells
     contiguous."""
-    form = min(_row_major(g, order) for order in _cell_orders(_refined_cells(g)))
-    payload = (g.rank, g.modulus) + form
+    n, m, diag, edges = gdd_to_tuple(g)
+    form = min(_row_major(n, diag, edges, order)
+               for order in _cell_orders(_refined_cells(n, diag, edges)))
+    payload = (n, m) + form
     return b"k" + b",".join(str(x).encode() for x in payload)
 
 
@@ -429,8 +432,6 @@ def indep_is_classical(n, m, diag, edges):
 def _dlog_nonpos(m, base_e, target_e):
     if target_e == 0:
         return 0
-    from math import gcd
-
     order = m // gcd(base_e, m)
     for b in range(0, -order - 1, -1):
         if (b * base_e) % m == target_e:

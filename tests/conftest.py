@@ -12,6 +12,7 @@ from brute import (
     brute_classical_keys,
     independent_quasi_affine_extensions,
 )
+from db_rows import DATA, parse_db_rows_independently, row11_gdd1
 from gddkit.search import enumerate_quasi_affine
 from gddkit.tables import load
 
@@ -20,8 +21,6 @@ from gddkit.tables import load
 def restricted_vs_independent():
     """(library keys, independent keys) for the extensions of row 11 gdd 1,
     both in the brute-force canonical form of ``brute.py``."""
-    from test_search import DATA, parse_db_rows_independently, row11_gdd1
-
     report = enumerate_quasi_affine(6, 6, load(DATA), bases=[row11_gdd1()],
                                     collect_shapes=False)
     lib_keys = {bf_canon_gdd_raw(g) for g in report.found.values()}

@@ -24,7 +24,7 @@ from gddkit.cartan import (
     _submatrix,
 )
 from gddkit.chains import chain_profile, chains_with_parameter, is_simple_chain
-from gddkit.core import GDD, normalized_key, parse_blocks
+from gddkit.core import GDD, parse_blocks
 from gddkit.oracle import (
     Oracle,
     forbidden_by_chain_failures,
@@ -235,7 +235,7 @@ def test_criterion_7_negative_filters(db):
     generated classical diagrams and every base of the search at rank 5 and
     6.  A filter could change a found set only by firing on an arithmetic
     deletion of a candidate, that is, on a base."""
-    exception_keys = {normalized_key(g) for g, _ in db.entries()}
+    exception_keys = {g.canonical_key() for g, _ in db.entries()}
     silent = 0
     for g, _meta in db.entries():
         if g.is_chain():

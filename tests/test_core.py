@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from brute import _row_major, cell_order_key
+from brute import _row_major, cell_order_key, gdd_to_tuple
 import gddkit.core
 from gddkit.core import (
     GDD,
@@ -14,7 +14,6 @@ from gddkit.core import (
     isomorphisms,
     least_form,
     minimal_modulus,
-    normalized_key,
     parse_blocks,
     parse_gdd,
     with_modulus,
@@ -288,9 +287,9 @@ def test_canonical_key_examples():
 def test_canonical_key_is_kept_per_object(monkeypatch):
     """The key is computed once and kept on the object: equal bytes on every
     call, no effect on == and hash, and every derived diagram computes its
-    own key, which a relabelled copy shares.  So is the normalized key: a
-    diagram above its minimal modulus keys its copy there once, and the
-    second normalized_key call runs no least_form."""
+    own key, which a relabelled copy and a lift into a larger mu_M share.
+    A diagram above its minimal modulus keys itself with one least_form,
+    and the second canonical_key call runs none."""
     rng = random.Random(31)
     for _ in range(40):
         m = rng.choice([4, 6, 12])
@@ -307,7 +306,7 @@ def test_canonical_key_is_kept_per_object(monkeypatch):
         for h in derived:
             assert h.canonical_key() == cell_order_key(h), h.to_text()
         assert derived[0].canonical_key() == key
-        assert derived[3].canonical_key() != key
+        assert derived[3].canonical_key() == key
 
     runs = []
 
@@ -319,11 +318,11 @@ def test_canonical_key_is_kept_per_object(monkeypatch):
     g = path([3, 1, 2], [2, 3], m=4)
     lifted = with_modulus(g, 12)
     assert minimal_modulus(lifted) == 4
-    key = normalized_key(lifted)
+    key = lifted.canonical_key()
     assert runs == [3]
-    assert normalized_key(lifted) == key
+    assert lifted.canonical_key() == key
     assert runs == [3]
-    assert key == g.canonical_key() == normalized_key(g)
+    assert key == g.canonical_key()
     assert lifted == with_modulus(g, 12)
 
 
@@ -372,7 +371,8 @@ def test_canonical_order_reads_the_least_form(g, rng):
     canonical orders of g and a relabelled copy h is an isomorphism g -> h."""
     order = g.canonical_order()
     assert sorted(order) == list(range(g.rank))
-    payload = (g.rank, g.modulus) + _row_major(g, order)
+    n, m, diag, edges = gdd_to_tuple(g)
+    payload = (n, m) + _row_major(n, diag, edges, order)
     assert b"k" + b",".join(str(x).encode() for x in payload) == g.canonical_key()
     assert g.canonical_key() == cell_order_key(g)
     sigma = list(range(g.rank))
@@ -382,6 +382,38 @@ def test_canonical_order_reads_the_least_form(g, rng):
     for v, w in zip(order, h.canonical_order()):
         phi[v] = w
     assert phi in list(isomorphisms(g, h))
+
+
+_random_diagrams = st.builds(
+    random_gdd, st.randoms(use_true_random=False), st.integers(1, 6),
+    st.sampled_from([2, 4, 6, 12]),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(_branching_diagrams(), _random_diagrams), st.integers(2, 4))
+def test_lift_shares_key_and_order(g, c):
+    """A lift of g into mu_cM has g's canonical key and canonical order, and
+    keying it runs one least_form and builds no diagram."""
+    lift = with_modulus(g, c * g.modulus)
+    runs, builds = [], []
+
+    def counted(colours, labels):
+        runs.append(len(colours))
+        return least_form(colours, labels)
+
+    post_init = GDD.__post_init__
+
+    def built(self):
+        builds.append(self)
+        post_init(self)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gddkit.core, "least_form", counted)
+        mp.setattr(GDD, "__post_init__", built)
+        key, order = lift.canonical_key(), lift.canonical_order()
+    assert runs == [g.rank] and builds == []
+    assert key == g.canonical_key() and order == g.canonical_order()
 
 
 def test_edge_given_in_both_orientations_is_rejected():
@@ -407,9 +439,9 @@ def test_modulus_normalization():
     assert minimal_modulus(g) == 2
     small = with_modulus(g, 2)
     assert small.modulus == 2
-    assert normalized_key(g) == small.canonical_key()
+    assert g.canonical_key() == small.canonical_key()
     lifted = with_modulus(small, 12)
-    assert normalized_key(lifted) == normalized_key(g)
+    assert lifted.canonical_key() == g.canonical_key()
 
 
 def test_text_round_trip():

@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 
 from gddkit import oracle as oracle_module
-from gddkit.core import GDD, normalized_key, parse_blocks
+from gddkit.core import GDD, parse_blocks
 from gddkit.oracle import (
     InternalInconsistency,
     Oracle,
@@ -153,7 +153,7 @@ def test_chain_condition_failures():
 
 
 def test_filters_quiet_on_arithmetic(oracle, db):
-    exception_keys = {normalized_key(g) for g, _ in db.entries()}
+    exception_keys = {g.canonical_key() for g, _ in db.entries()}
     corpus = []
     for rank in (5, 6):
         for m in (6, 8, 10):
@@ -175,7 +175,7 @@ def test_chain_filter_fires_on_double_break():
 
 
 def test_exceptions_suppress_chain_filter(db):
-    exception_keys = {normalized_key(g) for g, _ in db.entries()}
+    exception_keys = {g.canonical_key() for g, _ in db.entries()}
     flagged = [
         g
         for g, _ in db.entries(5)
@@ -222,7 +222,7 @@ def test_branch_filter_exempts_finite_cartan(oracle, db):
              if meta.get("item") == "19.7.1")
     sub = g.delete_vertex(0)
     assert oracle.is_arithmetic(sub).witness == ("cartan-finite",)
-    exception_keys = {normalized_key(h) for h, _ in db.entries()}
+    exception_keys = {h.canonical_key() for h, _ in db.entries()}
     assert forbidden_branch_pattern(sub, exception_keys) is None
 
 

@@ -1,15 +1,14 @@
 from collections import Counter
 from itertools import combinations, product
-from math import gcd
 from pathlib import Path
 
 import pytest
 
-from brute import bf_canon
+from db_rows import DATA, row11_gdd1
 from digests import found_digest, shape_digest
 from gddkit.cartan import affine_family_of, finite_cartan_diagrams
 from gddkit.classify import classical_type
-from gddkit.core import GDD, isomorphisms, normalized_key, parse_blocks
+from gddkit.core import GDD, isomorphisms, parse_blocks
 from gddkit.oracle import Oracle
 from gddkit.roots import UnityRoot
 from gddkit.search import (
@@ -23,49 +22,11 @@ from gddkit.search import (
 )
 from gddkit.tables import generate_classical, load
 
-DATA = Path(__file__).parent.parent / "src" / "gddkit" / "data" / "exceptional_rows.gdd"
 FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def u(e, m=6):
     return UnityRoot(e, m)
-
-
-def row11_gdd1():
-    return GDD(
-        6,
-        tuple(u(e) for e in [2, 2, 3, 2, 2]),
-        {(i, i + 1): u(4) for i in range(4)},
-    )
-
-
-def parse_db_rows_independently(rank, modulus):
-    """Re-read the database file with plain string handling and expand the
-    power twists, without touching the package parser."""
-    keys = set()
-    text = DATA.read_text()
-    for block in text.split("\n\n"):
-        lines = [l for l in block.strip().splitlines() if l and not l.startswith("#")]
-        if not lines:
-            continue
-        head = lines[0].split()
-        m = int(head[1][2:])
-        n = int(head[2][2:])
-        if n != rank or modulus % m != 0:
-            continue
-        scale = modulus // m
-        diag = tuple(int(x) * scale for x in lines[1].split()[1:])
-        edges = {}
-        for line in lines[2:]:
-            _, i, j, e = line.split()
-            edges[(int(i) - 1, int(j) - 1)] = int(e) * scale
-        for t in range(1, modulus):
-            if gcd(t, modulus) != 1:
-                continue
-            d_t = tuple((x * t) % modulus for x in diag)
-            e_t = {k: (x * t) % modulus for k, x in edges.items()}
-            keys.add(bf_canon(n, modulus, d_t, e_t))
-    return keys
 
 
 @pytest.fixture(scope="module")
@@ -131,7 +92,7 @@ def test_every_found_item_arises_from_a_base(db):
     diagram must contain some base as a connected deletion."""
     base = row11_gdd1()
     report = enumerate_quasi_affine(6, 6, db, bases=[base])
-    base_key = normalized_key(base)
+    base_key = base.canonical_key()
     for key, g in report.found.items():
         hits = 0
         connected_deletions = 0
@@ -139,7 +100,7 @@ def test_every_found_item_arises_from_a_base(db):
             sub = g.delete_vertex(v)
             if sub.is_connected():
                 connected_deletions += 1
-                if normalized_key(sub) == base_key:
+                if sub.canonical_key() == base_key:
                     hits += 1
         assert connected_deletions >= 2
         assert hits >= 1, g.to_text()
@@ -168,7 +129,7 @@ def test_verify_against_reports_missing(db):
 def test_collect_bases_counts(db):
     bases = collect_bases(5, 6, db)
     assert len(bases) == 378
-    keys = {normalized_key(g) for g in bases}
+    keys = {g.canonical_key() for g in bases}
     assert len(keys) == len(bases)
 
 
@@ -184,7 +145,7 @@ def test_search_finds_fixture_19_7_1(db):
     g = fixture_item("19.7.1")
     report = enumerate_quasi_affine(7, 4, db, bases=[g.delete_vertex(4)],
                                     collect_shapes=False)
-    assert normalized_key(g) in report.found
+    assert g.canonical_key() in report.found
 
 
 @pytest.fixture(scope="module")
@@ -233,8 +194,8 @@ def test_bases_are_closed_under_twists(db, modulus, orbits):
     """The orbit search covers every base only because the base set is
     closed under the twists."""
     bases = collect_bases(5, modulus, db)
-    keys = {normalized_key(g) for g in bases}
-    assert all(normalized_key(h) in keys for g in bases for h in g.twists())
+    keys = {g.canonical_key() for g in bases}
+    assert all(h.canonical_key() in keys for g in bases for h in g.twists())
     assert len(twist_representatives(bases)) == orbits
 
 
@@ -247,7 +208,7 @@ def test_orbit_search_matches_unreduced_search(rank6_m4):
 def test_orbit_search_found_set_is_closed_under_twists(rank6_m4):
     found = rank6_m4[0].found
     for t in (1, 3):
-        assert {normalized_key(g.power_twist(t)) for g in found.values()} == found.keys()
+        assert {g.power_twist(t).canonical_key() for g in found.values()} == found.keys()
 
 
 def test_orbit_search_tries_one_base_per_orbit(rank6_m4):
@@ -432,10 +393,10 @@ def test_deletion_verdicts_equal_oracle(db, rank, modulus, base_of, counts):
 def test_bases_include_finite_cartan_diagrams(db, rank, modulus):
     """The base set holds every finite-Cartan diagram; those that are
     neither classical nor stored are the E6 diagrams, from rank 6 on."""
-    keys = {normalized_key(g) for g in collect_bases(rank, modulus, db)}
+    keys = {g.canonical_key() for g in collect_bases(rank, modulus, db)}
     extra = [g for g in finite_cartan_diagrams(rank, modulus)
              if not classical_type(g) and db.contains(g) is None]
-    assert all(normalized_key(g) in keys for g in finite_cartan_diagrams(rank, modulus))
+    assert all(g.canonical_key() in keys for g in finite_cartan_diagrams(rank, modulus))
     assert len(extra) == {5: 0, 6: 3}[rank]
     for g in extra:
         # E6: arms of one, two and two vertices on the branch vertex.

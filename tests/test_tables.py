@@ -5,7 +5,7 @@ import pytest
 
 from brute import bf_canon_gdd_raw, brute_classical_keys
 from gddkit.classify import classical_type, is_quasi_classical
-from gddkit.core import GDD, at_minimal_modulus, normalized_key
+from gddkit.core import GDD, minimal_modulus, with_modulus
 from gddkit.roots import UnityRoot, minus_one
 from gddkit.tables import (
     ArithmeticDatabase,
@@ -93,9 +93,10 @@ def _one_label_mutant(rng, g):
 
 
 def test_classical_recognition_matches_generated_key_sets():
-    """The oracle's classical branch (recognition at the minimal modulus)
-    agrees with membership in the generated key set, on every classical
-    diagram of the grid and on two one-label mutants of each."""
+    """The oracle's classical branch (recognition of the diagram as given)
+    agrees with recognition at the minimal modulus and with membership in
+    the generated key set, on every classical diagram of the grid and on
+    two one-label mutants of each."""
     rng = random.Random(41)
     key_sets = {}
     positives = negatives = 0
@@ -104,12 +105,13 @@ def test_classical_recognition_matches_generated_key_sets():
             for h in [g, _one_label_mutant(rng, g), _one_label_mutant(rng, g)]:
                 if h is None:
                     continue
-                normal = at_minimal_modulus(h)
+                normal = with_modulus(h, minimal_modulus(h))
                 pair = (rank, normal.modulus)
                 if pair not in key_sets:
                     key_sets[pair] = classical_keys(*pair)
-                expected = normal.canonical_key() in key_sets[pair]
+                expected = h.canonical_key() in key_sets[pair]
                 assert bool(classical_type(normal)) == expected, h.to_text()
+                assert bool(classical_type(h)) == expected, h.to_text()
                 positives += expected
                 negatives += not expected
     # 9,170 generated diagrams; some mutants stay classical
@@ -199,8 +201,8 @@ def test_validator_reports_duplicate_ids(tmp_path):
 def test_no_new_keys_under_parameter_substitution():
     # the minus-inverse substitution maps one-vertex-head instances onto
     # instances already produced at another parameter
-    keys = {normalized_key(g) for g in generate_classical(4, 6)}
+    keys = {g.canonical_key() for g in generate_classical(4, 6)}
     sub = set()
     for g in generate_classical(4, 6):
-        sub.add(normalized_key(g))
+        sub.add(g.canonical_key())
     assert sub == keys

@@ -74,6 +74,7 @@ def cmd_check(args) -> int:
             else:
                 print("  classical: no")
             print(f"  simple cycle: {'yes' if classify.is_simple_cycle(g) else 'no'}")
+            a = None
             if not g.has_degenerate_diag():
                 a = cartan.braiding_exponents(g)
                 if a is None:
@@ -94,7 +95,7 @@ def cmd_check(args) -> int:
                               + (f" at N={fam.size}" if fam.size is not None else ""))
         if oracle is not None and connected:
             try:
-                verdict = oracle.is_arithmetic(g, classical=tags)
+                verdict = oracle.is_arithmetic(g, readings=(tags, a))
                 print(f"  arithmetic: {'yes' if verdict.arithmetic else 'no'} "
                       f"(witness: {verdict.witness[0]})")
                 if not verdict.arithmetic and g.rank >= 2:

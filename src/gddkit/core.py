@@ -497,7 +497,8 @@ def minimal_modulus(g: GDD) -> int:
 def with_modulus(g: GDD, modulus: int) -> GDD:
     """Re-express g inside mu_modulus; the new modulus must be a multiple of
     every label order (and even).  g itself, with the key it keeps, when
-    it is already there."""
+    it is already there.  The lift has g's canonical key and order, so it
+    carries them when g has been keyed."""
     if modulus % 2 != 0 or modulus % minimal_modulus(g) != 0:
         raise ValueError(f"labels of g do not fit inside mu_{modulus}")
     if modulus == g.modulus:
@@ -506,11 +507,15 @@ def with_modulus(g: GDD, modulus: int) -> GDD:
     def conv(x: UnityRoot) -> UnityRoot:
         return UnityRoot(x.exponent * modulus // x.modulus, modulus)
 
-    return GDD(
+    lift = GDD(
         modulus,
         tuple(conv(d) for d in g.diag),
         {e: conv(lab) for e, lab in g.edges.items()},
     )
+    keyed = getattr(g, "_canonical", None)
+    if keyed is not None:
+        object.__setattr__(lift, "_canonical", keyed)
+    return lift
 
 
 # -- text format -------------------------------------------------------------

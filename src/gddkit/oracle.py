@@ -69,23 +69,26 @@ class Oracle:
     def __init__(self, db: ArithmeticDatabase | None = None):
         self.db = db if db is not None else ArithmeticDatabase()
         self._memo: dict[bytes, OracleVerdict] = {}
-        # (diagram, its classify.classical_type) handed in by is_arithmetic
-        # for the query it makes, else None; _connected_uncached takes the
-        # diagram alone, the signature perfbench/tracer.py wraps.
-        self._given: tuple[GDD, set] | None = None
+        # (diagram, its classify.classical_type, its
+        # cartan.braiding_exponents) handed in by is_arithmetic for the
+        # query it makes, else None; _connected_uncached takes the diagram
+        # alone, the signature perfbench/tracer.py wraps.
+        self._given: tuple[GDD, set, cartan.Matrix | None] | None = None
 
     # -- the oracle ----------------------------------------------------------
 
-    def is_arithmetic(self, g: GDD, *, classical: set | None = None) -> OracleVerdict:
+    def is_arithmetic(self, g: GDD, *, readings: tuple | None = None) -> OracleVerdict:
         """Componentwise arithmetic decision (a disconnected diagram is
         arithmetic exactly when all its components are).  A caller that has
-        computed classify.classical_type(g) of a connected g passes it as
-        ``classical``; it stands for the oracle's own reading."""
+        read a connected g as classify.classical_type(g) and, when no vertex
+        label is 1, cartan.braiding_exponents(g) passes the pair as
+        ``readings`` (None for the matrix otherwise); they stand for the
+        oracle's own readings."""
         parts = g.component_vertex_sets()
         if len(parts) == 1:
-            if classical is None:
+            if readings is None:
                 return self._connected(g)
-            self._given = (g, classical)
+            self._given = (g, *readings)
             try:
                 return self._connected(g)
             finally:
@@ -117,16 +120,19 @@ class Oracle:
         positive = None
         given = self._given
         if given is not None and given[0] is g:
-            tags = given[1]
+            _, tags, exponents = given
+            # the Cartan shortcut (cartan.arithmetic_via_cartan) on the
+            # given matrix
+            shortcut = None if exponents is None else cartan.is_finite_cartan(exponents)
         else:
             tags = classify.classical_type(g)
+            shortcut = cartan.arithmetic_via_cartan(g)
         if tags:
             positive = OracleVerdict(True, ("classical",))
         else:
             meta = self.db.lookup(g.rank, key)
             if meta is not None:
                 positive = OracleVerdict(True, ("table", meta.row, meta.gdd_index))
-        shortcut = cartan.arithmetic_via_cartan(g)
         if shortcut is False and positive is not None:
             raise InternalInconsistency(
                 f"Cartan shortcut denies a {positive.witness[0]} match:\n{g.to_text()}"

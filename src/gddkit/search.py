@@ -31,11 +31,11 @@ found once per base, and (A - u) + x is connected exactly when x has an
 edge into every one of them; only a connected g - u is built, and it is
 looked up among the bases' canonical keys.  The verdicts at the non-cut
 vertices come first, so a candidate they reject builds nothing.  The oracle
-is asked only whether a candidate whose deletions all pass is itself
-arithmetic, and for the shape tags.  All of this needs every connected
-arithmetic diagram of rank n-1 among the bases, so the index and the key
-set are built from all of collect_bases (classical, stored and
-finite-Cartan diagrams) whichever bases are walked.
+is asked only whether a candidate whose deletions all pass, under the
+first-base rule below, is itself arithmetic, and for the shape tags.  All
+of this needs every connected arithmetic diagram of rank n-1 among the
+bases, so the index and the key set are built from all of collect_bases
+(classical, stored and finite-Cartan diagrams) whichever bases are walked.
 
 A labelled candidate (x's label and pairs in A's coordinates) is built from
 each non-cut v of A at which x's pairs outside v are a pattern of A - v, and
@@ -48,6 +48,28 @@ built from u, in particular from its owner; any other copy repeats the
 owner's or fails its verdict at the owner.  The owner is the first vertex
 to build a candidate, so the found set keeps its order and labellings, and
 the report still counts every candidate built.
+
+A class of candidates is decided only from the first walked base among its
+deletions (the first-base rule).  Each verdict is the key of the base the
+deletion is, or None: g - x is A, g - v is the base the pattern of A - v
+completes (BaseIndex.completions), g - u at a non-cut u the base x's
+pattern on A - u completes, and g - u at a cut vertex u is keyed as
+before.  A candidate is dropped, before it is built, as soon as one
+deletion is no base or a base walked before A: g - v is looked up first,
+then the verdicts are read lazily, so a dropped candidate builds no cut
+vertex deletion it does not reach.  No survivor is lost, and each class
+keeps its first generation: let A1 be the first walked base among the
+deletions of a candidate class whose deletions all pass.  No base walked
+before A1 builds the class, since each of its builds would have that base
+as a deletion; from A1 the class is built and owned as above, and none of
+its deletions is walked earlier, so every candidate of A1 that realizes it
+is kept, in the same order; every later base has A1 among the class's
+deletions and drops it.  So the found set receives the same diagrams in
+the same order, and the report counts the same candidates.  The rule reads
+the order the bases are walked in, not their keys, so an explicit bases
+list, walked as given, keeps it too.  The repeats it leaves are copies of
+one class built on one base, related by an automorphism of A; the oracle
+memo answers them.
 
 Arithmeticity, and so quasi-affineness, is invariant under the power twists
 g -> g^t with t a unit of Z/M (the conjugate parameters), and the bases are
@@ -163,18 +185,19 @@ class BaseIndex:
     keyed once.  Each class of deletions B - w, by canonical key, has a
     representative R (the first B - w seen) and R's patterns: the label of
     w and its (vertex, edge label) pairs, carried to R by every isomorphism
-    R -> B - w, for every base B and vertex w of the class.  These
-    isomorphisms are the map pairing R's canonical order with that of
-    B - w, composed with every automorphism of R.  The patterns of a class
-    are computed once, when first asked for."""
+    R -> B - w, for every base B and vertex w of the class, each with the
+    key of B, the base it completes R to.  These isomorphisms are the map
+    pairing R's canonical order with that of B - w, composed with every
+    automorphism of R.  The patterns of a class are computed once, when
+    first asked for."""
 
     def __init__(self, bases: list[GDD]):
         # canonical key -> [(B - w, the label of w, the label of the edge
-        # from w to each vertex of B - w or None)]
-        self._entries: dict[bytes, list[tuple[GDD, UnityRoot, list]]] = {}
-        # canonical key -> (R, R's patterns), for the classes asked for,
-        # which leave _entries
-        self._classes: dict[bytes, tuple[GDD, set]] = {}
+        # from w to each vertex of B - w or None, the key of B)]
+        self._entries: dict[bytes, list[tuple[GDD, UnityRoot, list, bytes]]] = {}
+        # canonical key -> (R, R's patterns -> the key of the base each
+        # completes R to), for the classes asked for, which leave _entries
+        self._classes: dict[bytes, tuple[GDD, dict]] = {}
         self.keys = {b.canonical_key() for b in bases}
         self.deletions: dict[GDD, dict[int, GDD]] = {}
         shared: dict[GDD, GDD] = {}
@@ -183,42 +206,47 @@ class BaseIndex:
             for w, rest in connected_deletions(b).items():
                 rest = rests[w] = shared.setdefault(rest, rest)
                 to_w = [b.edge_label(w, u) for u in range(b.rank) if u != w]
-                entry = (rest, b.diag[w], to_w)
+                entry = (rest, b.diag[w], to_w, b.canonical_key())
                 self._entries.setdefault(rest.canonical_key(), []).append(entry)
 
-    def patterns(self, trimmed: GDD) -> list[tuple[UnityRoot, tuple]]:
+    def completions(self, trimmed: GDD) -> dict[tuple, bytes]:
         """(label of the new vertex, (vertex, edge label) pairs sorted by
-        vertex) for every nonempty attachment to the connected diagram
-        trimmed that makes it a base, each once, sorted by the new vertex's
-        label exponent, then the number of attached vertices, the attached
-        vertices and their edge-label exponents (_pattern_order).  Such an
-        extension is a base B with trimmed as B - w; the class of trimmed
-        keeps the patterns on its representative R, closed under the
-        automorphisms of R, and the map pairing trimmed's canonical order
-        with R's carries them to trimmed."""
+        vertex) -> the canonical key of the base it makes, for every
+        nonempty attachment to the connected diagram trimmed that makes it
+        a base, in _pattern_order: by the new vertex's label exponent, then
+        the number of attached vertices, the attached vertices and their
+        edge-label exponents.  Such an extension is a base B with trimmed as
+        B - w; the class of trimmed keeps the patterns on its representative
+        R, closed under the automorphisms of R, and the map pairing
+        trimmed's canonical order with R's carries them to trimmed."""
         key = trimmed.canonical_key()
         if key not in self._classes:
             entries = self._entries.pop(key, None)
             if entries is None:
-                return []
+                return {}
             rep = entries[0][0]
             automorphisms = list(isomorphisms(rep, rep))
-            found = set()
-            for rest, diag, to_w in entries:
+            found = {}
+            for rest, diag, to_w, base in entries:
                 phi = _pairing(rep, rest)
                 for alpha in automorphisms:
                     image = [to_w[phi[a]] for a in alpha]
-                    found.add((diag, tuple(
+                    found[(diag, tuple(
                         (r, lab) for r, lab in enumerate(image) if lab is not None
-                    )))
+                    ))] = base
             self._classes[key] = (rep, found)
         rep, patterns = self._classes[key]
         back = _pairing(rep, trimmed)
-        return sorted(
-            ((diag, tuple(sorted((back[r], lab) for r, lab in pairs)))
-             for diag, pairs in patterns),
-            key=_pattern_order,
-        )
+        carried = [
+            ((diag, tuple(sorted((back[r], lab) for r, lab in pairs))), base)
+            for (diag, pairs), base in patterns.items()
+        ]
+        carried.sort(key=lambda item: _pattern_order(item[0]))
+        return dict(carried)
+
+    def patterns(self, trimmed: GDD) -> list[tuple[UnityRoot, tuple]]:
+        """The attachments of completions(trimmed), in its order."""
+        return list(self.completions(trimmed))
 
 
 def _pairing(g: GDD, h: GDD) -> list[int]:
@@ -236,26 +264,26 @@ class CandidateDeletions:
     vertices of A, decided from the base index at the non-cut vertices of A
     (see the module docstring).  A candidate is (v, label of x, x's (vertex,
     edge label) pairs in A coordinates, sorted by vertex); built, x is the
-    vertex of index A.rank.  The verdicts are read at the non-cut vertices
-    of A before the cut vertices.  For a cut vertex u, the components of
-    A - u are found once: g - u = (A - u) + x is connected exactly when x
-    has an edge into each of them, and only then is it built and keyed."""
+    vertex of index A.rank.  A deletion's verdict is the key of the base it
+    is, or None when it is not one.  The verdicts are read at the non-cut
+    vertices of A before the cut vertices.  For a cut vertex u, the
+    components of A - u are found once: g - u = (A - u) + x is connected
+    exactly when x has an edge into each of them, and only then is it built
+    and keyed."""
 
     def __init__(self, base: GDD, index: BaseIndex):
         self.base = base
         self.base_keys = index.keys
-        # non-cut vertex u of A -> index.patterns(A - u), in order and as a set
-        self.patterns: dict[int, list] = {}
-        self.arithmetic: dict[int, set] = {}
+        # non-cut vertex u of A -> index.completions(A - u)
+        self.completions: dict[int, dict] = {}
         rests = index.deletions.get(base) or connected_deletions(base)
         for u, trimmed in rests.items():
-            self.patterns[u] = index.patterns(trimmed)
-            self.arithmetic[u] = set(self.patterns[u])
+            self.completions[u] = index.completions(trimmed)
         # cut vertex u of A -> (A - u, the component index of each of its
         # vertices, the number of components)
         self.cut: dict[int, tuple[GDD, list[int], int]] = {}
         for u in range(base.rank):
-            if u not in self.arithmetic:
+            if u not in self.completions:
                 rest = base.delete_vertex(u)
                 comps = rest.component_vertex_sets()
                 component = [0] * rest.rank
@@ -264,7 +292,7 @@ class CandidateDeletions:
                         component[w] = i
                 self.cut[u] = (rest, component, len(comps))
         # A connected diagram has at least two non-cut vertices.
-        self.v0, self.v1 = list(self.arithmetic)[:2]
+        self.v0, self.v1 = list(self.completions)[:2]
 
     def owns(self, v: int, pairs) -> bool:
         """Whether v is the owner of the candidate with x's pairs: the least
@@ -273,39 +301,40 @@ class CandidateDeletions:
         return v == (self.v1 if [w for w, _ in pairs] == [self.v0] else self.v0)
 
     def candidates(self, back):
-        """Every candidate: x attached by a pattern of A - v, carried to A,
-        plus an edge to v labelled by each entry of back (None for no edge).
-        By v, then patterns in BaseIndex.patterns order, then back-edge
-        order."""
-        for v, patterns in self.patterns.items():
+        """Every candidate, with the key of the base g - v is: x attached by
+        a pattern of A - v, carried to A, plus an edge to v labelled by each
+        entry of back (None for no edge).  By v, then patterns in
+        BaseIndex.completions order, then back-edge order."""
+        for v, completions in self.completions.items():
             # A - v numbers the vertices of A other than v in order.
             lift = [u for u in range(self.base.rank) if u != v]
-            for diag, pairs in patterns:
+            for (diag, pairs), key in completions.items():
                 lifted = [(lift[t], lab) for t, lab in pairs]
                 for v_edge in back:
                     if v_edge is None:
-                        yield v, diag, lifted
+                        yield v, diag, lifted, key
                     else:
-                        yield v, diag, sorted(lifted + [(v, v_edge)])
+                        yield v, diag, sorted(lifted + [(v, v_edge)]), key
 
     def verdicts(self, v: int, diag: UnityRoot, pairs):
-        """(u, whether g - u is arithmetic) for the candidate g = (v, diag,
-        pairs) and every vertex u != v of A at which g - u is connected,
-        the non-cut vertices of A first.  g - u is (A - u) + x, x's pairs
-        outside u renumbered to A - u.  At a non-cut u it is connected when
-        x keeps an edge there, and arithmetic exactly when x's pattern is
-        one of A - u's.  At a cut vertex u it is connected when x has an
-        edge into every component of A - u, and arithmetic exactly when it
-        is a base."""
-        for u, arithmetic in self.arithmetic.items():
+        """(u, the key of the base g - u is, or None when it is not a base)
+        for the candidate g = (v, diag, pairs) and every vertex u != v of A
+        at which g - u is connected, the non-cut vertices of A first, lazily.
+        g - u is (A - u) + x, x's pairs outside u renumbered to A - u.  At a
+        non-cut u it is connected when x keeps an edge there, and a base
+        exactly when x's pattern is one of A - u's.  At a cut vertex u it is
+        connected when x has an edge into every component of A - u, and
+        then built and keyed."""
+        for u, completions in self.completions.items():
             if u != v:
                 rest = tuple((w if w < u else w - 1, lab) for w, lab in pairs if w != u)
                 if rest:
-                    yield u, (diag, rest) in arithmetic
+                    yield u, completions.get((diag, rest))
         for u, (without_u, component, count) in self.cut.items():
             rest = [(w if w < u else w - 1, lab) for w, lab in pairs if w != u]
             if len({component[w] for w, _ in rest}) == count:
-                yield u, without_u.add_vertex(diag, rest).canonical_key() in self.base_keys
+                key = without_u.add_vertex(diag, rest).canonical_key()
+                yield u, key if key in self.base_keys else None
 
 
 def collect_bases(rank: int, modulus: int, db: ArithmeticDatabase) -> list[GDD]:
@@ -368,20 +397,25 @@ def enumerate_quasi_affine(
     found: dict[bytes, GDD] = {}
     back = [None] + [UnityRoot(e, modulus) for e in range(1, modulus)]
 
+    # None, the verdict on a deletion that is no base, and the key of every
+    # base walked before the current one: a candidate with a deletion here
+    # is dropped (see the module docstring)
+    dropped: set[bytes | None] = {None}
     for base in bases:
         report.bases_tried += 1
         deletions = CandidateDeletions(base, index)
-        for v, diag, pairs in deletions.candidates(back):
+        for v, diag, pairs, base_v in deletions.candidates(back):
             report.candidates_examined += 1
-            if not deletions.owns(v, pairs):
+            if not deletions.owns(v, pairs) or base_v in dropped:
                 continue
             verdicts = deletions.verdicts(v, diag, pairs)
-            if not all(ok for _, ok in verdicts):
+            if any(base_u in dropped for _, base_u in verdicts):
                 continue
             g = base.add_vertex(diag, pairs)
             if oracle._connected(g).arithmetic:
                 continue
             found.setdefault(g.canonical_key(), g)
+        dropped.add(base.canonical_key())
 
     # the key of each found diagram -> the key of the diagram it is a twist
     # of, whose shape tag it shares (itself when there is no closure)

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from cartan_matrices import all_gcms, finite_reference_list
 from digests import found_digest, shape_digest
 from gddkit.cartan import (
     AffineFamily,
@@ -217,7 +218,6 @@ def test_criterion_6_property_suites():
                 assert a * b == b * a
 
     # minor criterion vs explicit finite list, 2x2 and 3x3, entries >= -4
-    from test_cartan import all_gcms, finite_reference_list
     from gddkit.cartan import same_up_to_permutation
 
     for n in (2, 3):

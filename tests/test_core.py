@@ -394,7 +394,8 @@ _random_diagrams = st.builds(
 @given(st.one_of(_branching_diagrams(), _random_diagrams), st.integers(2, 4))
 def test_lift_shares_key_and_order(g, c):
     """A lift of g into mu_cM has g's canonical key and canonical order, and
-    keying it runs one least_form and builds no diagram."""
+    keying it runs one least_form and builds no diagram; a lift of g once g
+    is keyed carries g's key and order and runs none."""
     lift = with_modulus(g, c * g.modulus)
     runs, builds = [], []
 
@@ -414,6 +415,11 @@ def test_lift_shares_key_and_order(g, c):
         key, order = lift.canonical_key(), lift.canonical_order()
     assert runs == [g.rank] and builds == []
     assert key == g.canonical_key() and order == g.canonical_order()
+    relift = with_modulus(g, c * g.modulus)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gddkit.core, "least_form", counted)
+        assert (relift.canonical_key(), relift.canonical_order()) == (key, order)
+    assert runs == [g.rank] and relift == lift
 
 
 def test_edge_given_in_both_orientations_is_rejected():

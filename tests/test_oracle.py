@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from gddkit import cartan, classify
 from gddkit import oracle as oracle_module
 from gddkit.core import GDD, parse_blocks
 from gddkit.oracle import (
@@ -65,6 +66,29 @@ def test_classical_chain_is_arithmetic(oracle):
     g = path([2] * 6, [4] * 5)
     v = oracle.is_arithmetic(g)
     assert v.arithmetic and v.witness[0] == "classical"
+
+
+def test_given_readings_stand_for_the_oracles_own(db, monkeypatch):
+    """is_arithmetic decides a query from the classical readings and the
+    exponent matrix a caller hands in, deriving neither again, and still
+    checks the positive against that matrix: a classical diagram handed an
+    affine matrix raises InternalInconsistency."""
+    g = path([2] * 6, [4] * 5)
+    tags, a = classify.classical_type(g), cartan.braiding_exponents(g)
+    derived = []
+    for module, name in ((classify, "classical_type"), (cartan, "braiding_exponents")):
+        original = getattr(module, name)
+
+        def counted(h, original=original, name=name):
+            derived.append(name)
+            return original(h)
+
+        monkeypatch.setattr(module, name, counted)
+    verdict = Oracle(db).is_arithmetic(g, readings=(tags, a))
+    assert verdict.witness == ("classical",) and derived == []
+    with pytest.raises(InternalInconsistency):
+        Oracle(db).is_arithmetic(g, readings=(tags, ((2, -2), (-2, 2))))
+    assert derived == []
 
 
 def test_item_is_quasi_affine(oracle):

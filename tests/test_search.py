@@ -16,6 +16,7 @@ from gddkit.search import (
     CandidateDeletions,
     _pattern_order,
     collect_bases,
+    connected_deletions,
     enumerate_quasi_affine,
     twist_representatives,
     verify_against,
@@ -205,6 +206,51 @@ def test_orbit_search_matches_unreduced_search(rank6_m4):
     assert default.shape_tags == unreduced.shape_tags
 
 
+@pytest.mark.parametrize(
+    "walk, count",
+    [(slice(None), 70), (slice(None, None, -1), 70), (slice(1, None, 2), 49)],
+    ids=["forwards", "backwards", "every-second"],
+)
+def test_first_base_rule_does_not_depend_on_walk_order(db, rank6_m4, walk, count):
+    """A survivor class is decided from the first walked base among its
+    deletions, so an explicit list of bases finds every quasi-affine diagram
+    of the default search with a deletion in a walked class, whatever their
+    order: the twist representatives forwards, backwards, and every second
+    one, which leaves classes out."""
+    bases = twist_representatives(collect_bases(5, 4, db))[walk]
+    walked = {g.canonical_key() for g in bases}
+    expected = {
+        key for key, g in rank6_m4[0].found.items()
+        if any(h.canonical_key() in walked for h in connected_deletions(g).values())
+    }
+    report = enumerate_quasi_affine(6, 4, db, bases=bases, collect_shapes=False)
+    assert len(expected) == count
+    assert report.found.keys() == expected
+
+
+def test_no_class_is_asked_from_two_bases(db, monkeypatch):
+    """The default rank 6, M=4 search asks the oracle 225 times, shape tags
+    included, and asks about each candidate class from one base only: the
+    repeats that remain are copies of one class built on one base."""
+    asked_from = {}
+    calls = []
+    connected = Oracle._connected
+
+    def counted(self, g):
+        calls.append(g)
+        if g.rank == 6:
+            # a candidate A + x: x is its last vertex, A its deletion there
+            base = g.delete_vertex(g.rank - 1).canonical_key()
+            asked_from.setdefault(g.canonical_key(), set()).add(base)
+        return connected(self, g)
+
+    monkeypatch.setattr(Oracle, "_connected", counted)
+    report = enumerate_quasi_affine(6, 4, db)
+    assert len(report.found) == 128
+    assert len(calls) == 225
+    assert all(len(bases) == 1 for bases in asked_from.values())
+
+
 def test_orbit_search_found_set_is_closed_under_twists(rank6_m4):
     found = rank6_m4[0].found
     for t in (1, 3):
@@ -331,12 +377,14 @@ def compare_deletion_verdicts(rank, modulus, db, bases=None):
     """Walk the search's candidates on the given bases (by default one per
     twist orbit) and compare the verdict the search takes on every connected
     deletion with the oracle's: from the index, from the base keys at the
-    cut vertices of the base, and arithmetic by construction at v and at
-    the new vertex.  Per base, the owned survivors (candidates whose
-    verdicts all pass) must be distinct and hold every survivor's (label,
-    pairs).  Returns ((candidates, index verdicts, base-key verdicts, owned
-    candidates, survivors, owned survivors), mismatched (candidate, vertex)
-    pairs)."""
+    cut vertices of the base, and a base by construction at v and at the new
+    vertex.  A verdict is the key of the base the deletion is, or None, so
+    it must be set exactly when the oracle calls the deletion arithmetic,
+    and then equal the deletion's canonical key.  Per base, the owned
+    survivors (candidates whose verdicts all pass) must be distinct and hold
+    every survivor's (label, pairs).  Returns ((candidates, index verdicts,
+    base-key verdicts, owned candidates, survivors, owned survivors),
+    mismatched (candidate, vertex) pairs)."""
     all_bases = collect_bases(rank - 1, modulus, db)
     index = BaseIndex(all_bases)
     oracle = Oracle(db)
@@ -346,22 +394,25 @@ def compare_deletion_verdicts(rank, modulus, db, bases=None):
     for base in twist_representatives(all_bases) if bases is None else bases:
         deletions = CandidateDeletions(base, index)
         survived, survived_owned = set(), []
-        for v, diag, pairs in deletions.candidates(back):
+        for v, diag, pairs, base_v in deletions.candidates(back):
             g = base.add_vertex(diag, pairs)
             decided = dict(deletions.verdicts(v, diag, pairs))
-            by_keys = [u for u in decided if u not in deletions.arithmetic]
-            verdicts = {**decided, v: True, base.rank: True}
+            by_keys = [u for u in decided if u not in deletions.completions]
+            verdicts = {**decided, v: base_v, base.rank: base.canonical_key()}
             connected = [u for u in range(g.rank) if g.delete_vertex(u).is_connected()]
             assert sorted(verdicts) == connected, g.to_text()
             for u, ok in verdicts.items():
-                if oracle._connected(g.delete_vertex(u)).arithmetic != ok:
+                sub = g.delete_vertex(u)
+                if oracle._connected(sub).arithmetic != (ok is not None) or (
+                    ok is not None and ok != sub.canonical_key()
+                ):
                     mismatched.append((g, u))
             candidates += 1
             from_index += len(decided) - len(by_keys)
             from_keys += len(by_keys)
             owns = deletions.owns(v, pairs)
             owned += owns
-            if all(decided.values()):
+            if all(ok is not None for ok in decided.values()):
                 item = (diag, tuple(pairs))
                 survivors += 1
                 survived.add(item)
@@ -381,8 +432,8 @@ def compare_deletion_verdicts(rank, modulus, db, bases=None):
 def test_deletion_verdicts_equal_oracle(db, rank, modulus, base_of, counts):
     """Every connected deletion of every candidate the search builds, in the
     default rank 6, M=4 search and on a base of fixture 19.7.1 at rank 7,
-    gets the oracle's verdict from the index or the base keys, and the
-    candidates a base owns hold each of its survivors once."""
+    gets the oracle's verdict and its base's key from the index or the base
+    keys, and the candidates a base owns hold each of its survivors once."""
     bases = None if base_of is None else [fixture_item(base_of).delete_vertex(4)]
     got, mismatched = compare_deletion_verdicts(rank, modulus, db, bases)
     assert got == counts

@@ -151,7 +151,8 @@ def _least_form(a: Matrix) -> tuple:
     n = len(a)
     form, _ = least_form(
         [a[v][v] for v in range(n)],
-        [[(a[v][u], a[u][v]) for u in range(n)] for v in range(n)],
+        [{u: (a[v][u], a[u][v]) for u in range(n) if u != v and (a[v][u] or a[u][v])}
+         for v in range(n)],
     )
     return form
 

@@ -8,12 +8,16 @@ Two diagrams related by a vertex relabelling are regarded as the same, and
 so are two that write the same labels in different groups mu_M (z^e in
 mu_M is z^(ek) in mu_Mk); the canonical key realizes that identification.
 It encodes the diagram at the least even modulus m that holds its labels,
-in the least vertex order that least_form finds by a pruned search, position
-by position, after refining the vertices into cells; cartan uses the same
-search.  least_form returns that canonical order with the form, and a
-diagram keeps both: two diagrams with equal keys and the same modulus are
-carried onto each other by pairing their canonical orders position by
-position, with no isomorphism search.
+in the least vertex order that keeps the refined cells contiguous.
+least_form works from per-vertex label dicts built from the edge list: it
+refines the vertices into cells, takes the cell order when every cell of
+two or more vertices is a class of twins (vertices that see everything
+alike), finds the order by a pruned search, position by position,
+otherwise, and writes the form from each vertex's position; cartan uses
+the same kernel, and isomorphisms the same refinement.  least_form returns
+that canonical order with the form, and a diagram keeps both: two diagrams
+with equal keys and the same modulus are carried onto each other by pairing
+their canonical orders position by position, with no isomorphism search.
 """
 
 from __future__ import annotations
@@ -208,10 +212,10 @@ class GDD:
         n = self.rank
         m = minimal_modulus(self)
         k = self.modulus // m
-        labels = [[0] * n for _ in range(n)]
+        nbrs: list[dict] = [{} for _ in range(n)]
         for (u, v), lab in self.edges.items():
-            labels[u][v] = labels[v][u] = lab.exponent // k
-        form, order = least_form([d.exponent // k for d in self.diag], labels)
+            nbrs[u][v] = nbrs[v][u] = lab.exponent // k
+        form, order = least_form([d.exponent // k for d in self.diag], nbrs)
         key = ("k" + ",".join(map(str, (n, m) + form))).encode()
         # One attribute for both: every further attribute enlarges the
         # instance dict of each keyed diagram, and the peak memory with it.
@@ -311,77 +315,134 @@ def path_order(adj: list[list[int]], vertices) -> list[int] | None:
     return order
 
 
-def _refine(colours: list, labels: list[list]) -> list[int]:
+def _refine(colours: list, nbrs: list[dict]) -> list[list[int]]:
     """The stable refinement of the colouring: each vertex's colour is
     repeatedly extended by the sorted (label, colour) pairs of its
-    neighbours (labels[v][u] != 0) until no cell splits, or every vertex
-    has a cell of its own.  Returns colour indices 0, 1, ... in order of
-    signature.  Labels and colours are coded by rank, and a pair as label
-    code * n + colour, so a signature is a tuple of integers ordered as the
-    pairs it codes."""
+    neighbours (nbrs[v] maps each vertex u joined to v to the label of the
+    pair as v sees it) until no cell splits, or every vertex has a cell of
+    its own.  Returns the cells, each ascending, in order of signature: a
+    round orders the parts of each cell by the sorted pairs of their
+    vertices and keeps the order of the cells.  Labels and colours are coded
+    by rank, and a pair as label code * n + colour, so the pairs sort as the
+    integers that code them."""
     n = len(colours)
-    code = dict.fromkeys(x for row in labels for x in row)
-    code.pop(0, None)
-    for i, x in enumerate(sorted(code)):
-        code[x] = i * n
-    adj = [[(code[x], u) for u, x in enumerate(row) if x != 0 and u != v]
-           for v, row in enumerate(labels)]
+    code = {x: i * n for i, x in enumerate(sorted({x for row in nbrs for x in row.values()}))}
     first = {c: i for i, c in enumerate(sorted(set(colours)))}
-    colour, count = [first[c] for c in colours], len(first)
-    while True:
-        sig = [(colour[v], *sorted([x + colour[u] for x, u in adj[v]])) for v in range(n)]
-        distinct = sorted(set(sig))
-        index = {s: i for i, s in enumerate(distinct)}
-        colour = [index[s] for s in sig]
-        if len(distinct) in (count, n):
-            return colour
-        count = len(distinct)
+    colour = [first[c] for c in colours]
+    cells: list[list[int]] = [[] for _ in first]
+    for v, c in enumerate(colour):
+        cells[c].append(v)
+    while len(cells) < n:
+        split: list[list[int]] = []
+        for cell in cells:
+            if len(cell) == 1:
+                split.append(cell)
+                continue
+            prev = None
+            for sig, v in sorted([
+                (sorted([code[x] + colour[u] for u, x in nbrs[v].items()]), v) for v in cell
+            ]):
+                if sig == prev:
+                    split[-1].append(v)
+                else:
+                    split.append([v])
+                    prev = sig
+        if len(split) == len(cells):
+            break
+        cells = split
+        for i, cell in enumerate(cells):
+            for v in cell:
+                colour[v] = i
+    return cells
 
 
-def least_form(colours: list, labels: list[list]) -> tuple[tuple, tuple[int, ...]]:
-    """Canonical form of vertices v coloured colours[v], each ordered pair
-    labelled labels[v][u] (0: no edge; labels[u][v] must follow from it),
-    and the canonical vertex order o that gives it: the form is the colours
-    colours[o_i], then the rows labels[o_i][o_j] (j > i), and o is the least
-    order among those keeping each refined cell contiguous.  When refinement
-    splits every cell, o is the cell order.  Otherwise o is chosen position
-    by position from the first remaining part; choosing o_i fixes row i once
-    each later part is sorted, and split, by label to o_i.  Only choices
-    tying for the least row are followed, twins (swapping them changes no
-    label) are tried once, and prefixes worse than the best form found are
-    dropped; o is the path of the first best leaf.
+def _is_twin(nbrs: list[dict], v: int, w: int) -> bool:
+    """True when v and w, of one refined cell, see the pair {v, w} alike and
+    every other vertex by equal labels (or neither sees it)."""
+    a, b = nbrs[v], nbrs[w]
+    return len(a) == len(b) and a.get(w) == b.get(v) and all(
+        b.get(x) == lab for x, lab in a.items() if x != w
+    )
+
+
+def least_form(colours: list, nbrs: list[dict]) -> tuple[tuple, tuple[int, ...]]:
+    """Canonical form of vertices v coloured colours[v], each vertex u
+    joined to v labelled nbrs[v][u] as v sees the pair (u in nbrs[v] exactly
+    when v is in nbrs[u]; nbrs[u][v] must follow from nbrs[v][u]; a pair
+    absent from both reads 0 and orders before every label), and the
+    canonical vertex order o that gives it: the form is the colours
+    colours[o_i], then the labels of the pairs (o_i, o_j), j > i, as o_i
+    sees them, row by row, and o is the least order among those keeping each
+    refined cell contiguous.  The form is written from the vertex positions
+    and the label dicts, without an n x n matrix.
+
+    When refinement splits every cell, o is the cell order.  Two vertices v
+    and w of one cell are twins when v sees w as w sees v, and every other
+    vertex as w sees it.  Twins form classes: the relation is reflexive and
+    symmetric, and for v ~ w and w ~ x every vertex outside {v, w, x} is
+    seen alike by v, w and x.  The pair {v, w} reads some a from both ends,
+    and x sees v as w does, so x reads a on {x, v}; so too {w, x} reads some
+    b from both ends, and v reads b on {v, x}.  One end's label follows from
+    the other's by one rule, which fixes a and b, since each is read from
+    both ends of its pair; so x reads b on {x, v} too, a = b, and v ~ x.
+    When every cell is one twin class, o is the cells in order, each
+    ascending, with no search: the search below tries only the least vertex
+    of a part that is a twin class, and choosing a vertex splits no such
+    part, since each vertex sees all of a twin class alike, so it follows
+    that one path.  Otherwise o is chosen position by position from the
+    first remaining part; choosing o_i fixes row i once each later part is
+    sorted, and split, by label to o_i.  Only choices tying for the least
+    row are followed, twins (swapping them changes no label) are tried once,
+    and prefixes worse than the best form found are dropped; o is the path
+    of the first best leaf.
 
     Two relabelled copies g and h have equal forms, and pairing their
     orders position by position (o_g[i] -> o_h[i]) is an isomorphism g -> h."""
     n = len(colours)
     # The cells are ordered by signature, and canonical key bytes depend on
     # that order.
-    colour = _refine(colours, labels)
-    count = max(colour) + 1
-    cells: list[list[int]] = [[] for _ in range(count)]
-    for v in range(n):
-        cells[colour[v]].append(v)
-    if count == n:
-        order = tuple(c[0] for c in cells)
+    cells = _refine(colours, nbrs)
+    if len(cells) == n:
+        order = [c[0] for c in cells]
     else:
-        order = _least_order(cells, colour, labels)
-    form = [colours[v] for v in order]
+        # twin[v]: the least twin of v, its cell read in ascending order.
+        twin = list(range(n))
+        for cell in cells:
+            classes: list[int] = []
+            for v in cell:
+                twin[v] = next((r for r in classes if _is_twin(nbrs, r, v)), v)
+                if twin[v] == v:
+                    classes.append(v)
+        if all(twin[v] == c[0] for c in cells for v in c):
+            order = [v for c in cells for v in c]
+        else:
+            code = {x: i for i, x in enumerate(
+                sorted({x for row in nbrs for x in row.values()}), 1)}
+            labels = [[0] * n for _ in range(n)]
+            for v, row in enumerate(nbrs):
+                for u, x in row.items():
+                    labels[v][u] = code[x]
+            order = _least_order(cells, twin, labels)
+    pos = [0] * n
     for i, v in enumerate(order):
-        row = labels[v]
-        form.extend([row[w] for w in order[i + 1:]])
-    return tuple(form), order
+        pos[v] = i
+    # The pair at positions i < j is entry i * (2n - i - 3) / 2 - 1 + j of
+    # the upper triangle read row by row.
+    rows = [0] * (n * (n - 1) // 2)
+    for v, row in enumerate(nbrs):
+        i = pos[v]
+        start = i * (2 * n - i - 3) // 2 - 1
+        for u, x in row.items():
+            j = pos[u]
+            if i < j:
+                rows[start + j] = x
+    return tuple([colours[v] for v in order] + rows), tuple(order)
 
 
-def _least_order(cells: list[list[int]], colour: list[int], labels: list[list]) -> tuple:
-    """The search of least_form over orders keeping the cells contiguous."""
-    n = len(colour)
-
-    def is_twin(v: int, w: int) -> bool:
-        return colour[v] == colour[w] and labels[v][w] == labels[w][v] and all(
-            labels[v][x] == labels[w][x] for x in range(n) if x != v and x != w
-        )
-
-    twin = [next(w for w in range(n) if w == v or is_twin(v, w)) for v in range(n)]
+def _least_order(cells: list[list[int]], twin: list[int], labels: list[list[int]]) -> tuple:
+    """The search of least_form over orders keeping the cells contiguous;
+    twin[v] is the least twin of v, and labels[v][u] codes the label of the
+    pair as v sees it by rank, 0 off pairs."""
     best: list[list] | None = None
     best_order: tuple = ()
 
@@ -436,17 +497,19 @@ def isomorphisms(g: GDD, h: GDD):
     if h.rank != n or h.modulus != g.modulus or len(h.edges) != len(g.edges):
         return
     # The disjoint union: g on 0 .. n-1, h on n .. 2n-1.
-    labels = [[0] * (2 * n) for _ in range(2 * n)]
+    nbrs: list[dict] = [{} for _ in range(2 * n)]
     for off, x in ((0, g), (n, h)):
         for (u, v), lab in x.edges.items():
-            labels[off + u][off + v] = labels[off + v][off + u] = lab.exponent
-    colour = _refine([d.exponent for d in g.diag + h.diag], labels)
-    if sorted(colour[:n]) != sorted(colour[n:]):
-        return
-    cells: dict[int, list[int]] = {}
-    for w in range(n):
-        cells.setdefault(colour[n + w], []).append(w)
-    order = sorted(range(n), key=lambda v: (len(cells[colour[v]]), v))
+            nbrs[off + u][off + v] = nbrs[off + v][off + u] = lab.exponent
+    colour = [0] * (2 * n)
+    images: list[list[int]] = []
+    for i, cell in enumerate(_refine([d.exponent for d in g.diag + h.diag], nbrs)):
+        for v in cell:
+            colour[v] = i
+        images.append([w - n for w in cell if w >= n])
+        if 2 * len(images[i]) != len(cell):
+            return
+    order = sorted(range(n), key=lambda v: (len(images[colour[v]]), v))
     phi, used = [0] * n, [False] * n
 
     def extend(i: int):
@@ -454,12 +517,12 @@ def isomorphisms(g: GDD, h: GDD):
             yield list(phi)
             return
         v = order[i]
-        row = labels[v]
-        for w in cells[colour[v]]:
+        row = nbrs[v]
+        for w in images[colour[v]]:
             if used[w]:
                 continue
-            image = labels[n + w]
-            if all(row[u] == image[n + phi[u]] for u in order[:i]):
+            image = nbrs[n + w]
+            if all(row.get(u) == image.get(n + phi[u]) for u in order[:i]):
                 phi[v], used[w] = w, True
                 yield from extend(i + 1)
                 used[w] = False

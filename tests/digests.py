@@ -1,5 +1,5 @@
 """SHA-256 digests of an enumeration report, for tests that pin a found set
-and its shape tags as first recorded."""
+and its shape tags as first recorded, and of canonical keys and orders."""
 
 import hashlib
 
@@ -14,3 +14,11 @@ def shape_digest(report):
     line as the key in hex and the tag."""
     text = "\n".join(f"{key.hex()} {tag}" for key, tag in sorted(report.shape_tags.items()))
     return hashlib.sha256(text.encode()).hexdigest()
+
+
+def key_digest(diagrams):
+    """SHA-256 of the diagrams' (canonical key, canonical order) pairs,
+    sorted, one per line as the key in hex and the order."""
+    lines = sorted(f"{g.canonical_key().hex()} {','.join(map(str, g.canonical_order()))}"
+                   for g in diagrams)
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()

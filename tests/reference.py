@@ -6,6 +6,11 @@ Each classifier here builds every sub-diagram it asks about (``induced``,
 ``delete_vertex``) and recognizes it on its own numbering, and every chain
 test multiplies ``UnityRoot`` labels.  The library reads vertex subsets of
 one diagram in place, on integer exponents mod M; the tests compare the two.
+
+The dense canonical-form kernel (``_refine``, ``least_form``,
+``_least_order``) reads an n x n label matrix, 0 off edges; ``gddkit.core``
+works from per-vertex label dicts, and the tests hold its forms and orders
+to these.
 """
 
 from __future__ import annotations
@@ -371,3 +376,120 @@ def is_bi_semi_classical(g, all_deletions_arithmetic):
         if ok and all_deletions_arithmetic(g):
             return True
     return False
+
+
+# -- the dense canonical-form kernel ------------------------------------------
+
+
+def _refine(colours: list, labels: list[list]) -> list[int]:
+    """The stable refinement of the colouring: each vertex's colour is
+    repeatedly extended by the sorted (label, colour) pairs of its
+    neighbours (labels[v][u] != 0) until no cell splits, or every vertex
+    has a cell of its own.  Returns colour indices 0, 1, ... in order of
+    signature.  Labels and colours are coded by rank, and a pair as label
+    code * n + colour, so a signature is a tuple of integers ordered as the
+    pairs it codes."""
+    n = len(colours)
+    code = dict.fromkeys(x for row in labels for x in row)
+    code.pop(0, None)
+    for i, x in enumerate(sorted(code)):
+        code[x] = i * n
+    adj = [[(code[x], u) for u, x in enumerate(row) if x != 0 and u != v]
+           for v, row in enumerate(labels)]
+    first = {c: i for i, c in enumerate(sorted(set(colours)))}
+    colour, count = [first[c] for c in colours], len(first)
+    while True:
+        sig = [(colour[v], *sorted([x + colour[u] for x, u in adj[v]])) for v in range(n)]
+        distinct = sorted(set(sig))
+        index = {s: i for i, s in enumerate(distinct)}
+        colour = [index[s] for s in sig]
+        if len(distinct) in (count, n):
+            return colour
+        count = len(distinct)
+
+
+def least_form(colours: list, labels: list[list]) -> tuple[tuple, tuple[int, ...]]:
+    """Canonical form of vertices v coloured colours[v], each ordered pair
+    labelled labels[v][u] (0: no edge; labels[u][v] must follow from it),
+    and the canonical vertex order o that gives it: the form is the colours
+    colours[o_i], then the rows labels[o_i][o_j] (j > i), and o is the least
+    order among those keeping each refined cell contiguous.  When refinement
+    splits every cell, o is the cell order.  Otherwise o is chosen position
+    by position from the first remaining part; choosing o_i fixes row i once
+    each later part is sorted, and split, by label to o_i.  Only choices
+    tying for the least row are followed, twins (swapping them changes no
+    label) are tried once, and prefixes worse than the best form found are
+    dropped; o is the path of the first best leaf.
+
+    Two relabelled copies g and h have equal forms, and pairing their
+    orders position by position (o_g[i] -> o_h[i]) is an isomorphism g -> h."""
+    n = len(colours)
+    # The cells are ordered by signature, and canonical key bytes depend on
+    # that order.
+    colour = _refine(colours, labels)
+    count = max(colour) + 1
+    cells: list[list[int]] = [[] for _ in range(count)]
+    for v in range(n):
+        cells[colour[v]].append(v)
+    if count == n:
+        order = tuple(c[0] for c in cells)
+    else:
+        order = _least_order(cells, colour, labels)
+    form = [colours[v] for v in order]
+    for i, v in enumerate(order):
+        row = labels[v]
+        form.extend([row[w] for w in order[i + 1:]])
+    return tuple(form), order
+
+
+def _least_order(cells: list[list[int]], colour: list[int], labels: list[list]) -> tuple:
+    """The search of least_form over orders keeping the cells contiguous."""
+    n = len(colour)
+
+    def is_twin(v: int, w: int) -> bool:
+        return colour[v] == colour[w] and labels[v][w] == labels[w][v] and all(
+            labels[v][x] == labels[w][x] for x in range(n) if x != v and x != w
+        )
+
+    twin = [next(w for w in range(n) if w == v or is_twin(v, w)) for v in range(n)]
+    best: list[list] | None = None
+    best_order: tuple = ()
+
+    def search(parts: list[list[int]], rows: list[list], path: tuple) -> None:
+        nonlocal best, best_order
+        if not parts:
+            if best is None or rows < best:
+                best, best_order = rows, path
+            return
+        head, tail = parts[0], parts[1:]
+        least, chosen, tried = None, [], set()
+        for v in head:
+            if twin[v] not in tried:
+                tried.add(twin[v])
+                lab = labels[v]
+                first = [u for u in head if u != v]
+                row = sorted([lab[u] for u in first])
+                for p in tail:
+                    row += sorted([lab[u] for u in p])
+                if least is None or row < least:
+                    least, chosen = row, []
+                if row == least:
+                    chosen.append((v, first))
+        rows = rows + [least]
+        if best is not None and rows > best[: len(rows)]:
+            return
+        for v, first in chosen:
+            lab = labels[v]
+            split = []
+            for p in [first] + tail:
+                if len(p) == 1:
+                    split.append(p)
+                elif p:
+                    groups: dict = {}
+                    for u in p:
+                        groups.setdefault(lab[u], []).append(u)
+                    split.extend(groups[x] for x in sorted(groups))
+            search(split, rows, path + (v,))
+
+    search(cells, [], ())
+    return best_order

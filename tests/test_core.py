@@ -1,11 +1,14 @@
 import random
 from itertools import permutations
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from brute import _row_major, cell_order_key, gdd_to_tuple
+from db_rows import DATA
+from digests import key_digest
 import gddkit.core
 from gddkit.core import (
     GDD,
@@ -324,6 +327,36 @@ def test_canonical_key_is_kept_per_object(monkeypatch):
     assert runs == [3]
     assert key == g.canonical_key()
     assert lifted == with_modulus(g, 12)
+
+
+def _key_corpus():
+    """The transcribed fixture blocks, the stored rows with their twists,
+    the connected deletions of each, and one seeded relabelling of each."""
+    fixtures = Path(__file__).parent / "fixtures"
+    blocks = [g for name in ["items_cs.gdd", "items_continual.gdd", "items_main.gdd"]
+              for g, _, _ in parse_blocks((fixtures / name).read_text())]
+    stored = parse_blocks(DATA.read_text())
+    assert (len(blocks), len(stored)) == (334, 99)
+    corpus = blocks + [t for g, _, _ in stored for t in g.twists()]
+    corpus += [d for g in corpus for d in map(g.delete_vertex, range(g.rank))
+               if d.is_connected()]
+    rng = random.Random(2014)
+    relabelled = []
+    for g in corpus:
+        sigma = list(range(g.rank))
+        rng.shuffle(sigma)
+        relabelled.append(g.permute(sigma))
+    return corpus + relabelled
+
+
+def test_key_digest_is_pinned():
+    """The canonical key bytes and canonical orders of a fixed corpus, as
+    first recorded: any change to the kernel that moves one shows here."""
+    corpus = _key_corpus()
+    assert len(corpus) == 4184
+    assert key_digest(corpus) == (
+        "ed42bb1767d57da84d4fc24409e59dde2886f19ad3957d9eedf046df805b4033"
+    )
 
 
 @st.composite

@@ -201,10 +201,10 @@ class GDD:
         relabelling and by the group mu_M their labels are written in: the
         rank, the least even modulus m holding every label (minimal_modulus)
         and the least form (see least_form) of the vertex exponents and the
-        edge-exponent matrix in mu_m, that is, the exponents divided by M/m.
-        Computed once per object, together with canonical_order, and kept
-        on it, outside the dataclass fields, so equality and hashing ignore
-        it."""
+        edge-exponent matrix in mu_m, that is, the exponents divided by M/m
+        (key_bucket reads the rank and m back).  Computed once per object,
+        together with canonical_order, and kept on it, outside the dataclass
+        fields, so equality and hashing ignore it."""
         try:
             return self._canonical[0]
         except AttributeError:
@@ -253,6 +253,14 @@ class GDD:
             )
         lines.append("}")
         return "\n".join(lines)
+
+
+def key_bucket(key: bytes) -> tuple[int, int]:
+    """The rank n and least even modulus m a canonical key encodes.  A key
+    reads b"k{n},{m},{f1},{f2},..." (see GDD.canonical_key): the rank, the
+    minimal modulus, then the least form, all decimal, comma-separated."""
+    n, m, _ = key[1:].split(b",", 2)
+    return int(n), int(m)
 
 
 def components_of(adj: list[list[int]], vertices=None) -> list[list[int]]:

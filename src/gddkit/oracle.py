@@ -143,7 +143,7 @@ class Oracle:
             verdict = OracleVerdict(True, ("cartan-finite",))
         elif shortcut is False:
             verdict = OracleVerdict(False, ("cartan-not-finite",))
-        elif g.rank < 5 and not self.db.keys_at_rank(g.rank):
+        elif g.rank < 5 and not self.db.covers(g.rank):
             raise OracleGap(
                 f"cannot certify non-arithmetic at rank {g.rank}: no coverage"
             )

@@ -101,7 +101,6 @@ from .cartan import finite_cartan_diagrams
 from .core import (
     GDD,
     isomorphisms,
-    minimal_modulus,
     non_cut_vertices,
     parse_blocks,
     with_modulus,
@@ -341,12 +340,14 @@ def collect_bases(rank: int, modulus: int, db: ArithmeticDatabase) -> list[GDD]:
     """Connected arithmetic diagrams of the given rank over mu_modulus:
     generated classical families, stored exceptional rows and diagrams of
     finite Cartan type, one representative per relabelling class, in key
-    order."""
+    order.  Only the database buckets whose minimal modulus divides
+    ``modulus`` are read, so only their rows are keyed: the rows of any
+    other bucket have a label outside mu_modulus."""
     seen: dict[bytes, GDD] = {}
     for g in generate_classical(rank, modulus):
         seen.setdefault(g.canonical_key(), g)
-    for key, g in db.keyed(rank):
-        if key not in seen and modulus % minimal_modulus(g) == 0:
+    for key, g in db.keyed(rank, modulus):
+        if key not in seen:
             seen[key] = with_modulus(g, modulus)
     for g in finite_cartan_diagrams(rank, modulus):
         seen.setdefault(g.canonical_key(), g)

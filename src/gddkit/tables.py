@@ -1,11 +1,17 @@
 """The arithmetic-diagram database, and the classical families.
 
 Only the exceptional rows are stored, transcribed into the text format and
-instantiated at one primitive parameter per stated order.  Loading expands
-each entry over the conjugate parameters (label-wise power twists), so
-membership is independent of which primitive root the caller picked.
-Lookups go through canonical keys, which are relabelling-invariant and do
-not depend on the group mu_M a diagram's labels are written in.
+instantiated at one primitive parameter per stated order.  Each entry stands
+for its conjugate parameters too (label-wise power twists), so membership is
+independent of which primitive root the caller picked.  Lookups go through
+canonical keys, which are relabelling-invariant and do not depend on the
+group mu_M a diagram's labels are written in.
+
+Loading keys nothing: it files each row under its rank and least even
+modulus m, and a bucket is twist-expanded and keyed the first time anything
+reads it.  A canonical key encodes the diagram's rank and m (key_bucket), so
+a key can only equal a stored key of the same (rank, m); a unit twist keeps
+the order of every label, so m, and a row and its twists share one bucket.
 
 The classical families are generated from their defining types: the search
 takes its bases and shape bounds from them, and the tests take them as the
@@ -15,11 +21,11 @@ classical diagram without generating its family.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from .chains import chains_with_parameter
-from .core import GDD, parse_blocks
+from .core import GDD, key_bucket, minimal_modulus, parse_blocks
 from .roots import UnityRoot, minus_one
 
 
@@ -31,21 +37,59 @@ class EntryMeta:
     source: str = ""
 
 
-@dataclass
 class ArithmeticDatabase:
-    """Canonical-key-indexed store of exceptional arithmetic diagrams."""
+    """Canonical-key-indexed store of exceptional arithmetic diagrams, filed
+    in buckets by (rank, minimal modulus).
 
-    by_rank: dict[int, dict[bytes, EntryMeta]] = field(default_factory=dict)
-    representatives: dict[bytes, GDD] = field(default_factory=dict)
+    A staged row is twist-expanded (when staged so) and keyed with the rest
+    of its bucket, in staging order, the first time the bucket is read:
+    by lookup or contains of a key in it, add into it, keyed, entries or
+    len.  The first diagram of a key wins, so an equivalent add returns
+    False.  Entries keep the order they were staged or added in, each row
+    followed by its twists."""
+
+    def __init__(self):
+        # (rank, m) -> [(serial, row, meta, expand over twists)], not keyed yet
+        self._staged: dict[tuple[int, int], list] = {}
+        # (rank, m) -> {key: ((serial, twist index), diagram, meta)}
+        self._keyed: dict[tuple[int, int], dict[bytes, tuple]] = {}
+        self._serial = 0
+
+    def stage(self, g: GDD, meta: EntryMeta, twist: bool) -> None:
+        """File g, and its twists when ``twist``, to be keyed when its
+        bucket is first read."""
+        bucket = (g.rank, minimal_modulus(g))
+        self._staged.setdefault(bucket, []).append((self._serial, g, meta, twist))
+        self._serial += 1
+
+    def _bucket(self, bucket: tuple[int, int]) -> dict[bytes, tuple]:
+        """The keyed entries of a bucket, keying its staged rows first."""
+        keyed = self._keyed.setdefault(bucket, {})
+        for serial, g, meta, twist in self._staged.pop(bucket, ()):
+            for t, variant in enumerate(g.twists() if twist else [g]):
+                keyed.setdefault(variant.canonical_key(), ((serial, t), variant, meta))
+        return keyed
+
+    def _buckets(self, rank: int | None = None, modulus: int | None = None):
+        """Every bucket of the given rank (of any rank for None) whose m
+        divides ``modulus`` (any m for None), each keyed."""
+        return [self._bucket(b) for b in self._staged.keys() | self._keyed.keys()
+                if (rank is None or b[0] == rank) and (modulus is None or modulus % b[1] == 0)]
+
+    def _in_order(self, rank: int | None = None, modulus: int | None = None):
+        """(key, (order, diagram, meta)) of the selected buckets' entries, in
+        staging order."""
+        items = [item for keyed in self._buckets(rank, modulus) for item in keyed.items()]
+        return sorted(items, key=lambda item: (item[1][1].rank, item[1][0]))
 
     def add(self, g: GDD, meta: EntryMeta) -> bool:
         """Store g (and return True) unless an equivalent entry exists."""
         key = g.canonical_key()
-        rankmap = self.by_rank.setdefault(g.rank, {})
-        if key in rankmap:
+        keyed = self._bucket(key_bucket(key))
+        if key in keyed:
             return False
-        rankmap[key] = meta
-        self.representatives[key] = g
+        keyed[key] = ((self._serial, 0), g, meta)
+        self._serial += 1
         return True
 
     def contains(self, g: GDD) -> EntryMeta | None:
@@ -53,23 +97,31 @@ class ArithmeticDatabase:
 
     def lookup(self, rank: int, key: bytes) -> EntryMeta | None:
         """The entry stored under a canonical key of the given rank."""
-        return self.by_rank.get(rank, {}).get(key)
+        bucket = key_bucket(key)
+        if bucket[0] != rank or (bucket not in self._keyed and bucket not in self._staged):
+            return None
+        entry = self._bucket(bucket).get(key)
+        return None if entry is None else entry[2]
+
+    def covers(self, rank: int) -> bool:
+        """True when some entry, keyed or staged, has the given rank (no
+        bucket is empty)."""
+        return any(r == rank for r, _ in self._staged.keys() | self._keyed.keys())
 
     def entries(self, rank: int | None = None):
-        ranks = [rank] if rank is not None else sorted(self.by_rank)
-        for r in ranks:
-            for key, meta in self.by_rank.get(r, {}).items():
-                yield self.representatives[key], meta
+        """(diagram, meta) of every entry, of the given rank only unless
+        None, by rank, then in staging order."""
+        for _, (_, g, meta) in self._in_order(rank):
+            yield g, meta
 
-    def keyed(self, rank: int) -> list[tuple[bytes, GDD]]:
-        """(canonical key, diagram) of every entry of the given rank."""
-        return [(key, self.representatives[key]) for key in self.by_rank.get(rank, {})]
-
-    def keys_at_rank(self, rank: int) -> set[bytes]:
-        return set(self.by_rank.get(rank, {}))
+    def keyed(self, rank: int, modulus: int | None = None) -> list[tuple[bytes, GDD]]:
+        """(canonical key, diagram) of every entry of the given rank, in
+        staging order; with ``modulus``, only those whose labels fit in
+        mu_modulus, that is, whose minimal modulus divides it."""
+        return [(key, g) for key, (_, g, _) in self._in_order(rank, modulus)]
 
     def __len__(self):
-        return sum(len(m) for m in self.by_rank.values())
+        return sum(len(keyed) for keyed in self._buckets())
 
 
 class DatabaseError(ValueError):
@@ -78,7 +130,9 @@ class DatabaseError(ValueError):
 
 def load(path: str | Path, expand_conjugates: bool = True) -> ArithmeticDatabase:
     """Read a database file; every entry is validated (connected, no vertex
-    label 1, rank >= 2) and expanded over conjugate parameters."""
+    label 1, rank >= 2) and staged under its (rank, minimal modulus), to be
+    expanded over conjugate parameters (unless ``expand_conjugates`` is
+    False) and keyed when its bucket is first read."""
     db = ArithmeticDatabase()
     text = Path(path).read_text()
     for g, meta, lineno in parse_blocks(text):
@@ -95,9 +149,7 @@ def load(path: str | Path, expand_conjugates: bool = True) -> ArithmeticDatabase
         if not g.is_connected():
             raise DatabaseError(f"entry at line {lineno}: not connected")
         entry_meta = EntryMeta(row, idx, n_of_q, meta.get("src", ""))
-        variants = g.twists() if expand_conjugates else [g]
-        for variant in variants:
-            db.add(variant, entry_meta)
+        db.stage(g, entry_meta, expand_conjugates)
     return db
 
 

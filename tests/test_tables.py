@@ -1,11 +1,13 @@
+import hashlib
 import random
 from pathlib import Path
 
 import pytest
 
+import gddkit.core
 from brute import bf_canon_gdd_raw, brute_classical_keys
 from gddkit.classify import classical_type, is_quasi_classical
-from gddkit.core import GDD, minimal_modulus, with_modulus
+from gddkit.core import GDD, minimal_modulus, parse_blocks, with_modulus
 from gddkit.roots import UnityRoot, minus_one
 from gddkit.tables import (
     ArithmeticDatabase,
@@ -17,6 +19,7 @@ from gddkit.tables import (
     store,
     validate_report,
 )
+from gddkit.search import enumerate_quasi_affine
 
 DATA = Path(__file__).parent.parent / "src" / "gddkit" / "data" / "exceptional_rows.gdd"
 
@@ -206,3 +209,113 @@ def test_no_new_keys_under_parameter_substitution():
     for g in generate_classical(4, 6):
         sub.add(g.canonical_key())
     assert sub == keys
+
+
+# -- the lazy database ---------------------------------------------------------
+
+
+def _stored_rows():
+    """(diagram, meta) of every row of the packaged file, in file order."""
+    return [(g, EntryMeta(int(meta["row"]), int(meta["gdd"]), int(meta["N"]), meta.get("src", "")))
+            for g, meta, _ in parse_blocks(DATA.read_text())]
+
+
+def _added_database():
+    """The packaged rows and their twists, added one by one in file order."""
+    db = ArithmeticDatabase()
+    for g, meta in _stored_rows():
+        for twist in g.twists():
+            db.add(twist, meta)
+    return db
+
+
+def test_load_keys_nothing():
+    runs = []
+    least_form = gddkit.core.least_form
+
+    def counted(colours, nbrs):
+        runs.append(colours)
+        return least_form(colours, nbrs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gddkit.core, "least_form", counted)
+        load(DATA)
+        load(DATA, expand_conjugates=False)
+    assert runs == []
+
+
+def test_lazy_database_equals_added_database():
+    """A loaded database reads as one filled by add() over every twist of
+    every row in file order: its size, its entries in order, the entry of
+    every twist and of a relabelling of it, and its keyed rows by rank and
+    by the modulus their labels fit in."""
+    added = _added_database()
+    assert len(load(DATA)) == len(added) == 212
+    assert list(load(DATA).entries()) == list(added.entries())
+    for rank in range(5, 9):
+        assert list(load(DATA).entries(rank)) == list(added.entries(rank))
+    rng = random.Random(21)
+    db = load(DATA)
+    for g, meta in added.entries():
+        sigma = list(range(g.rank))
+        rng.shuffle(sigma)
+        assert db.contains(g) == db.contains(g.permute(sigma)) == meta
+        assert db.lookup(g.rank + 1, g.canonical_key()) is None
+    for rank in range(5, 9):
+        assert load(DATA).keyed(rank) == added.keyed(rank)
+        for modulus in range(2, 13, 2):
+            assert load(DATA).keyed(rank, modulus) == [
+                (key, g) for key, g in added.keyed(rank) if modulus % minimal_modulus(g) == 0]
+
+
+def test_a_row_and_its_twists_share_a_bucket():
+    for g, _ in _stored_rows():
+        assert {minimal_modulus(t) for t in g.twists()} == {minimal_modulus(g)}
+
+
+def test_search_keys_only_buckets_inside_its_modulus():
+    db = load(DATA)
+    enumerate_quasi_affine(6, 4, db, collect_shapes=False)
+    assert db._keyed and all(4 % m == 0 for _, m in db._keyed)
+    assert all(4 % m for _, m in db._staged)
+
+
+def test_stored_bytes_are_the_eager_loads(tmp_path):
+    """store writes the bytes it wrote when load keyed every row (digests
+    recorded then), with and without the twists."""
+    digests = {
+        True: "52301737d86369d47f08828f9390102261598125153762e6c64e06ee1b78100d",
+        False: "71e1679ec602671d4da9a25d2787e4e662785f9975847975eddd8723f52af563",
+    }
+    for expand, digest in digests.items():
+        path = tmp_path / f"db-{expand}.gdd"
+        store(load(DATA, expand_conjugates=expand), path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+def test_add_does_not_replace_a_staged_row():
+    db = load(DATA)
+    g, meta = next((g, meta) for g, meta in _stored_rows() if g == row11_gdd1())
+    assert (5, minimal_modulus(g)) in db._staged
+    assert not db.add(g.power_twist(5).permute([4, 3, 2, 1, 0]), EntryMeta(0, 0, 0, "added"))
+    assert db.contains(g) == db.contains(g.power_twist(5)) == meta
+
+
+def test_first_staged_row_wins(tmp_path):
+    g = row11_gdd1()
+    p = tmp_path / "dup.gdd"
+    p.write_text("# row=11 gdd=1 N=3\n" + g.to_text() + "\n\n"
+                 "# row=11 gdd=2 N=3\n" + g.permute([4, 3, 2, 1, 0]).to_text() + "\n")
+    db = load(p)
+    assert len(db) == len(g.twists())
+    assert db.contains(g) == EntryMeta(11, 1, 3)
+
+
+def test_coverage_reads_staged_rows():
+    db = load(DATA)
+    assert db.covers(5) and db.covers(8) and not db.covers(4)
+    assert not db._keyed
+    empty = ArithmeticDatabase()
+    assert not empty.covers(5)
+    empty.add(row11_gdd1(), EntryMeta(11, 1, 3))
+    assert empty.covers(5) and not empty.covers(6)

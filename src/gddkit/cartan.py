@@ -9,7 +9,7 @@ called affine when the matrix is an affine generalized Cartan matrix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cache
 
 from .core import GDD, components_of, least_form
@@ -160,12 +160,11 @@ def _least_form(a: Matrix) -> tuple:
 # -- the affine catalogue ------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AffineFamily:
-    """One of the sixteen affine diagram families."""
+class AffineFamily(namedtuple("AffineFamily", "name size")):
+    """One of the sixteen affine diagram families; ``size`` is the N in the
+    family name, None for fixed families."""
 
-    name: str
-    size: int | None  # the N in the family name; None for fixed families
+    __slots__ = ()
 
     def __str__(self):
         return self.name if self.size is None else f"{self.name}(N={self.size})"

@@ -17,14 +17,14 @@ returned parameter.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from .core import GDD
 from .roots import UnityRoot, minus_one
 
 
-@dataclass(frozen=True)
-class ChainProfile:
+class ChainProfile(namedtuple("ChainProfile", "q index_set wildcard end",
+                              defaults=(frozenset(), False, None))):
     """Fixed parameter and index set of a simple chain, as seen from one end.
 
     ``end`` records which vertex of the source diagram played v_n; it does not
@@ -35,13 +35,20 @@ class ChainProfile:
     ``wildcard`` profile.
     """
 
-    q: UnityRoot | None
-    index_set: frozenset[int] = frozenset()
-    wildcard: bool = False
-    end: int | None = field(default=None, compare=False)
+    __slots__ = ()
 
-    def matches_parameter(self, p: UnityRoot) -> bool:
-        return self.wildcard or self.q == p
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self[:3] == other[:3]
+
+    def __ne__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self[:3] != other[:3]
+
+    def __hash__(self):
+        return hash(self[:3])
 
 
 def _exponents(g: GDD, order: list[int]) -> tuple[list[int], list[int]]:

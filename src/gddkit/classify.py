@@ -26,30 +26,26 @@ at the second witness.  No subset's readings are kept between queries.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import combinations
 
 from .chains import ChainProfile, is_simple_chain, oriented_profile
 from .core import GDD, components_of, path_order
 from .roots import UnityRoot, minus_one
 
-@dataclass(frozen=True)
-class TypeTag:
+class TypeTag(namedtuple("TypeTag", "kind q body_profile head tail")):
     """One way of reading a diagram as a classical type.
 
     ``q`` is the type's parameter; ``head`` lists the head vertices (empty
     for Type 7); ``tail`` is the distinguished far end.
     """
 
-    kind: str
-    q: UnityRoot
-    body_profile: ChainProfile
-    head: tuple[int, ...]
-    tail: int
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class HeadPattern:
+class HeadPattern(namedtuple("HeadPattern",
+                             "kind vertices attach body_param body_param_square",
+                             defaults=(None, None))):
     """A one- or two-vertex classical head sitting at an end of a diagram.
 
     ``body_param`` is the fixed parameter the body chain must show at the
@@ -57,11 +53,7 @@ class HeadPattern:
     to sign (its square is the end label), recorded via ``body_param_square``.
     """
 
-    kind: str
-    vertices: tuple[int, ...]
-    attach: int
-    body_param: UnityRoot | None = None
-    body_param_square: UnityRoot | None = None
+    __slots__ = ()
 
     def matches_body(self, profile: ChainProfile) -> bool:
         if profile.wildcard:

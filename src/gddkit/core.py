@@ -22,7 +22,6 @@ their canonical orders position by position, with no isomorphism search.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from math import gcd
 
 from .roots import Parameter, UnityRoot
@@ -34,19 +33,31 @@ def _edge(u: int, v: int) -> Edge:
     return (u, v) if u < v else (v, u)
 
 
-@dataclass(frozen=True)
 class GDD:
     """Immutable labelled diagram over mu_M.
 
     diag[i] is the label of vertex i; edges maps (u, v) with u < v to the
-    edge label, which is never 1.
+    edge label, which is never 1.  Equality and hashing read modulus, diag
+    and edges only.
     """
 
-    modulus: int
-    diag: tuple[UnityRoot, ...]
-    edges: dict[Edge, UnityRoot] = field(default_factory=dict)
+    __slots__ = ("modulus", "diag", "edges", "_canonical")
+
+    def __init__(
+        self,
+        modulus: int,
+        diag: tuple[UnityRoot, ...],
+        edges: dict[Edge, UnityRoot] | None = None,
+    ):
+        object.__setattr__(self, "modulus", modulus)
+        object.__setattr__(self, "diag", diag)
+        object.__setattr__(self, "edges", {} if edges is None else edges)
+        self.__post_init__()
 
     def __post_init__(self):
+        """Validate the labels and store the edges keyed (u, v) with u < v.
+        A method of its own, which perfbench/tracer.py wraps to count
+        builds."""
         n = len(self.diag)
         if n < 1:
             raise ValueError("a diagram needs at least one vertex")
@@ -75,6 +86,25 @@ class GDD:
                 tuple(sorted((e, lab.exponent) for e, lab in self.edges.items())),
             )
         )
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.modulus, self.diag, self.edges) == (
+            other.modulus, other.diag, other.edges)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return (self.__class__, (self.modulus, self.diag, self.edges))
+
+    def __repr__(self):
+        return (f"{self.__class__.__qualname__}(modulus={self.modulus!r}, "
+                f"diag={self.diag!r}, edges={self.edges!r})")
 
     # -- basic structure ---------------------------------------------------
 
@@ -188,12 +218,6 @@ class GDD:
         adj = self.adjacency()
         return all(len(nbs) == 2 for nbs in adj) and len(components_of(adj)) == 1
 
-    def reversed_chain(self) -> "GDD":
-        order = self.chain_order()
-        if order is None:
-            raise ValueError("not a chain")
-        return self.induced(order[::-1])
-
     # -- canonical form ------------------------------------------------------
 
     def canonical_key(self) -> bytes:
@@ -203,8 +227,8 @@ class GDD:
         and the least form (see least_form) of the vertex exponents and the
         edge-exponent matrix in mu_m, that is, the exponents divided by M/m
         (key_bucket reads the rank and m back).  Computed once per object,
-        together with canonical_order, and kept on it, outside the dataclass
-        fields, so equality and hashing ignore it."""
+        together with canonical_order, and kept on it in the _canonical
+        slot, which equality and hashing ignore."""
         try:
             return self._canonical[0]
         except AttributeError:
@@ -217,8 +241,8 @@ class GDD:
             nbrs[u][v] = nbrs[v][u] = lab.exponent // k
         form, order = least_form([d.exponent // k for d in self.diag], nbrs)
         key = ("k" + ",".join(map(str, (n, m) + form))).encode()
-        # One attribute for both: every further attribute enlarges the
-        # instance dict of each keyed diagram, and the peak memory with it.
+        # One slot for both: every further slot enlarges each diagram,
+        # keyed or not, and the peak memory with it.
         object.__setattr__(self, "_canonical", (key, order))
         return key
 

@@ -28,7 +28,7 @@ connected deletions decide the full condition.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import combinations
 
 from . import cartan, classify
@@ -51,10 +51,8 @@ class InternalInconsistency(Exception):
     """The Cartan shortcut and the classification branches disagree."""
 
 
-@dataclass(frozen=True)
-class OracleVerdict:
-    arithmetic: bool
-    witness: tuple
+class OracleVerdict(namedtuple("OracleVerdict", "arithmetic witness")):
+    __slots__ = ()
 
     def __bool__(self):
         return self.arithmetic

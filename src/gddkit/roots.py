@@ -7,22 +7,21 @@ M is kept even so that -1 = zeta^(M/2) always exists.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from math import gcd, lcm
 
 
-@dataclass(frozen=True, order=True)
-class UnityRoot:
+class UnityRoot(namedtuple("UnityRoot", "exponent modulus")):
     """zeta^exponent inside mu_M, with 0 <= exponent < M and M even."""
 
-    exponent: int
-    modulus: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.modulus < 2 or self.modulus % 2 != 0:
-            raise ValueError(f"modulus must be even and >= 2, got {self.modulus}")
-        if not 0 <= self.exponent < self.modulus:
-            object.__setattr__(self, "exponent", self.exponent % self.modulus)
+    def __new__(cls, exponent: int, modulus: int):
+        if modulus < 2 or modulus % 2 != 0:
+            raise ValueError(f"modulus must be even and >= 2, got {modulus}")
+        if not 0 <= exponent < modulus:
+            exponent %= modulus
+        return tuple.__new__(cls, (exponent, modulus))
 
     def _check(self, other: "UnityRoot") -> None:
         if self.modulus != other.modulus:
@@ -95,16 +94,16 @@ def discrete_log_nonpositive(base: UnityRoot, target: UnityRoot) -> int | None:
     return b - n
 
 
-@dataclass(frozen=True)
-class Parameter:
+class Parameter(namedtuple("Parameter", "order_of_q")):
     """A fixed parameter q of multiplicative order N, embedded into mu_M with
     M = lcm(2, N) so that -1 is always available."""
 
-    order_of_q: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.order_of_q < 2:
+    def __new__(cls, order_of_q: int):
+        if order_of_q < 2:
             raise ValueError("order of q must be >= 2")
+        return tuple.__new__(cls, (order_of_q,))
 
     @property
     def modulus(self) -> int:

@@ -95,7 +95,6 @@ is invariant as above.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
 
 from .cartan import finite_cartan_diagrams
 from .core import (
@@ -110,16 +109,42 @@ from .roots import UnityRoot
 from .tables import ArithmeticDatabase, generate_classical
 
 
-@dataclass
-class EnumerationReport:
-    rank: int
-    modulus: int
-    found: dict[bytes, GDD] = field(default_factory=dict)
-    shape_tags: dict[bytes, str] = field(default_factory=dict)
-    bases_tried: int = 0
-    candidates_examined: int = 0
-    elapsed: float = 0.0
-    comparison: "Comparison | None" = None
+class _Record:
+    """Field-wise repr and equality over the attributes __init__ sets, in
+    the order it sets them; unhashable, as a mutable record should be."""
+
+    def __repr__(self):
+        fields = ", ".join(f"{k}={v!r}" for k, v in vars(self).items())
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return vars(self) == vars(other)
+
+    __hash__ = None
+
+
+class EnumerationReport(_Record):
+    def __init__(
+        self,
+        rank: int,
+        modulus: int,
+        found: dict[bytes, GDD] | None = None,
+        shape_tags: dict[bytes, str] | None = None,
+        bases_tried: int = 0,
+        candidates_examined: int = 0,
+        elapsed: float = 0.0,
+        comparison: Comparison | None = None,
+    ):
+        self.rank = rank
+        self.modulus = modulus
+        self.found = {} if found is None else found
+        self.shape_tags = {} if shape_tags is None else shape_tags
+        self.bases_tried = bases_tried
+        self.candidates_examined = candidates_examined
+        self.elapsed = elapsed
+        self.comparison = comparison
 
     def to_text(self) -> str:
         lines = [
@@ -139,11 +164,16 @@ class EnumerationReport:
         return "\n".join(lines) + "\n"
 
 
-@dataclass
-class Comparison:
-    matched: list[bytes]
-    missing: list[tuple[bytes, str]]
-    extra: list[bytes]
+class Comparison(_Record):
+    def __init__(
+        self,
+        matched: list[bytes],
+        missing: list[tuple[bytes, str]],
+        extra: list[bytes],
+    ):
+        self.matched = matched
+        self.missing = missing
+        self.extra = extra
 
     @property
     def ok(self) -> bool:

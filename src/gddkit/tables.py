@@ -21,7 +21,7 @@ classical diagram without generating its family.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from pathlib import Path
 
 from .chains import chains_with_parameter
@@ -29,12 +29,9 @@ from .core import GDD, key_bucket, minimal_modulus, parse_blocks
 from .roots import UnityRoot, minus_one
 
 
-@dataclass(frozen=True)
-class EntryMeta:
-    row: int
-    gdd_index: int
-    order_of_q: int
-    source: str = ""
+class EntryMeta(namedtuple("EntryMeta", "row gdd_index order_of_q source",
+                           defaults=("",))):
+    __slots__ = ()
 
 
 class ArithmeticDatabase:

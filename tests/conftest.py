@@ -5,7 +5,12 @@ compared with take several seconds together; two tests check that pair, so
 it is computed once.
 """
 
+import os
+from pathlib import Path
+
 import pytest
+
+import gddkit
 
 from brute import (
     bf_canon_gdd_raw,
@@ -30,3 +35,12 @@ def restricted_vs_independent():
         (2, 2, 3, 2, 2), {(i, i + 1): 4 for i in range(4)}, 6, arith5, arith6
     )
     return lib_keys, indep
+
+
+@pytest.fixture(scope="session")
+def child_env():
+    """The environment with the directory holding this gddkit first on
+    PYTHONPATH, so a child interpreter imports the package under test."""
+    src = str(Path(gddkit.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    return {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}

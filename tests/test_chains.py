@@ -90,7 +90,7 @@ def test_rank_one_conventions():
     assert chain_profile(g) == {ChainProfile(q, frozenset())}
     gm = GDD(6, (minus_one(6),))
     (p,) = chain_profile(gm)
-    assert p.wildcard and p.matches_parameter(q)
+    assert p.wildcard and (p.wildcard or p.q == q)
 
 
 def all_paths(n, m):
@@ -111,7 +111,7 @@ def test_agrees_with_reference_evaluation(n, m):
 
 def test_reversal_invariance():
     for g in all_paths(3, 6):
-        assert is_simple_chain(g) == is_simple_chain(g.reversed_chain())
+        assert is_simple_chain(g) == is_simple_chain(g.induced(g.chain_order()[::-1]))
 
 
 def test_build_examples():

@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections import namedtuple
 from functools import cache
 
-from .core import GDD, components_of, least_form
+from .core import GDD, components_of, least_form, vertices_of
 from .roots import UnityRoot, discrete_log_nonpositive
 
 Matrix = tuple[tuple[int, ...], ...]
@@ -104,9 +104,8 @@ def _submatrix(a: Matrix, keep: list[int]) -> Matrix:
 
 def _blocks(a: Matrix) -> list[list[int]]:
     n = len(a)
-    return components_of(
-        [[u for u in range(n) if u != v and a[v][u] != 0] for v in range(n)]
-    )
+    nbrs = [sum(1 << u for u in range(n) if u != v and a[v][u] != 0) for v in range(n)]
+    return [vertices_of(block) for block in components_of(nbrs)]
 
 
 def is_indecomposable(a: Matrix) -> bool:
@@ -128,18 +127,24 @@ def is_finite_cartan(a: Matrix) -> bool:
 
 def is_affine_cartan(a: Matrix) -> bool:
     """Affine type: indecomposable, determinant zero, and every proper
-    principal sub-block of finite type."""
+    principal sub-block of finite type.  Decided in one elimination: an
+    indecomposable a is affine exactly when its leading principal minors of
+    orders 1 .. n-1 are positive and its determinant is 0.
+
+    If those minors are positive, the leading block of order n-1 is a
+    nonsingular M-matrix (a has nonpositive off-diagonal entries); with
+    det a = 0, a + eps I has positive leading minors for every eps > 0, so a
+    is a singular M-matrix.  Being indecomposable, it then has corank 1 and
+    a positive null vector, which is the affine case of Kac's
+    classification (Infinite-dimensional Lie algebras, Thm 4.3).
+    Conversely, every proper principal submatrix of an affine matrix is of
+    finite type (Lemma 4.5 there), so those minors are positive."""
     if not is_generalized_cartan(a):
         raise ValueError("not a generalized Cartan matrix")
     if not is_indecomposable(a):
         raise ValueError("affine recognition needs an indecomposable matrix")
-    n = len(a)
-    if _det(a) != 0:
-        return False
-    return all(
-        is_finite_cartan(_submatrix(a, [j for j in range(n) if j != i]))
-        for i in range(n)
-    )
+    *leading, det = _leading_minors(a)
+    return len(leading) == len(a) - 1 and det == 0 and all(x > 0 for x in leading)
 
 
 def same_up_to_permutation(a: Matrix, b: Matrix) -> bool:

@@ -12,7 +12,9 @@ records where t_i = q (with t_1 read as (d_1^2 * t_2)^{-1}).
 
 The tests read the labels as exponents mod M: a product of labels is a sum
 of exponents, 1 is 0 and -1 is M/2.  A UnityRoot is built only for a
-returned parameter.
+returned parameter.  exponent_failures and exponent_profile take the
+exponent sequences themselves, for a caller (classify) that holds a
+diagram's exponents and reads many chains of it.
 """
 
 from __future__ import annotations
@@ -61,18 +63,22 @@ def _exponents(g: GDD, order: list[int]) -> tuple[list[int], list[int]]:
 def chain_condition_failures(g: GDD, order: list[int] | None = None) -> list[int]:
     """Positions along the chain order where the simple-chain conditions
     fail; rank 1 never fails.  A caller that knows g.chain_order() passes it
-    as ``order``; any path order of some of g's vertices may be passed.
-    The conditions are read on label exponents mod M (-1 is M/2)."""
+    as ``order``; any path order of some of g's vertices may be passed."""
     if order is None:
         order = g.chain_order()
     if order is None:
         raise ValueError("not a chain")
-    n = len(order)
+    return exponent_failures(g.modulus, *_exponents(g, order))
+
+
+def exponent_failures(m: int, d: list[int], t: list[int]) -> list[int]:
+    """Positions where the simple-chain conditions fail along a chain read
+    as vertex exponents d and edge exponents t (t[i] joins positions i and
+    i + 1) mod m, where -1 is m/2; one vertex never fails."""
+    n = len(d)
     if n == 1:
         return []
-    m = g.modulus
     half = m // 2
-    d, t = _exponents(g, order)
     bad = []
     if (d[0] + t[0]) % m and d[0] != half:
         bad.append(0)
@@ -114,15 +120,19 @@ def chain_profile(g: GDD) -> set[ChainProfile]:
 
 def oriented_profile(g: GDD, order: list[int]) -> ChainProfile | None:
     """Profile for one explicit orientation (last element of order is v_n),
-    which may run over some of g's vertices; read on label exponents."""
-    n = len(order)
+    which may run over some of g's vertices."""
+    return exponent_profile(g.modulus, *_exponents(g, order), order[-1])
+
+
+def exponent_profile(m: int, d: list[int], t: list[int], end: int) -> ChainProfile | None:
+    """The profile of a chain read as exponents d and t mod m (as in
+    exponent_failures), oriented with v_n last; ``end`` is the vertex that
+    plays v_n."""
+    n = len(d)
     if n == 1:
-        d = g.diag[order[0]]
-        if d.is_minus_one:
-            return ChainProfile(None, frozenset(), wildcard=True, end=order[0])
-        return None if d.is_one else ChainProfile(d, frozenset(), end=order[0])
-    m = g.modulus
-    d, t = _exponents(g, order)
+        if d[0] == m // 2:
+            return ChainProfile(None, frozenset(), wildcard=True, end=end)
+        return None if d[0] == 0 else ChainProfile(UnityRoot(d[0], m), frozenset(), end=end)
     q = (2 * d[-1] + t[-1]) % m
     if q == 0:
         return None
@@ -130,7 +140,7 @@ def oriented_profile(g: GDD, order: list[int]) -> ChainProfile | None:
     # The virtual label (d_1^2 t_2)^{-1} equals q.
     if (2 * d[0] + t[0] + q) % m == 0:
         index.add(1)
-    return ChainProfile(UnityRoot(q, m), frozenset(index), end=order[-1])
+    return ChainProfile(UnityRoot(q, m), frozenset(index), end=end)
 
 
 def _end_options(q: UnityRoot, in_index: bool | None):

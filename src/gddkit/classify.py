@@ -8,14 +8,17 @@ Type 2 under the substitution of -q^{-1} for the parameter, so tags are
 normalized to Type 2 and kind "T3" is never emitted.
 
 Recognition reads vertex subsets of one diagram g in place and builds no
-sub-diagram.  A subset is a sorted tuple of g's vertices: its path order and
-components come from g's adjacency restricted to it (core.path_order,
-core.components_of), its chain tests from the labels of g along that order,
-and its readings (heads, tails) are numbered as in g.  The one diagram built
-is the trunk handed to the ``continual`` callback of
-is_classical_plus_semiclassical.  Head patterns, like the chain tests, are
-read on label exponents mod M; a UnityRoot is built only for a returned
-parameter.
+sub-diagram.  A subset is a vertex mask, an int with bit v set for vertex v
+of g: its path order and components come from g's neighbour masks ANDed
+with it (core.path_order, core.components_of), its chain tests from g's
+label exponents along that order (chains.exponent_failures,
+chains.exponent_profile), and its readings (heads, tails) are numbered as in
+g.  The one diagram built is the trunk handed to the ``continual`` callback
+of is_classical_plus_semiclassical.  Head patterns are tabled once per
+diagram: an entry (an end vertex and its neighbour, or two tips and their
+centre) is read on label exponents mod M the first time a subset has it,
+and a subset's heads are the entries its degrees select.  A UnityRoot is
+built only for a returned parameter.
 
 The shape predicates ask whether one given vertex is a tail, never for the
 set of all tails: ``_Subsets.readings(keep, tail)`` reads only the chain
@@ -29,8 +32,8 @@ from __future__ import annotations
 from collections import namedtuple
 from itertools import combinations
 
-from .chains import ChainProfile, is_simple_chain, oriented_profile
-from .core import GDD, components_of, path_order
+from .chains import ChainProfile, exponent_failures, exponent_profile
+from .core import GDD, components_of, path_order, vertices_of
 from .roots import UnityRoot, minus_one
 
 class TypeTag(namedtuple("TypeTag", "kind q body_profile head tail")):
@@ -79,26 +82,67 @@ def _some_square_root(x: UnityRoot) -> UnityRoot:
     return UnityRoot(x.exponent, 2 * x.modulus)
 
 
-def head_patterns(g: GDD, adj: list[list[int]] | None = None) -> list[HeadPattern]:
-    """All head readings available on end vertices of g; ``adj`` is
-    g.adjacency(), if the caller has built it, or that adjacency restricted
-    to a vertex subset (empty lists outside it) to read the heads of the
-    subdiagram on the subset.  Read on label exponents mod M."""
-    out = []
-    m = g.modulus
-    half = m // 2
-    nbs = adj if adj is not None else g.adjacency()
-    d = [x.exponent for x in g.diag]
-    for e in range(g.rank):
-        if len(nbs[e]) != 1:
-            continue
-        (b,) = nbs[e]
-        d_e, t_eb = d[e], g.edge_label(e, b).exponent
+def head_patterns(g: GDD) -> list[HeadPattern]:
+    """All head readings available on end vertices of g: the one-vertex
+    heads by end vertex (T1, T2, T4 at each), then the two-vertex heads by
+    (tip, tip, centre) (T5 before T6).  Read on label exponents mod M."""
+    s = _Subsets(g)
+    return s.heads(s.all)
+
+
+def _mask(vertices) -> int:
+    """The vertex mask of some distinct vertices."""
+    return sum(1 << v for v in vertices)
+
+
+class _Subsets:
+    """The vertex subsets of one diagram g, read in place (see the module
+    docstring).  A subset ``keep`` is a vertex mask (bit v for vertex v of
+    g); each method answers for the subdiagram of g on it, numbered as in g,
+    and takes it connected unless it says otherwise.
+
+    It holds g's neighbour masks and label exponents, and a table of head
+    entries it fills the first time a subset needs one: the one-vertex heads
+    on end e with neighbour b, keyed (e, b), and the two-vertex heads on
+    tips h1 < h2 with centre c, keyed (h1, h2, c).  Which entries a subset
+    reads depends only on its degrees; what an entry holds, only on labels."""
+
+    def __init__(self, g: GDD):
+        self.g = g
+        self.m = g.modulus
+        self.nbrs = g.neighbour_masks()
+        self.d = [x.exponent for x in g.diag]
+        self.ties: list[dict[int, int]] = [{} for _ in g.diag]
+        for (u, v), lab in g.edges.items():
+            self.ties[u][v] = self.ties[v][u] = lab.exponent
+        self.all = (1 << g.rank) - 1
+        self._ends: dict[tuple[int, int], list[HeadPattern]] = {}
+        self._forks: dict[tuple[int, int, int], list[HeadPattern]] = {}
+
+    # -- labels along a path ----------------------------------------------------
+
+    def _labels(self, order: list[int]) -> tuple[list[int], list[int]]:
+        ties = self.ties
+        return [self.d[v] for v in order], [ties[u][v] for u, v in zip(order, order[1:])]
+
+    def _is_simple(self, order: list[int]) -> bool:
+        return not exponent_failures(self.m, *self._labels(order))
+
+    def _profile(self, order: list[int]) -> ChainProfile | None:
+        return exponent_profile(self.m, *self._labels(order), order[-1])
+
+    # -- heads ------------------------------------------------------------------
+
+    def _end_heads(self, e: int, b: int) -> list[HeadPattern]:
+        """The one-vertex heads on end e attached at b."""
+        m, d_e, t_eb = self.m, self.d[e], self.ties[e][b]
+        half = m // 2
+        out = []
         if d_e == 0:
-            continue  # no head end is labelled 1
+            return out  # no head end is labelled 1
         # Type 1: end p^2, edge p^-2, body parameter p.
         if (d_e + t_eb) % m == 0:
-            out.append(HeadPattern("T1", (e,), b, body_param_square=g.diag[e]))
+            out.append(HeadPattern("T1", (e,), b, body_param_square=self.g.diag[e]))
         # Type 2 (== Type 3 with -p^{-1} for p): end p, edge p^-2, body
         # parameter p^2.
         if d_e != half and (2 * d_e + t_eb) % m == 0:
@@ -106,97 +150,109 @@ def head_patterns(g: GDD, adj: list[list[int]] | None = None) -> list[HeadPatter
         # Type 4: end p with ord(p) = 3, edge -p, body parameter -p^-1.
         if 3 * d_e % m == 0 and t_eb == (d_e + half) % m:
             out.append(HeadPattern("T4", (e,), b, body_param=UnityRoot((half - d_e) % m, m)))
-    # Types 5 (ends p, no link) and 6 (ends -1, link p^2): two head vertices
-    # on a common body end c, edges p^-1.  Each is a neighbour of c with no
-    # neighbour but c and its partner; pairs are taken in vertex order.
-    forks = []
-    for c in range(g.rank):
-        tips = [h for h in nbs[c] if len(nbs[h]) <= 2]
-        for h1, h2 in combinations(tips, 2):
-            if set(nbs[h1]) <= {c, h2} and set(nbs[h2]) <= {c, h1}:
-                forks.append((min(h1, h2), max(h1, h2), c))
-    for h1, h2, c in sorted(forks):
-        t1 = g.edge_label(h1, c).exponent
-        if t1 != g.edge_label(h2, c).exponent:
-            continue
+        return out
+
+    def _fork_heads(self, h1: int, h2: int, c: int) -> list[HeadPattern]:
+        """Types 5 (ends p, no link) and 6 (ends -1, link p^2): tips h1 and
+        h2 on a common body end c, edges p^-1."""
+        m, d, ties = self.m, self.d, self.ties
+        half = m // 2
+        t1 = ties[h1][c]
+        if t1 != ties[h2][c]:
+            return []
         p = -t1 % m
-        link = g.edge_label(h1, h2)
+        link = ties[h1].get(h2)
+        out = []
         if link is None and d[h1] == p and d[h2] == p and p != 0:
             out.append(HeadPattern("T5", (h1, h2), c, body_param=UnityRoot(p, m)))
-        if (
-            link is not None
-            and d[h1] == half
-            and d[h2] == half
-            and link.exponent == 2 * p % m
-            and 2 * p % m != 0
-        ):
+        if link is not None and d[h1] == half and d[h2] == half and link == 2 * p % m != 0:
             out.append(HeadPattern("T6", (h1, h2), c, body_param=UnityRoot(p, m)))
-    return out
+        return out
 
+    def heads(self, keep: int) -> list[HeadPattern]:
+        """The head readings on end vertices of the subdiagram on ``keep``
+        (any subset), in head_patterns' order.  A one-vertex head needs an
+        end e with one neighbour b.  A two-vertex head needs tips h1, h2 on
+        a centre c with no neighbour but c and each other: two ends on c, or
+        two vertices of degree 2 in a triangle with c."""
+        nbrs, ends = self.nbrs, self._ends
+        out = []
+        leaves: dict[int, list[int]] = {}
+        at = []
+        for v in vertices_of(keep):
+            around = nbrs[v] & keep
+            if not around & (around - 1):
+                if around:
+                    b = around.bit_length() - 1
+                    got = ends.get((v, b))
+                    if got is None:
+                        got = ends[(v, b)] = self._end_heads(v, b)
+                    out += got
+                    leaves.setdefault(b, []).append(v)
+                continue
+            low = around & -around
+            high = around ^ low
+            if high & (high - 1):
+                continue  # degree 3 or more
+            x, y = low.bit_length() - 1, high.bit_length() - 1
+            # v as the lesser tip of a triangle, its partner y or x
+            if v < y and nbrs[y] & keep == low | 1 << v:
+                at.append((v, y, x))
+            if v < x and nbrs[x] & keep == high | 1 << v:
+                at.append((v, x, y))
+        for c, tips in leaves.items():
+            at.extend((h1, h2, c) for h1, h2 in combinations(tips, 2))
+        forks = self._forks
+        for key in sorted(at):
+            got = forks.get(key)
+            if got is None:
+                got = forks[key] = self._fork_heads(*key)
+            out += got
+        return out
 
-def _attached_profile(
-    g: GDD, adj: list[list[int]], body: list[int], attach: int, tail: int | None
-) -> tuple[ChainProfile, int] | None:
-    """Profile of the subdiagram of g on ``body`` read with ``attach`` as its
-    oriented end, plus the body's far-end vertex; None when the body is not
-    a simple chain ending at ``attach``, or its far end is not ``tail``
-    when one is given."""
-    order = path_order(adj, body)
-    if order is None:
-        return None
-    if order[-1] != attach:
-        if order[0] != attach:
-            return None
-        order = order[::-1]
-    if tail is not None and order[0] != tail:
-        return None
-    if not is_simple_chain(g, order):
-        return None
-    profile = oriented_profile(g, order)
-    if profile is None:
-        return None
-    return profile, order[0]
+    # -- subsets ----------------------------------------------------------------
 
-
-def _without(keep: tuple[int, ...], drop) -> tuple[int, ...]:
-    return tuple(v for v in keep if v not in drop)
-
-
-class _Subsets:
-    """The vertex subsets of one diagram g, read in place (see the module
-    docstring).  A subset ``keep`` is a sorted tuple of g's vertices; each
-    method answers for the subdiagram of g on it, numbered as in g, and
-    takes it connected unless it says otherwise."""
-
-    def __init__(self, g: GDD):
-        self.g = g
-        self.adj = g.adjacency()
-        self.all = tuple(range(g.rank))
-
-    def is_connected(self, keep: tuple[int, ...]) -> bool:
+    def is_connected(self, keep: int) -> bool:
         """Whether the subdiagram on ``keep`` (any subset) is connected."""
-        return len(components_of(self.adj, keep)) == 1
+        return len(components_of(self.nbrs, keep)) == 1
 
-    def is_simple_path(self, keep: tuple[int, ...]) -> bool:
+    def is_simple_path(self, keep: int) -> bool:
         """Whether the subdiagram on ``keep`` (any subset) is a simple chain."""
-        order = path_order(self.adj, keep)
-        return order is not None and is_simple_chain(self.g, order)
+        order = path_order(self.nbrs, keep)
+        return order is not None and self._is_simple(order)
 
-    def readings(self, keep: tuple[int, ...], tail: int | None = None) -> set[TypeTag]:
+    def _attached_profile(
+        self, body: int, attach: int, tail: int | None
+    ) -> tuple[ChainProfile, int] | None:
+        """Profile of the subdiagram on ``body`` read with ``attach`` as its
+        oriented end, plus the body's far-end vertex; None when the body is
+        not a simple chain ending at ``attach``, or its far end is not
+        ``tail`` when one is given."""
+        order = path_order(self.nbrs, body)
+        if order is None:
+            return None
+        if order[-1] != attach:
+            if order[0] != attach:
+                return None
+            order = order[::-1]
+        if tail is not None and order[0] != tail:
+            return None
+        d, t = self._labels(order)
+        if exponent_failures(self.m, d, t):
+            return None
+        profile = exponent_profile(self.m, d, t, attach)
+        if profile is None:
+            return None
+        return profile, order[0]
+
+    def readings(self, keep: int, tail: int | None = None) -> set[TypeTag]:
         """All readings of the subdiagram on ``keep`` as one of the
-        classical types, or only those with the given tail.  The heads are
-        read on g's adjacency restricted to ``keep``.  A tail skips the other
-        chain orientation, the heads holding it and the bodies ending
+        classical types, or only those with the given tail.  A tail skips the
+        other chain orientation, the heads holding it and the bodies ending
         elsewhere."""
-        g, adj = self.g, self.adj
-        nbs = adj
-        if len(keep) < len(adj):
-            inside = set(keep)
-            nbs = [[] for _ in adj]
-            for v in keep:
-                nbs[v] = [u for u in adj[v] if u in inside]
+        g = self.g
         tags: set[TypeTag] = set()
-        order = path_order(adj, keep)
+        order = path_order(self.nbrs, keep)
 
         # Type 7: the whole subdiagram is a simple chain C_{n, q^{-1}, I},
         # read from each end (the tail is the end it starts at).
@@ -205,9 +261,9 @@ class _Subsets:
             starts.append(order[::-1])
         if tail is not None:
             starts = [o for o in starts if o[0] == tail]
-        if starts and is_simple_chain(g, order):
+        if starts and self._is_simple(order):
             for o in starts:
-                profile = oriented_profile(g, o)
+                profile = self._profile(o)
                 if profile is None:
                     continue
                 if profile.wildcard:
@@ -217,13 +273,12 @@ class _Subsets:
                     tags.add(TypeTag("T7", profile.q ** -1, profile, (), o[0]))
 
         # Types 1-6: a head on one end of a simple-chain body.
-        for head in head_patterns(g, nbs):
+        for head in self.heads(keep):
             if len(head.vertices) == 1 and order is None:
                 continue  # one end vertex on a chain body makes a chain
             if tail in head.vertices:
                 continue
-            body = [v for v in keep if v not in head.vertices]
-            got = _attached_profile(g, adj, body, head.attach, tail)
+            got = self._attached_profile(keep & ~_mask(head.vertices), head.attach, tail)
             if got is None:
                 continue
             profile, far = got
@@ -244,46 +299,45 @@ class _Subsets:
             tags.add(TypeTag(head.kind, q, profile, head.vertices, far))
         return tags
 
-    def tails(self, keep: tuple[int, ...]) -> set[int]:
+    def tails(self, keep: int) -> set[int]:
         return {t.tail for t in self.readings(keep)}
 
-    def has_quasi_tail(self, keep: tuple[int, ...], t: int) -> bool:
+    def has_quasi_tail(self, keep: int, t: int) -> bool:
         """Whether t is a quasi-classical tail of the subdiagram on ``keep``
         (see quasi_classical_tails).  Each deletion is asked only for
         readings with tail t, and the search stops at the second witness."""
-        if len(keep) < 2 or t not in keep:
+        if keep.bit_count() < 2 or not keep >> t & 1:
             return False
-        order = path_order(self.adj, keep)
+        order = path_order(self.nbrs, keep)
         if order is not None:
             if t not in (order[0], order[-1]):
                 return False
             other = order[-1] if t == order[0] else order[0]
-            return bool(self.readings(_without(keep, (other,)), t))
+            return bool(self.readings(keep & ~(1 << other), t))
         witnesses = 0
-        for v in keep:
-            if v == t:
-                continue  # deleting the tail leaves no reading with it
-            rest = _without(keep, (v,))
+        # deleting the tail leaves no reading with it
+        for v in vertices_of(keep & ~(1 << t)):
+            rest = keep & ~(1 << v)
             if self.is_connected(rest) and self.readings(rest, t):
                 witnesses += 1
                 if witnesses == 2:
                     return True
         return False
 
-    def quasi_classical_tails(self, keep: tuple[int, ...]) -> set[int]:
-        return {t for t in keep if self.has_quasi_tail(keep, t)}
+    def quasi_classical_tails(self, keep: int) -> set[int]:
+        return {t for t in vertices_of(keep) if self.has_quasi_tail(keep, t)}
 
-    def is_semi_classical(self, keep: tuple[int, ...]) -> bool:
-        if len(keep) < 2:
+    def is_semi_classical(self, keep: int) -> bool:
+        if keep.bit_count() < 2:
             return False
-        order = path_order(self.adj, keep)
+        order = path_order(self.nbrs, keep)
         if order is not None:
             return any(
-                self.is_simple_path(_without(keep, (e,))) for e in (order[0], order[-1])
+                self.is_simple_path(keep & ~(1 << e)) for e in (order[0], order[-1])
             )
         good = 0
-        for v in keep:
-            if self.is_simple_path(_without(keep, (v,))):
+        for v in vertices_of(keep):
+            if self.is_simple_path(keep & ~(1 << v)):
                 good += 1
                 if good == 2:
                     return True
@@ -292,18 +346,18 @@ class _Subsets:
     # -- shapes of the whole diagram ------------------------------------------
 
     def is_bi_classical(self) -> bool:
-        g = self.g
-        for head1, head2 in combinations(head_patterns(g, self.adj), 2):
-            if set(head1.vertices) & set(head2.vertices):
+        for head1, head2 in combinations(self.heads(self.all), 2):
+            drop1, drop2 = _mask(head1.vertices), _mask(head2.vertices)
+            if drop1 & drop2:
                 continue
-            body = _without(self.all, head1.vertices + head2.vertices)
-            if head1.attach not in body or head2.attach not in body:
+            body = self.all & ~(drop1 | drop2)
+            if not body >> head1.attach & 1 or not body >> head2.attach & 1:
                 continue
-            order = path_order(self.adj, body)
-            if order is None or not is_simple_chain(g, order):
+            order = path_order(self.nbrs, body)
+            if order is None or not self._is_simple(order):
                 continue
-            if len(body) == 1:
-                prof1 = prof2 = oriented_profile(g, order)
+            if len(order) == 1:
+                prof1 = prof2 = self._profile(order)
             else:
                 ends = (order[0], order[-1])
                 if head1.attach not in ends or head2.attach not in ends:
@@ -311,8 +365,8 @@ class _Subsets:
                 if head1.attach == head2.attach:
                     continue
                 o1 = order if order[-1] == head1.attach else order[::-1]
-                prof1 = oriented_profile(g, o1)
-                prof2 = oriented_profile(g, o1[::-1])
+                prof1 = self._profile(o1)
+                prof2 = self._profile(o1[::-1])
             if prof1 is None or prof2 is None:
                 continue
             if head1.matches_body(prof1) and head2.matches_body(prof2):
@@ -321,18 +375,19 @@ class _Subsets:
 
     def is_simple_cycle(self) -> bool:
         return self.g.is_cycle() and all(
-            self.is_simple_path(_without(self.all, (v,))) for v in self.all
+            self.is_simple_path(self.all & ~(1 << v)) for v in range(self.g.rank)
         )
 
     def is_continual_extension(self) -> bool:
-        g, adj = self.g, self.adj
-        for w in self.all:
-            if len(adj[w]) != 1:
+        g, nbrs = self.g, self.nbrs
+        for w in range(g.rank):
+            around = nbrs[w]
+            if around.bit_count() != 1:
                 continue
-            (tau,) = adj[w]
-            if len(adj[tau]) != 2:
+            tau = around.bit_length() - 1
+            if nbrs[tau].bit_count() != 2:
                 continue
-            (nb,) = [u for u in adj[tau] if u != w]
+            nb = (nbrs[tau] & ~(1 << w)).bit_length() - 1
             t_out = g.edge_label(w, tau)
             if t_out not in _continuations(g.diag[tau], g.edge_label(tau, nb)):
                 continue
@@ -340,28 +395,28 @@ class _Subsets:
             t6 = g.diag[w].is_minus_one
             if not (t5 or t6):
                 continue
-            if self.has_quasi_tail(_without(self.all, (w,)), tau):
+            if self.has_quasi_tail(self.all & ~(1 << w), tau):
                 return True
         return False
 
     def is_classical_plus_semiclassical(self, continual) -> bool:
-        g = self.g
-        for head in head_patterns(g, self.adj):
-            trunk = _without(self.all, head.vertices)
+        for head in self.heads(self.all):
+            trunk = self.all & ~_mask(head.vertices)
             tau = head.attach
-            if len(trunk) < 2 or not self.is_connected(trunk):
+            if trunk.bit_count() < 2 or not self.is_connected(trunk):
                 continue
             if not self.is_semi_classical(trunk):
                 continue
             if not self.has_quasi_tail(trunk, tau):
                 continue
             # The head parameter must continue the trunk's chain at the tail.
-            profiles = [oriented_profile(g, [nb, tau]) for nb in self.adj[tau] if nb in trunk]
+            profiles = [self._profile([nb, tau]) for nb in vertices_of(self.nbrs[tau] & trunk)]
             if not any(p is not None and head.matches_body(p) for p in profiles):
                 continue
             if head.kind in ("T5", "T6"):
+                inside = vertices_of(trunk)
                 if continual is None or not continual(
-                    g.induced(list(trunk)), trunk.index(tau), head.kind
+                    self.g.induced(inside), inside.index(tau), head.kind
                 ):
                     continue
             return True
@@ -442,11 +497,11 @@ def is_bi_semi_classical(g: GDD, all_deletions_arithmetic) -> bool:
     s = _connected(g)
     if s.readings(s.all):
         return False
-    for t in s.all:
-        parts = components_of(s.adj, _without(s.all, (t,)))
+    for t in range(g.rank):
+        parts = components_of(s.nbrs, s.all & ~(1 << t))
         if len(parts) != 2:
             continue
-        sides = [tuple(sorted(part + [t])) for part in parts]
+        sides = [part | 1 << t for part in parts]
         if all(
             s.is_semi_classical(side) and s.has_quasi_tail(side, t)
             for side in sides

@@ -17,7 +17,7 @@ from pathlib import Path
 
 from . import cartan, classify
 from .chains import chain_profile, is_simple_chain
-from .core import GDD, ParseError, parse_blocks
+from .core import GDD, ParseError, minimal_modulus, parse_blocks, with_modulus
 from .oracle import Oracle, OracleGap
 from .roots import Parameter
 from .search import diff_keys, enumerate_quasi_affine, verify_against
@@ -32,13 +32,23 @@ def _read(path: str) -> str:
     return Path(path).read_text()
 
 
-def _parameter_for(g: GDD) -> Parameter | None:
-    # render labels as powers of q when a natural parameter exists
+def _to_dot(g: GDD) -> str:
+    """g in DOT, its labels written as powers of q of order N, the largest
+    label order, in mu_lcm(2, N).  When g is written in a larger group, it
+    is re-expressed in mu_lcm(2, N) if its labels fit there, and rendered
+    as z^e with no parameter if they do not."""
     orders = sorted(
         {d.order() for d in g.diag} | {e.order() for e in g.edges.values()},
         reverse=True,
     )
-    return Parameter(orders[0]) if orders and orders[0] > 1 else None
+    if not orders or orders[0] < 2:
+        return g.to_dot()
+    parameter = Parameter(orders[0])
+    if g.modulus != parameter.modulus:
+        if parameter.modulus % minimal_modulus(g):
+            return g.to_dot()
+        g = with_modulus(g, parameter.modulus)
+    return g.to_dot(parameter)
 
 
 def cmd_check(args) -> int:
@@ -175,7 +185,7 @@ def cmd_catalogue(args) -> int:
 
 def cmd_export_dot(args) -> int:
     for g, _meta, _ in parse_blocks(_read(args.file)):
-        print(g.to_dot(_parameter_for(g)))
+        print(_to_dot(g))
     return 0
 
 

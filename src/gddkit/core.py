@@ -18,6 +18,13 @@ the same kernel, and isomorphisms the same refinement.  least_form returns
 that canonical order with the form, and a diagram keeps both: two diagrams
 with equal keys and the same modulus are carried onto each other by pairing
 their canonical orders position by position, with no isomorphism search.
+
+The graph helpers (components_of, path_order, non_cut_vertices) read a
+graph as neighbour masks, one int per vertex with bit u set for each
+neighbour u (GDD.neighbour_masks), and a vertex subset as one int mask:
+restricting to a subset is an ``&`` and a degree is ``int.bit_count()``.
+Each has this one implementation; classify, cartan, the oracle and the
+search read vertex subsets through them.
 """
 
 from __future__ import annotations
@@ -124,6 +131,15 @@ class GDD:
             adj[v].append(u)
         return adj
 
+    def neighbour_masks(self) -> list[int]:
+        """The neighbours of every vertex as a vertex mask (bit u set for
+        neighbour u), the form the graph helpers below read."""
+        nbrs = [0] * self.rank
+        for u, v in self.edges:
+            nbrs[u] |= 1 << v
+            nbrs[v] |= 1 << u
+        return nbrs
+
     def has_degenerate_diag(self) -> bool:
         """True when some vertex is labelled 1 (no arithmetic diagram has it)."""
         return any(d.is_one for d in self.diag)
@@ -196,27 +212,26 @@ class GDD:
         return [self.induced(c) for c in self.component_vertex_sets()]
 
     def component_vertex_sets(self) -> list[list[int]]:
-        return components_of(self.adjacency())
+        return [vertices_of(c) for c in components_of(self.neighbour_masks())]
 
     # -- shape predicates ----------------------------------------------------
 
     def is_connected(self) -> bool:
-        return len(self.component_vertex_sets()) == 1
+        return len(components_of(self.neighbour_masks())) == 1
 
     def is_chain(self) -> bool:
         """True when the underlying graph is a path (rank 1 counts)."""
         return self.chain_order() is not None
 
-    def chain_order(self, adj: list[list[int]] | None = None) -> list[int] | None:
-        """Vertices in path order when the graph is a path, else None.  A
-        caller that has built adjacency() passes it as ``adj``."""
-        return path_order(adj if adj is not None else self.adjacency(), range(self.rank))
+    def chain_order(self) -> list[int] | None:
+        """Vertices in path order when the graph is a path, else None."""
+        return path_order(self.neighbour_masks(), (1 << self.rank) - 1)
 
     def is_cycle(self) -> bool:
         if self.rank < 3:
             return False
-        adj = self.adjacency()
-        return all(len(nbs) == 2 for nbs in adj) and len(components_of(adj)) == 1
+        nbrs = self.neighbour_masks()
+        return all(nb.bit_count() == 2 for nb in nbrs) and len(components_of(nbrs)) == 1
 
     # -- canonical form ------------------------------------------------------
 
@@ -287,64 +302,79 @@ def key_bucket(key: bytes) -> tuple[int, int]:
     return int(n), int(m)
 
 
-def components_of(adj: list[list[int]], vertices=None) -> list[list[int]]:
-    """Vertex sets of the connected components of a graph given by
-    adjacency lists, or of its subgraph induced on the sorted ``vertices``,
-    each sorted, in order of least vertex."""
-    if vertices is None:
-        vertices = range(len(adj))
-    seen = [True] * len(adj)
-    for v in vertices:
-        seen[v] = False
+def vertices_of(mask: int) -> list[int]:
+    """The vertices of a vertex mask (bit v set for vertex v), ascending."""
     out = []
-    for s in vertices:
-        if seen[s]:
-            continue
-        comp, stack = [], [s]
-        seen[s] = True
-        while stack:
-            v = stack.pop()
-            comp.append(v)
-            for u in adj[v]:
-                if not seen[u]:
-                    seen[u] = True
-                    stack.append(u)
-        out.append(sorted(comp))
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
     return out
 
 
-def non_cut_vertices(adj: list[list[int]]) -> list[int]:
-    """The vertices v, in order, of a graph given by adjacency lists whose
+def components_of(nbrs: list[int], keep: int | None = None) -> list[int]:
+    """The connected components of a graph given by neighbour masks, or of
+    its subgraph induced on the vertex mask ``keep``, as vertex masks in
+    order of least vertex."""
+    if keep is None:
+        keep = (1 << len(nbrs)) - 1
+    out = []
+    while keep:
+        comp = frontier = keep & -keep
+        while frontier:
+            reach = 0
+            while frontier:
+                low = frontier & -frontier
+                reach |= nbrs[low.bit_length() - 1]
+                frontier ^= low
+            frontier = reach & keep & ~comp
+            comp |= frontier
+        out.append(comp)
+        keep &= ~comp
+    return out
+
+
+def non_cut_vertices(nbrs: list[int]) -> list[int]:
+    """The vertices v, in order, of a graph given by neighbour masks whose
     deletion leaves it connected."""
-    n = len(adj)
-    return [v for v in range(n)
-            if len(components_of(adj, [u for u in range(n) if u != v])) == 1]
+    every = (1 << len(nbrs)) - 1
+    return [v for v in range(len(nbrs))
+            if len(components_of(nbrs, every & ~(1 << v))) == 1]
 
 
-def path_order(adj: list[list[int]], vertices) -> list[int] | None:
-    """The sorted ``vertices`` in path order, from the least end, when the
-    subgraph induced on them of the graph given by adjacency lists is a
-    path (one vertex counts), else None."""
-    if len(vertices) == 1:
-        return [vertices[0]]
-    nbs = adj
-    if len(vertices) < len(adj):
-        inside = set(vertices)
-        nbs = {v: [u for u in adj[v] if u in inside] for v in vertices}
-    ends = [v for v in vertices if len(nbs[v]) == 1]
-    if len(ends) != 2 or any(len(nbs[v]) > 2 for v in vertices):
+def path_order(nbrs: list[int], keep: int) -> list[int] | None:
+    """The vertices of the mask ``keep`` in path order, from the least end,
+    when the subgraph induced on them of the graph given by neighbour masks
+    is a path (one vertex counts), else None."""
+    if not keep & (keep - 1):
+        return [keep.bit_length() - 1] if keep else None
+    start = None
+    ends = 0
+    rest = keep
+    while rest:
+        low = rest & -rest
+        v = low.bit_length() - 1
+        degree = (nbrs[v] & keep).bit_count()
+        if degree == 1:
+            ends += 1
+            if start is None:
+                start = v
+        elif degree != 2:
+            return None
+        rest ^= low
+    if ends != 2:
         return None
     # The walk from one end stops short of every vertex, at the other end,
     # when another component exists.
-    order = [ends[0]]
-    prev = -1
-    while len(order) < len(vertices):
-        nxt = [u for u in nbs[order[-1]] if u != prev]
-        if len(nxt) != 1:
-            return None
-        prev = order[-1]
-        order.append(nxt[0])
-    return order
+    order = [start]
+    seen = 1 << start
+    nxt = nbrs[start] & keep
+    while nxt:
+        v = nxt.bit_length() - 1
+        order.append(v)
+        seen |= nxt
+        nxt = nbrs[v] & keep & ~seen
+    return order if seen == keep else None
 
 
 def _refine(colours: list, nbrs: list[dict]) -> list[list[int]]:

@@ -158,17 +158,17 @@ class Oracle:
 
         Decided through connected deletions only (see the module docstring);
         at rank >= 6 those have rank >= 5 and stay inside the oracle domain.
-        The cut vertices are read from g's adjacency, so only the connected
-        deletions are built.
+        The cut vertices are read from g's neighbour masks, so only the
+        connected deletions are built.
         """
-        adj = g.adjacency()
-        if len(components_of(adj)) != 1:
+        nbrs = g.neighbour_masks()
+        if len(components_of(nbrs)) != 1:
             raise ValueError("quasi-affine is defined for connected diagrams")
         if g.rank < 2:
             return False
         if self._connected(g).arithmetic:
             return False
-        for v in non_cut_vertices(adj):
+        for v in non_cut_vertices(nbrs):
             if not self._connected(g.delete_vertex(v)).arithmetic:
                 return False
         return True

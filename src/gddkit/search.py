@@ -204,7 +204,7 @@ def _pattern_order(pattern) -> tuple:
 def connected_deletions(g: GDD) -> dict[int, GDD]:
     """{v: g - v} for every vertex v of g at which g - v is connected; only
     those deletions are built."""
-    return {v: g.delete_vertex(v) for v in non_cut_vertices(g.adjacency())}
+    return {v: g.delete_vertex(v) for v in non_cut_vertices(g.neighbour_masks())}
 
 
 class BaseIndex:

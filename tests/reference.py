@@ -7,6 +7,11 @@ Each classifier here builds every sub-diagram it asks about (``induced``,
 test multiplies ``UnityRoot`` labels.  The library reads vertex subsets of
 one diagram in place, on integer exponents mod M; the tests compare the two.
 
+The graph helpers (``components_of``, ``path_order``,
+``non_cut_vertices``) walk adjacency lists by a plain search; the classifiers
+here read graphs only through them.  ``gddkit.core`` reads neighbour masks,
+and the tests hold its helpers to these.
+
 The dense canonical-form kernel (``_refine``, ``least_form``,
 ``_least_order``) reads an n x n label matrix, 0 off edges; ``gddkit.core``
 works from per-vertex label dicts, and the tests hold its forms and orders
@@ -19,8 +24,77 @@ from itertools import combinations
 
 from gddkit.chains import ChainProfile
 from gddkit.classify import HeadPattern, TypeTag, _some_square_root
-from gddkit.core import GDD, components_of
+from gddkit.core import GDD
 from gddkit.roots import minus_one
+
+# -- graphs as adjacency lists -------------------------------------------------
+
+
+def components_of(adj, vertices=None):
+    """The components of the graph given by adjacency lists, or of its
+    subgraph induced on ``vertices``, each sorted, in order of least vertex:
+    a plain breadth-first search."""
+    if vertices is None:
+        vertices = range(len(adj))
+    inside = set(vertices)
+    seen = set()
+    out = []
+    for s in sorted(inside):
+        if s in seen:
+            continue
+        seen.add(s)
+        comp, queue = [], [s]
+        while queue:
+            v = queue.pop(0)
+            comp.append(v)
+            for u in adj[v]:
+                if u in inside and u not in seen:
+                    seen.add(u)
+                    queue.append(u)
+        out.append(sorted(comp))
+    return out
+
+
+def path_order(adj, vertices):
+    """The ``vertices`` in path order from the least end when the subgraph
+    induced on them is a path (one vertex counts), else None: walk from the
+    least vertex of degree one."""
+    inside = set(vertices)
+    if not inside:
+        return None
+    nbs = {v: [u for u in adj[v] if u in inside] for v in inside}
+    if len(inside) == 1:
+        return list(inside)
+    ends = sorted(v for v in inside if len(nbs[v]) == 1)
+    if any(len(nbs[v]) > 2 for v in inside) or len(ends) != 2:
+        return None
+    order = [ends[0]]
+    while len(order) < len(inside):
+        step = [u for u in nbs[order[-1]] if u not in order]
+        if not step:
+            return None
+        order.append(step[0])
+    return order
+
+
+def non_cut_vertices(adj):
+    n = len(adj)
+    return [v for v in range(n)
+            if len(components_of(adj, [u for u in range(n) if u != v])) == 1]
+
+
+def chain_order(g):
+    return path_order(g.adjacency(), range(g.rank))
+
+
+def is_connected(g):
+    return len(components_of(g.adjacency())) == 1
+
+
+def is_cycle(g):
+    adj = g.adjacency()
+    return g.rank >= 3 and all(len(nbs) == 2 for nbs in adj) and is_connected(g)
+
 
 # -- chain tests on UnityRoot labels -------------------------------------------
 
@@ -33,7 +107,7 @@ def _labels(g, order):
 
 def chain_condition_failures(g, order=None):
     if order is None:
-        order = g.chain_order()
+        order = chain_order(g)
     if order is None:
         raise ValueError("not a chain")
     n = len(order)
@@ -83,7 +157,7 @@ def _neighbors(g, v):
 
 def _attached_profile(g, body_vertices, attach):
     body = g.induced(body_vertices)
-    order = body.chain_order()
+    order = chain_order(body)
     if order is None or not is_simple_chain(body, order):
         return None
     pos = {v: i for i, v in enumerate(body_vertices)}
@@ -144,7 +218,7 @@ def classical_type(g):
         raise ValueError("classical recognition needs a connected diagram")
     tags = set()
     n = g.rank
-    order = g.chain_order(adj)
+    order = chain_order(g)
     if order is not None and is_simple_chain(g, order):
         for o in ([order, order[::-1]] if n > 1 else [order]):
             profile = oriented_profile(g, o)
@@ -183,12 +257,12 @@ def classical_tails(g):
 
 
 def quasi_classical_tails(g):
-    if not g.is_connected():
+    if not is_connected(g):
         raise ValueError("needs a connected diagram")
     if g.rank < 2:
         return set()
     tails = set()
-    order = g.chain_order()
+    order = chain_order(g)
     if order is not None:
         for e, other in ((order[0], order[-1]), (order[-1], order[0])):
             rest = [v for v in range(g.rank) if v != e]
@@ -201,7 +275,7 @@ def quasi_classical_tails(g):
     for v in range(g.rank):
         rest = [u for u in range(g.rank) if u != v]
         sub = g.induced(rest)
-        if not sub.is_connected():
+        if not is_connected(sub):
             continue
         for t in classical_tails(sub):
             witness.setdefault(rest[t], set()).add(v)
@@ -209,21 +283,21 @@ def quasi_classical_tails(g):
 
 
 def is_semi_classical(g):
-    if not g.is_connected():
+    if not is_connected(g):
         raise ValueError("needs a connected diagram")
     if g.rank < 2:
         return False
-    if g.is_chain():
-        order = g.chain_order()
+    order = chain_order(g)
+    if order is not None:
         for e in (order[0], order[-1]):
             sub = g.delete_vertex(e)
-            if sub.is_chain() and is_simple_chain(sub):
+            if chain_order(sub) is not None and is_simple_chain(sub):
                 return True
         return False
     good = 0
     for v in range(g.rank):
         sub = g.delete_vertex(v)
-        if sub.is_connected() and sub.is_chain() and is_simple_chain(sub):
+        if is_connected(sub) and chain_order(sub) is not None and is_simple_chain(sub):
             good += 1
             if good == 2:
                 return True
@@ -231,17 +305,17 @@ def is_semi_classical(g):
 
 
 def is_simple_cycle(g):
-    if not g.is_cycle():
+    if not is_cycle(g):
         return False
     for v in range(g.rank):
         sub = g.delete_vertex(v)
-        if not (sub.is_chain() and is_simple_chain(sub)):
+        if not (chain_order(sub) is not None and is_simple_chain(sub)):
             return False
     return True
 
 
 def is_bi_classical(g):
-    if not g.is_connected():
+    if not is_connected(g):
         raise ValueError("needs a connected diagram")
     heads = head_patterns(g)
     for head1, head2 in combinations(heads, 2):
@@ -254,7 +328,7 @@ def is_bi_classical(g):
         if head1.attach not in body_vertices or head2.attach not in body_vertices:
             continue
         body = g.induced(body_vertices)
-        order = body.chain_order()
+        order = chain_order(body)
         if order is None or not is_simple_chain(body):
             continue
         pos = {v: i for i, v in enumerate(body_vertices)}
@@ -279,7 +353,7 @@ def is_bi_classical(g):
 
 
 def is_classical_plus_semiclassical(g, continual=None):
-    if not g.is_connected():
+    if not is_connected(g):
         raise ValueError("needs a connected diagram")
     for head in head_patterns(g):
         drop = set(head.vertices)
@@ -287,7 +361,7 @@ def is_classical_plus_semiclassical(g, continual=None):
         if len(rest) < 2 or head.attach not in rest:
             continue
         trunk = g.induced(rest)
-        if not trunk.is_connected():
+        if not is_connected(trunk):
             continue
         pos = {v: i for i, v in enumerate(rest)}
         tau = pos[head.attach]
@@ -352,13 +426,13 @@ def is_continual_extension(g):
 
 
 def is_bi_semi_classical(g, all_deletions_arithmetic):
-    if not g.is_connected():
+    if not is_connected(g):
         raise ValueError("needs a connected diagram")
     if classical_type(g):
         return False
     for t in range(g.rank):
         rest = [v for v in range(g.rank) if v != t]
-        parts = g.induced(rest).component_vertex_sets()
+        parts = components_of(g.induced(rest).adjacency())
         if len(parts) != 2:
             continue
         ok = True

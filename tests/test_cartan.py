@@ -141,6 +141,74 @@ def test_finite_test_matches_minor_by_minor_reference():
     assert 100 < finite < 1400
 
 
+def _deletion_affine(a):
+    """Affine by definition: determinant zero (rational elimination) and
+    every one-vertex deletion of finite type (minor by minor)."""
+    n = len(a)
+    return _det_int(a) == 0 and all(
+        indep_finite_cartan_matrix(tuple(tuple(a[i][j] for j in keep) for i in keep))
+        for keep in ([j for j in range(n) if j != v] for v in range(n))
+    )
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_affine_test_matches_deletion_reference_exhaustively(n):
+    """The one-elimination affine test against the definition on every
+    indecomposable matrix with entries >= -4 at ranks 2 and 3."""
+    affine = 0
+    for a in all_gcms(n):
+        if is_indecomposable(a):
+            expected = _deletion_affine(a)
+            assert is_affine_cartan(a) == expected, a
+            affine += expected
+    assert affine == {2: 3, 3: 25}[n]
+
+
+_EDGES = [(-1, -1)] * 6 + [(-1, -2), (-2, -1), (-1, -3), (-3, -1), (-2, -2), (-1, -4), (-4, -1)]
+
+
+def test_affine_test_matches_deletion_reference_on_samples():
+    """The catalogue's reference matrices at ranks 2-9, then seeded samples
+    at ranks 4-9: random connected matrices (a random tree plus sparse
+    extra edges), and permuted reference matrices with one entry pair often
+    redrawn, so that both answers occur."""
+    refs = [a for name in FAMILY_NAMES for rank in range(2, 10)
+            if (a := _reference_matrix(name, rank)) is not None]
+    for a in refs:
+        assert is_affine_cartan(a) and _deletion_affine(a), a
+    rng = random.Random(31)
+    samples = []
+    for _ in range(2000):
+        n = rng.randint(4, 9)
+        m = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
+        pairs = [(rng.randrange(j), j) for j in range(1, n)]
+        pairs += [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.08]
+        for i, j in pairs:
+            m[i][j], m[j][i] = rng.choice(_EDGES)
+        samples.append(m)
+    ranked = [a for a in refs if len(a) >= 4]
+    for _ in range(600):
+        a = rng.choice(ranked)
+        n = len(a)
+        p = list(range(n))
+        rng.shuffle(p)
+        m = [[a[p[i]][p[j]] for j in range(n)] for i in range(n)]
+        if rng.random() < 0.7:
+            i, j = rng.sample(range(n), 2)
+            m[i][j], m[j][i] = rng.choice(_EDGES + [(0, 0)])
+        samples.append(m)
+    checked = affine = 0
+    for m in samples:
+        a = tuple(tuple(row) for row in m)
+        if not is_indecomposable(a):
+            continue
+        expected = _deletion_affine(a)
+        assert is_affine_cartan(a) == expected, a
+        checked += 1
+        affine += expected
+    assert checked > 2500 and 200 < affine < checked - 1500
+
+
 def test_same_up_to_permutation_on_permuted_references():
     rng = random.Random(12)
     for rank in range(2, 10):

@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from gddkit.cli import main
+from gddkit.core import parse_blocks
 from gddkit.search import enumerate_quasi_affine
 from gddkit.tables import load
 
@@ -227,6 +228,42 @@ def test_export_dot_stdin(monkeypatch, capsys):
     rc = main(["export-dot", "-"])
     out = capsys.readouterr().out
     assert rc == 0 and "v1 -- v2" in out
+
+
+def test_export_dot_reexpresses_labels_in_the_parameter_group(monkeypatch, capsys):
+    """A diagram over mu_4 whose labels are all -1 renders with q of order
+    2, in mu_2, where it once stopped on a modulus mismatch."""
+    import io
+
+    monkeypatch.setattr("sys.stdin", io.StringIO("gdd M=4 n=2\ndiag 2 2\nedge 1 2 2\n"))
+    rc = main(["export-dot", "-"])
+    out = capsys.readouterr().out
+    assert rc == 0 and out.count("graph gdd {") == 1
+    assert out.count('[label="q"]') == 3
+
+
+def test_export_dot_falls_back_to_exponents(monkeypatch, capsys):
+    """Labels of orders 3 and 4 need mu_12, which mu_lcm(2, 4) does not
+    hold: they render as z^e."""
+    import io
+
+    monkeypatch.setattr("sys.stdin", io.StringIO("gdd M=12 n=2\ndiag 4 3\nedge 1 2 6\n"))
+    rc = main(["export-dot", "-"])
+    out = capsys.readouterr().out
+    assert rc == 0 and out.count("graph gdd {") == 1
+    assert '[label="z^4"]' in out and '[label="z^6"]' in out
+
+
+def test_export_dot_renders_every_check_batch_diagram(capsys):
+    """The diagrams of the check-batch benchmark input (the fixtures and
+    perfbench/data/check_batch.gdd): one graph per block, exit 0."""
+    paths = sorted(FIXTURES.glob("*.gdd"))
+    paths.append(Path(__file__).parent.parent / "perfbench" / "data" / "check_batch.gdd")
+    for path in paths:
+        rc = main(["export-dot", str(path)])
+        out = capsys.readouterr().out
+        assert rc == 0, path
+        assert out.count("graph gdd {") == len(parse_blocks(path.read_text())), path
 
 
 def test_enumerate_restricted_smoke(tmp_path, capsys):

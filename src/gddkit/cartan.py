@@ -31,28 +31,27 @@ def is_generalized_cartan(a: Matrix) -> bool:
 
 def braiding_exponents(g: GDD) -> Matrix | None:
     """The braiding exponential matrix, or None when g is not of Cartan type
-    (some label pair has no nonpositive exponent solution)."""
+    (some label pair has no nonpositive exponent solution).  Only the edges
+    are read: every other off-diagonal entry is 0, and an edge label is
+    never 1, so its two exponents are negative and the matrix is a
+    generalized Cartan matrix by construction."""
     if g.has_degenerate_diag():
         raise ValueError("vertex label 1 admits no exponent matrix")
     n = g.rank
-    rows = []
+    diag = g.diag
+    rows = [[0] * n for _ in range(n)]
     for i in range(n):
-        row = []
-        for j in range(n):
-            if i == j:
-                row.append(2)
-                continue
-            lab = g.edge_label(i, j)
-            if lab is None:
-                row.append(0)
-                continue
-            b = discrete_log_nonpositive(g.diag[i], lab)
-            if b is None:
-                return None
-            row.append(b)
-        rows.append(tuple(row))
-    a = tuple(rows)
-    return a if is_generalized_cartan(a) else None
+        rows[i][i] = 2
+    for (u, v), lab in g.edges.items():
+        a_uv = discrete_log_nonpositive(diag[u], lab)
+        if a_uv is None:
+            return None
+        a_vu = discrete_log_nonpositive(diag[v], lab)
+        if a_vu is None:
+            return None
+        rows[u][v] = a_uv
+        rows[v][u] = a_vu
+    return tuple(map(tuple, rows))
 
 
 def _bareiss_step(m: list[list[int]], k: int, prev: int) -> None:
@@ -145,11 +144,6 @@ def is_affine_cartan(a: Matrix) -> bool:
         raise ValueError("affine recognition needs an indecomposable matrix")
     *leading, det = _leading_minors(a)
     return len(leading) == len(a) - 1 and det == 0 and all(x > 0 for x in leading)
-
-
-def same_up_to_permutation(a: Matrix, b: Matrix) -> bool:
-    """True when a simultaneous row/column permutation turns a into b."""
-    return len(a) == len(b) and _least_form(a) == _least_form(b)
 
 
 def _least_form(a: Matrix) -> tuple:

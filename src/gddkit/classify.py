@@ -490,26 +490,6 @@ def is_classical_plus_semiclassical(g: GDD, continual=None) -> bool:
     return _connected(g).is_classical_plus_semiclassical(continual)
 
 
-def is_bi_semi_classical(g: GDD, all_deletions_arithmetic) -> bool:
-    """Two semi-classical diagrams sharing their tail vertex, with every
-    single-vertex deletion arithmetic (decided by the injected callable).
-    Classical diagrams are arithmetic and never count as this gluing."""
-    s = _connected(g)
-    if s.readings(s.all):
-        return False
-    for t in range(g.rank):
-        parts = components_of(s.nbrs, s.all & ~(1 << t))
-        if len(parts) != 2:
-            continue
-        sides = [part | 1 << t for part in parts]
-        if all(
-            s.is_semi_classical(side) and s.has_quasi_tail(side, t)
-            for side in sides
-        ) and all_deletions_arithmetic(g):
-            return True
-    return False
-
-
 def is_continual_extension(g: GDD) -> bool:
     """g is a one-vertex end form (q-end or -1-end) added on the tail of a
     quasi-classical trunk, continuing the chain there."""

@@ -7,6 +7,12 @@ classical type, the database looks up its canonical key, and the Cartan
 shortcut eliminates its exponent matrix once.  No family is generated to
 answer a query.
 
+Recognition comes first and needs no canonical key: a classical query is
+answered, once the Cartan shortcut has not denied it, with no key and no
+memo entry.  Only a query recognition does not settle is keyed, memoized
+and looked up in the database; a query that already carries its key is
+answered from the memo before any reading.
+
 The oracle decides a query on the diagram as given, in its own mu_M, and
 keys it by its canonical key, which is the same for its copy in any other
 group (core.GDD.canonical_key).  That is sound because recognition, the
@@ -61,8 +67,10 @@ class OracleVerdict(namedtuple("OracleVerdict", "arithmetic witness")):
 class Oracle:
     """Arithmetic decisions by recognition: the classical types
     (classify.classical_type), the exceptional-row database, and the
-    Cartan-type shortcut.  Memoized by canonical key, in a plain dict with
-    no locking, holding at most MEMO_LIMIT entries."""
+    Cartan-type shortcut.  The verdicts on queries that are not classical
+    are memoized by canonical key, in a plain dict with no locking, holding
+    at most MEMO_LIMIT entries; a classical query is neither keyed nor
+    memoized."""
 
     def __init__(self, db: ArithmeticDatabase | None = None):
         self.db = db if db is not None else ArithmeticDatabase()
@@ -102,54 +110,73 @@ class Oracle:
         return self._connected_uncached(g)
 
     def _connected_uncached(self, g: GDD) -> OracleVerdict:
-        """The verdict on a connected diagram: classical by recognition, then
-        a stored row, then the Cartan shortcut, which must not deny either
-        positive."""
+        """The verdict on a connected diagram.  A query already keyed is
+        answered from the memo first.  Otherwise recognition comes first: a
+        classical query is answered with no canonical key and no memo entry,
+        once the Cartan shortcut has not denied it.  Any other query is keyed,
+        answered from the memo, else by a stored row or the shortcut, which
+        must not deny a stored row, and memoized."""
         if g.rank == 1:
             return OracleVerdict(not g.diag[0].is_one, ("rank-1",))
         if g.has_degenerate_diag():
             return OracleVerdict(False, ("degenerate-diag",))
+        keyed = getattr(g, "_canonical", None)
+        if keyed is not None:
+            hit = self._memo.get(keyed[0])
+            if hit is not None:
+                return hit
+        given = self._given
+        if given is not None and given[0] is g:
+            tags = given[1]
+        else:
+            given, tags = None, classify.classical_type(g)
+        if tags:
+            self._check(g, "classical", given)
+            return OracleVerdict(True, ("classical",))
         # The one canonicalization of this query: its key indexes the memo
         # and the database.
         key = g.canonical_key()
-        hit = self._memo.get(key)
-        if hit is not None:
-            return hit
-        positive = None
-        given = self._given
-        if given is not None and given[0] is g:
-            _, tags, exponents = given
-            # the Cartan shortcut (cartan.arithmetic_via_cartan) on the
-            # given matrix
-            shortcut = None if exponents is None else cartan.is_finite_cartan(exponents)
+        if keyed is None:
+            hit = self._memo.get(key)
+            if hit is not None:
+                return hit
+        meta = self.db.lookup(g.rank, key)
+        if meta is not None:
+            self._check(g, "table", given)
+            verdict = OracleVerdict(True, ("table", meta.row, meta.gdd_index))
         else:
-            tags = classify.classical_type(g)
-            shortcut = cartan.arithmetic_via_cartan(g)
-        if tags:
-            positive = OracleVerdict(True, ("classical",))
-        else:
-            meta = self.db.lookup(g.rank, key)
-            if meta is not None:
-                positive = OracleVerdict(True, ("table", meta.row, meta.gdd_index))
-        if shortcut is False and positive is not None:
-            raise InternalInconsistency(
-                f"Cartan shortcut denies a {positive.witness[0]} match:\n{g.to_text()}"
-            )
-        if positive is not None:
-            verdict = positive
-        elif shortcut is True:
-            verdict = OracleVerdict(True, ("cartan-finite",))
-        elif shortcut is False:
-            verdict = OracleVerdict(False, ("cartan-not-finite",))
-        elif g.rank < 5 and not self.db.covers(g.rank):
-            raise OracleGap(
-                f"cannot certify non-arithmetic at rank {g.rank}: no coverage"
-            )
-        else:
-            verdict = OracleVerdict(False, ("no-match",))
+            shortcut = self._shortcut(g, given)
+            if shortcut is True:
+                verdict = OracleVerdict(True, ("cartan-finite",))
+            elif shortcut is False:
+                verdict = OracleVerdict(False, ("cartan-not-finite",))
+            elif g.rank < 5 and not self.db.covers(g.rank):
+                raise OracleGap(
+                    f"cannot certify non-arithmetic at rank {g.rank}: no coverage"
+                )
+            else:
+                verdict = OracleVerdict(False, ("no-match",))
         if len(self._memo) < MEMO_LIMIT:
             self._memo[key] = verdict
         return verdict
+
+    @staticmethod
+    def _shortcut(g: GDD, given: tuple | None) -> bool | None:
+        """The Cartan shortcut (cartan.arithmetic_via_cartan) on g, on the
+        exponent matrix given with it when there is one."""
+        if given is None:
+            return cartan.arithmetic_via_cartan(g)
+        exponents = given[2]
+        return None if exponents is None else cartan.is_finite_cartan(exponents)
+
+    @staticmethod
+    def _check(g: GDD, witness: str, given: tuple | None) -> None:
+        """Raise InternalInconsistency when the Cartan shortcut denies a
+        positive found by recognition or the database."""
+        if Oracle._shortcut(g, given) is False:
+            raise InternalInconsistency(
+                f"Cartan shortcut denies a {witness} match:\n{g.to_text()}"
+            )
 
     # -- quasi-affine ---------------------------------------------------------
 

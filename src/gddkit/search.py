@@ -36,6 +36,8 @@ first-base rule below, is itself arithmetic, and for the shape tags.  All
 of this needs every connected arithmetic diagram of rank n-1 among the
 bases, so the index and the key set are built from all of collect_bases
 (classical, stored and finite-Cartan diagrams) whichever bases are walked.
+From rank 5 on the finite-Cartan diagrams add a class only at ranks 6-8
+(E_6-E_8), and collect_bases grows them only there.
 
 A labelled candidate (x's label and pairs in A's coordinates) is built from
 each non-cut v of A at which x's pairs outside v are a pattern of A - v, and
@@ -68,8 +70,8 @@ deletions and drops it.  So the found set receives the same diagrams in
 the same order, and the report counts the same candidates.  The rule reads
 the order the bases are walked in, not their keys, so an explicit bases
 list, walked as given, keeps it too.  The repeats it leaves are copies of
-one class built on one base, related by an automorphism of A; the oracle
-memo answers them.
+one class built on one base, related by an automorphism of A; recognition
+reads the classical ones again, and the oracle memo answers the rest.
 
 Arithmeticity, and so quasi-affineness, is invariant under the power twists
 g -> g^t with t a unit of Z/M (the conjugate parameters), and the bases are
@@ -372,15 +374,24 @@ def collect_bases(rank: int, modulus: int, db: ArithmeticDatabase) -> list[GDD]:
     finite Cartan type, one representative per relabelling class, in key
     order.  Only the database buckets whose minimal modulus divides
     ``modulus`` are read, so only their rows are keyed: the rows of any
-    other bucket have a label outside mu_modulus."""
+    other bucket have a label outside mu_modulus.
+
+    From rank 5 on, the finite-Cartan diagrams are grown only at ranks 6, 7
+    and 8, the only ranks where they can add a class.  A connected finite
+    Cartan matrix is of type A_n, B_n, C_n, D_n, E_6, E_7, E_8, F_4 or G_2
+    (Kac, Infinite-dimensional Lie algebras, 4.8).  From rank 5 on that
+    leaves A-D, whose diagrams of Cartan type are classical and so already
+    generated, and E_6-E_8.  Below rank 5 (F_4, G_2) they are grown as
+    well; the search collects no bases there."""
     seen: dict[bytes, GDD] = {}
     for g in generate_classical(rank, modulus):
         seen.setdefault(g.canonical_key(), g)
     for key, g in db.keyed(rank, modulus):
         if key not in seen:
             seen[key] = with_modulus(g, modulus)
-    for g in finite_cartan_diagrams(rank, modulus):
-        seen.setdefault(g.canonical_key(), g)
+    if rank < 5 or 6 <= rank <= 8:
+        for g in finite_cartan_diagrams(rank, modulus):
+            seen.setdefault(g.canonical_key(), g)
     return [seen[k] for k in sorted(seen)]
 
 

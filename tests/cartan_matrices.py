@@ -1,8 +1,16 @@
 """Written-out finite Cartan matrices and every small generalized Cartan
 matrix, the references for the finite-type test in test_cartan and
-test_acceptance."""
+test_acceptance, and the permutation test that compares matrices with
+them."""
 
 from itertools import product
+
+from gddkit.cartan import _least_form
+
+
+def same_up_to_permutation(a, b):
+    """True when a simultaneous row/column permutation turns a into b."""
+    return len(a) == len(b) and _least_form(a) == _least_form(b)
 
 
 def finite_reference_list(n):

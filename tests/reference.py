@@ -16,16 +16,25 @@ The dense canonical-form kernel (``_refine``, ``least_form``,
 ``_least_order``) reads an n x n label matrix, 0 off edges; ``gddkit.core``
 works from per-vertex label dicts, and the tests hold its forms and orders
 to these.
+
+``collect_bases`` merges the finite-Cartan growth at every rank;
+``gddkit.search`` grows it only at the ranks where it can add a class.
+
+The dense ``braiding_exponents`` reads the label pair of every ordered pair
+of vertices and tests the generalized Cartan axioms afterwards;
+``gddkit.cartan`` reads the edges only.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
 
+from gddkit.cartan import finite_cartan_diagrams, is_generalized_cartan
 from gddkit.chains import ChainProfile
 from gddkit.classify import HeadPattern, TypeTag, _some_square_root
-from gddkit.core import GDD
-from gddkit.roots import minus_one
+from gddkit.core import GDD, with_modulus
+from gddkit.roots import discrete_log_nonpositive, minus_one
+from gddkit.tables import generate_classical
 
 # -- graphs as adjacency lists -------------------------------------------------
 
@@ -567,3 +576,50 @@ def _least_order(cells: list[list[int]], colour: list[int], labels: list[list]) 
 
     search(cells, [], ())
     return best_order
+
+
+# -- the dense braiding exponential matrix --------------------------------------
+
+
+def braiding_exponents(g):
+    """The braiding exponential matrix read over all n x n vertex pairs, or
+    None when g is not of Cartan type."""
+    if g.has_degenerate_diag():
+        raise ValueError("vertex label 1 admits no exponent matrix")
+    n = g.rank
+    rows = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            if i == j:
+                row.append(2)
+                continue
+            lab = g.edge_label(i, j)
+            if lab is None:
+                row.append(0)
+                continue
+            b = discrete_log_nonpositive(g.diag[i], lab)
+            if b is None:
+                return None
+            row.append(b)
+        rows.append(tuple(row))
+    a = tuple(rows)
+    return a if is_generalized_cartan(a) else None
+
+
+# -- bases with finite-Cartan growth at every rank -------------------------------
+
+
+def collect_bases(rank, modulus, db):
+    """The classical families, the stored rows whose minimal modulus divides
+    modulus, and the finite-Cartan diagrams, grown at every rank: one
+    representative per relabelling class, the first met, in key order."""
+    seen = {}
+    for g in generate_classical(rank, modulus):
+        seen.setdefault(g.canonical_key(), g)
+    for key, g in db.keyed(rank, modulus):
+        if key not in seen:
+            seen[key] = with_modulus(g, modulus)
+    for g in finite_cartan_diagrams(rank, modulus):
+        seen.setdefault(g.canonical_key(), g)
+    return [seen[k] for k in sorted(seen)]

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from cartan_matrices import all_gcms, finite_reference_list
+from cartan_matrices import all_gcms, finite_reference_list, same_up_to_permutation
 from digests import found_digest, shape_digest
 from gddkit.cartan import (
     AffineFamily,
@@ -218,8 +218,6 @@ def test_criterion_6_property_suites():
                 assert a * b == b * a
 
     # minor criterion vs explicit finite list, 2x2 and 3x3, entries >= -4
-    from gddkit.cartan import same_up_to_permutation
-
     for n in (2, 3):
         reference = finite_reference_list(n)
         for a in all_gcms(n):

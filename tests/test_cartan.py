@@ -1,11 +1,13 @@
 import random
 import time
 from itertools import product
+from pathlib import Path
 
 import pytest
 
+import reference
 from brute import _det_int, bf_same_up_to_permutation, indep_finite_cartan_matrix
-from cartan_matrices import all_gcms, finite_reference_list
+from cartan_matrices import all_gcms, finite_reference_list, same_up_to_permutation
 from gddkit.cartan import (
     FAMILY_NAMES,
     AffineFamily,
@@ -22,9 +24,8 @@ from gddkit.cartan import (
     is_finite_cartan,
     is_generalized_cartan,
     is_indecomposable,
-    same_up_to_permutation,
 )
-from gddkit.core import GDD
+from gddkit.core import GDD, parse_blocks
 from gddkit.roots import UnityRoot, minus_one, one
 from gddkit.tables import generate_classical
 
@@ -48,6 +49,24 @@ def test_braiding_exponents_examples():
 
     with pytest.raises(ValueError):
         braiding_exponents(GDD(6, (one(6), u(2, 6)), {(0, 1): u(2, 6)}))
+
+
+def test_edge_read_matrix_matches_dense_reference():
+    """braiding_exponents reads the edges only; the reference reads every
+    vertex pair.  They agree on every fixture block and every diagram of
+    the benchmark's check batch, and on each one's vertex deletions."""
+    root = Path(__file__).parent
+    paths = sorted((root / "fixtures").glob("*.gdd"))
+    paths.append(root.parent / "perfbench" / "data" / "check_batch.gdd")
+    blocks = [g for path in paths for g, _, _ in parse_blocks(path.read_text())]
+    assert len(blocks) == 334 + 306
+    cartan_type = 0
+    for g in blocks:
+        for h in [g] + [g.delete_vertex(v) for v in range(g.rank)]:
+            a = braiding_exponents(h)
+            assert a == reference.braiding_exponents(h), h.to_text()
+            cartan_type += a is not None
+    assert cartan_type > 500
 
 
 def test_finite_and_affine_recognition():

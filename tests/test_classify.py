@@ -213,7 +213,8 @@ def test_quasi_classical_tails_requires_connected():
 def test_glued_shape_predicates_on_fixture():
     from pathlib import Path
 
-    from gddkit.classify import is_bi_semi_classical, is_classical_plus_semiclassical
+    from bi_semi_classical import is_bi_semi_classical
+    from gddkit.classify import is_classical_plus_semiclassical
     from gddkit.core import parse_blocks
 
     # the first classical+semi-classical list item: a one-vertex head on the

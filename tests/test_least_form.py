@@ -138,9 +138,10 @@ def test_symmetric_inputs_match_reference(g, labels, pairs, paired):
 
 
 def test_search_inputs_match_reference():
-    """Every least_form input of the rank 6 and rank 7 searches at M=4,
-    cartan's included, and of keying every stored row and its twists: the
-    database keys a bucket when it is first read, and len reads them all."""
+    """Every least_form input of the rank 6 and rank 7 searches at M=4 and
+    the rank 6 search at M=6, cartan's included, and of keying every stored
+    row and its twists: the database keys a bucket when it is first read,
+    and len reads them all."""
     seen = []
 
     def recorded(colours, nbrs):
@@ -150,10 +151,10 @@ def test_search_inputs_match_reference():
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(gddkit.core, "least_form", recorded)
         mp.setattr(gddkit.cartan, "least_form", recorded)
-        for rank in (6, 7):
+        for rank, modulus in ((6, 4), (7, 4), (6, 6)):
             db = load(DATA)
             assert len(db) == 212
-            enumerate_quasi_affine(rank, 4, db)
+            enumerate_quasi_affine(rank, modulus, db)
     assert len(seen) > 2000
     for colours, nbrs in seen:
         assert_matches_reference(colours, nbrs)

@@ -252,12 +252,74 @@ def test_branch_filter_exempts_finite_cartan(oracle, db):
 
 def test_memo_limit_bounds_the_memo(db, monkeypatch):
     """Past MEMO_LIMIT entries the memo no longer grows, and verdicts stay
-    those of an unbounded oracle."""
-    queries = list(generate_classical(5, 6))[:40]
-    queries += [g.permute([4, 3, 2, 1, 0]) for g in queries]
+    those of an unbounded oracle.  The queries are ones the memo holds:
+    stored rows, fixture items (not arithmetic) and a relabelling of each;
+    a classical query is answered without it."""
+    rows = [g for g, _ in db.entries(5)][:20]
+    items = [g for g, _, _ in parse_blocks((FIXTURES / "items_main.gdd").read_text())][:20]
+    queries = rows + items
+    queries += [g.permute(list(reversed(range(g.rank)))) for g in queries]
     unbounded = Oracle(db)
     expected = [unbounded._connected(g) for g in queries]
+    assert {v.witness[0] for v in expected} >= {"table", "no-match"}
+    assert len(unbounded._memo) > 5
     monkeypatch.setattr(oracle_module, "MEMO_LIMIT", 5)
     bounded = Oracle(db)
     assert [bounded._connected(g) for g in queries] == expected
     assert len(bounded._memo) == 5
+
+
+def test_classical_query_is_neither_keyed_nor_memoized(db):
+    """Recognition answers a classical query before any canonical key."""
+    oracle = Oracle(db)
+    g = path([2] * 6, [4] * 5)
+    assert oracle.is_arithmetic(g).witness == ("classical",)
+    assert getattr(g, "_canonical", None) is None
+    assert oracle._memo == {}
+
+
+@pytest.mark.parametrize("make, witness", [(row11_gdd1, "table"), (item_11_1_1, "no-match")])
+def test_unrecognized_query_is_keyed_and_memoized(db, make, witness):
+    oracle = Oracle(db)
+    g = make()
+    verdict = oracle.is_arithmetic(g)
+    assert verdict.witness[0] == witness
+    assert oracle._memo == {g.canonical_key(): verdict}
+
+
+def test_keyed_query_is_answered_from_the_memo_first(db, monkeypatch):
+    """A query that carries its key reads the memo before any classical
+    reading; an unkeyed copy is read, then keyed and found there."""
+    oracle = Oracle(db)
+    g = item_11_1_1()
+    verdict = oracle.is_arithmetic(g)
+    readings = []
+    original = classify.classical_type
+
+    def counted(h):
+        readings.append(h)
+        return original(h)
+
+    monkeypatch.setattr(classify, "classical_type", counted)
+    assert oracle.is_arithmetic(g) is verdict
+    assert readings == []
+    copy = item_11_1_1()
+    assert oracle.is_arithmetic(copy) is verdict
+    assert readings == [copy] and len(oracle._memo) == 1
+
+
+@pytest.mark.parametrize("given", [False, True])
+def test_shortcut_denying_a_positive_raises(db, monkeypatch, given):
+    """With the Cartan shortcut forced to deny, a classical reading, handed
+    in or the oracle's own, and a stored row raise InternalInconsistency and
+    leave nothing in the memo."""
+    g = path([2] * 6, [4] * 5)
+    readings = (classify.classical_type(g), cartan.braiding_exponents(g)) if given else None
+    monkeypatch.setattr(cartan, "arithmetic_via_cartan", lambda h: False)
+    monkeypatch.setattr(cartan, "is_finite_cartan", lambda a: False)
+    oracle = Oracle(db)
+    with pytest.raises(InternalInconsistency, match="classical"):
+        oracle.is_arithmetic(g, readings=readings)
+    with pytest.raises(InternalInconsistency, match="table"):
+        oracle.is_arithmetic(row11_gdd1())
+    assert oracle._memo == {}

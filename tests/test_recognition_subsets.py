@@ -23,6 +23,7 @@ from pathlib import Path
 import pytest
 
 import reference as ref
+from bi_semi_classical import is_bi_semi_classical
 from brute import indep_is_classical
 from gddkit import classify
 from gddkit.core import parse_blocks
@@ -104,7 +105,7 @@ def test_whole_diagram_recognizers_match_reference(diagrams):
         assert classify.is_simple_cycle(g) == ref.is_simple_cycle(g), name
         assert classify.is_bi_classical(g) == ref.is_bi_classical(g), name
         assert classify.is_continual_extension(g) == ref.is_continual_extension(g), name
-        assert classify.is_bi_semi_classical(g, lambda h: True) == ref.is_bi_semi_classical(
+        assert is_bi_semi_classical(g, lambda h: True) == ref.is_bi_semi_classical(
             g, lambda h: True), name
         # The trunk handed to continual, its tail and the head kind are the
         # reference's; the answer varies with the trunk to reach both branches.

@@ -4,6 +4,8 @@ from pathlib import Path
 
 import pytest
 
+import gddkit.search
+import reference
 from db_rows import DATA, row11_gdd1
 from digests import found_digest, shape_digest
 from gddkit.cartan import affine_family_of, finite_cartan_diagrams
@@ -454,6 +456,37 @@ def test_bases_include_finite_cartan_diagrams(db, rank, modulus):
         (branch,) = [v for v, nbs in enumerate(g.adjacency()) if len(nbs) == 3]
         arms = g.delete_vertex(branch).component_vertex_sets()
         assert sorted(len(arm) for arm in arms) == [1, 2, 2]
+
+
+@pytest.mark.parametrize("rank, modulus", [(5, 4), (5, 6), (5, 10), (5, 12), (9, 4)])
+def test_bases_without_finite_cartan_growth_are_unchanged(db, rank, modulus, monkeypatch):
+    """At ranks 5 and 9 the base set is collected without growing the
+    finite-Cartan diagrams, and it equals, diagram by diagram and in order,
+    the set grown with them."""
+    want = reference.collect_bases(rank, modulus, db)
+
+    def grown(*args):
+        raise AssertionError("finite-Cartan growth at a rank where it adds nothing")
+
+    monkeypatch.setattr(gddkit.search, "finite_cartan_diagrams", grown)
+    assert collect_bases(rank, modulus, db) == want
+
+
+@pytest.mark.parametrize("rank", [6, 7, 8])
+def test_finite_cartan_growth_adds_the_e_types(db, rank):
+    """At ranks 6-8 and M=4 the growth adds three classes to the classical
+    ones: E_rank at q = i, -1 and -i, each edge q^-1."""
+    classical = {g.canonical_key() for g in generate_classical(rank, 4)}
+    extra = [g for g in finite_cartan_diagrams(rank, 4) if g.canonical_key() not in classical]
+    assert sorted(g.diag[0].exponent for g in extra) == [1, 2, 3]
+    keys = {g.canonical_key() for g in collect_bases(rank, 4, db)}
+    for g in extra:
+        assert set(g.diag) == {g.diag[0]}
+        assert set(g.edges.values()) == {g.diag[0] ** -1}
+        (branch,) = [v for v, nbs in enumerate(g.adjacency()) if len(nbs) == 3]
+        arms = g.delete_vertex(branch).component_vertex_sets()
+        assert sorted(len(arm) for arm in arms) == [1, 2, rank - 4]
+        assert g.canonical_key() in keys
 
 
 def test_rank7_m4_search_finds_affine_e6(db):

@@ -29,29 +29,49 @@ def is_generalized_cartan(a: Matrix) -> bool:
     return True
 
 
-def braiding_exponents(g: GDD) -> Matrix | None:
-    """The braiding exponential matrix, or None when g is not of Cartan type
-    (some label pair has no nonpositive exponent solution).  Only the edges
-    are read: every other off-diagonal entry is 0, and an edge label is
-    never 1, so its two exponents are negative and the matrix is a
-    generalized Cartan matrix by construction."""
-    if g.has_degenerate_diag():
-        raise ValueError("vertex label 1 admits no exponent matrix")
-    n = g.rank
+def edge_exponents(g: GDD):
+    """Yield ((u, v), (a_uv, a_vu)) for each edge (u, v) of g: its two
+    entries of the braiding exponential matrix, or None for the pair when
+    the label has no nonpositive exponent solution at one of its ends (the
+    edge is not of Cartan type).  An edge label is never 1, so both
+    exponents are negative.  A reader may stop at the first None."""
     diag = g.diag
+    for (u, v), lab in g.edges.items():
+        a_uv = discrete_log_nonpositive(diag[u], lab)
+        a_vu = None if a_uv is None else discrete_log_nonpositive(diag[v], lab)
+        yield (u, v), (None if a_vu is None else (a_uv, a_vu))
+
+
+def exponent_matrix(rank: int, exponents, without: int | None = None) -> Matrix | None:
+    """The braiding exponential matrix of a diagram of the given rank, or of
+    its deletion of vertex ``without`` (renumbered in order), from the
+    diagram's edge exponents (edge_exponents); None when an edge it keeps is
+    not of Cartan type.  Every other off-diagonal entry is 0 and the edge
+    entries are negative, so the matrix is a generalized Cartan matrix by
+    construction."""
+    cut = rank if without is None else without
+    n = rank - (cut < rank)
     rows = [[0] * n for _ in range(n)]
     for i in range(n):
         rows[i][i] = 2
-    for (u, v), lab in g.edges.items():
-        a_uv = discrete_log_nonpositive(diag[u], lab)
-        if a_uv is None:
+    for (u, v), pair in exponents:
+        if u == cut or v == cut:
+            continue
+        if pair is None:
             return None
-        a_vu = discrete_log_nonpositive(diag[v], lab)
-        if a_vu is None:
-            return None
-        rows[u][v] = a_uv
-        rows[v][u] = a_vu
+        i, j = u - (u > cut), v - (v > cut)
+        rows[i][j], rows[j][i] = pair
     return tuple(map(tuple, rows))
+
+
+def braiding_exponents(g: GDD) -> Matrix | None:
+    """The braiding exponential matrix, or None when g is not of Cartan type
+    (some label pair has no nonpositive exponent solution).  Only the edges
+    are read, up to the first that is not of Cartan type (edge_exponents,
+    exponent_matrix)."""
+    if g.has_degenerate_diag():
+        raise ValueError("vertex label 1 admits no exponent matrix")
+    return exponent_matrix(g.rank, edge_exponents(g))
 
 
 def _bareiss_step(m: list[list[int]], k: int, prev: int) -> None:

@@ -440,6 +440,15 @@ def classical_type(g: GDD) -> set[TypeTag]:
     return s.readings(s.all)
 
 
+def deletion_readings(g: GDD):
+    """A function of a vertex v of g giving the readings of g - v as
+    classical types, numbered as in g: what classical_type(g.delete_vertex(v))
+    reads, up to that numbering.  g is read once for every v, and g - v must
+    be connected."""
+    s = _Subsets(g)
+    return lambda v: s.readings(s.all & ~(1 << v))
+
+
 def quasi_classical_tails(g: GDD) -> set[int]:
     """Tail vertices in the sense of the quasi-classical definition.
 

@@ -2,10 +2,11 @@
 
 A connected diagram of rank >= 5 is arithmetic exactly when it is classical,
 a stored exceptional row, or of Cartan type with finite matrix.  Each branch
-recognizes the queried diagram itself: classify.classical_type reads it as a
-classical type, the database looks up its canonical key, and the Cartan
-shortcut eliminates its exponent matrix once.  No family is generated to
-answer a query.
+reads the queried diagram itself or, for a vertex deletion that
+is_quasi_affine decides, the diagram it is deleted from: classify reads it
+as a classical type, the database looks up its canonical key, and the
+Cartan shortcut eliminates its exponent matrix once.  No family is
+generated to answer a query.
 
 Recognition comes first and needs no canonical key: a classical query is
 answered, once the Cartan shortcut has not denied it, with no key and no
@@ -29,7 +30,14 @@ Quasi-affine testing only ever consults connected single-vertex deletions:
 every component of a disconnected deletion embeds into a connected deletion
 (each side of a cut vertex contains a non-cut vertex of the whole diagram),
 and connected subdiagrams of arithmetic diagrams are arithmetic, so the
-connected deletions decide the full condition.
+connected deletions decide the full condition.  They are read in the diagram
+itself: a deletion's classical readings are those of a vertex subset
+(classify.deletion_readings), and its exponent matrix is a principal
+submatrix of the diagram's, read from the edge exponents once
+(cartan.edge_exponents, cartan.exponent_matrix).  A classical deletion is
+checked against that matrix and counted arithmetic, built only to name it
+in an InternalInconsistency; any other deletion is built and queried with
+both readings, so it is keyed and memoized like any query.
 """
 
 from __future__ import annotations
@@ -174,9 +182,13 @@ class Oracle:
         """Raise InternalInconsistency when the Cartan shortcut denies a
         positive found by recognition or the database."""
         if Oracle._shortcut(g, given) is False:
-            raise InternalInconsistency(
-                f"Cartan shortcut denies a {witness} match:\n{g.to_text()}"
-            )
+            raise Oracle._denial(g, witness)
+
+    @staticmethod
+    def _denial(g: GDD, witness: str) -> InternalInconsistency:
+        return InternalInconsistency(
+            f"Cartan shortcut denies a {witness} match:\n{g.to_text()}"
+        )
 
     # -- quasi-affine ---------------------------------------------------------
 
@@ -185,8 +197,14 @@ class Oracle:
 
         Decided through connected deletions only (see the module docstring);
         at rank >= 6 those have rank >= 5 and stay inside the oracle domain.
-        The cut vertices are read from g's neighbour masks, so only the
-        connected deletions are built.
+        Each deletion is read in g: whether it is connected from g's
+        neighbour masks, its classical readings as a vertex subset of g
+        (classify.deletion_readings), and its exponent matrix as a principal
+        submatrix of g's (cartan.exponent_matrix).  A classical deletion is
+        checked against that matrix and counted arithmetic, with nothing
+        built; any other is built and queried with both readings.  A
+        deletion of rank 1, or one that keeps a vertex labelled 1, is built
+        and queried on its own.
         """
         nbrs = g.neighbour_masks()
         if len(components_of(nbrs)) != 1:
@@ -195,8 +213,19 @@ class Oracle:
             return False
         if self._connected(g).arithmetic:
             return False
+        readings = classify.deletion_readings(g)
+        exponents = list(cartan.edge_exponents(g))
+        ones = sum(1 << v for v, d in enumerate(g.diag) if d.is_one)
         for v in non_cut_vertices(nbrs):
-            if not self._connected(g.delete_vertex(v)).arithmetic:
+            if g.rank == 2 or ones & ~(1 << v):
+                if not self._connected(g.delete_vertex(v)).arithmetic:
+                    return False
+                continue
+            a = cartan.exponent_matrix(g.rank, exponents, v)
+            if readings(v):
+                if a is not None and not cartan.is_finite_cartan(a):
+                    raise self._denial(g.delete_vertex(v), "classical")
+            elif not self.is_arithmetic(g.delete_vertex(v), readings=((), a)).arithmetic:
                 return False
         return True
 

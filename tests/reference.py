@@ -23,6 +23,10 @@ to these.
 The dense ``braiding_exponents`` reads the label pair of every ordered pair
 of vertices and tests the generalized Cartan axioms afterwards;
 ``gddkit.cartan`` reads the edges only.
+
+``is_quasi_affine`` builds every connected deletion and queries the oracle
+on it; ``Oracle.is_quasi_affine`` reads each deletion as a vertex subset of
+the diagram and builds only those that are not classical.
 """
 
 from __future__ import annotations
@@ -623,3 +627,21 @@ def collect_bases(rank, modulus, db):
     for g in finite_cartan_diagrams(rank, modulus):
         seen.setdefault(g.canonical_key(), g)
     return [seen[k] for k in sorted(seen)]
+
+
+# -- quasi-affinity by building every deletion ----------------------------------
+
+
+def is_quasi_affine(oracle, g):
+    """Connected, not arithmetic, every connected vertex deletion arithmetic,
+    each deletion built and queried on its own through the oracle's
+    ``_connected``, in vertex order, stopping at the first that is not."""
+    adj = g.adjacency()
+    if len(components_of(adj)) != 1:
+        raise ValueError("quasi-affine is defined for connected diagrams")
+    if g.rank < 2:
+        return False
+    if oracle._connected(g).arithmetic:
+        return False
+    return all(oracle._connected(g.delete_vertex(v)).arithmetic
+               for v in non_cut_vertices(adj))

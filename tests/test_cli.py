@@ -99,6 +99,18 @@ def test_check_output_is_pinned(capsys):
     )
 
 
+def test_check_batch_output_is_pinned(capsys):
+    """The stdout of ``check --db`` on the 306 blocks of the benchmark's
+    check batch (``perfbench/data/check_batch.gdd``), as first recorded:
+    27 of them are quasi-affine, so each of their connected deletions is
+    decided, and every line printed about them is held fixed."""
+    path = Path(__file__).parent.parent / "perfbench" / "data" / "check_batch.gdd"
+    assert main(["check", str(path), "--db", DATA]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == (
+        "b47fa909b0e569e5fd94763202072bceaec6b30b4c11db797f39d343d5e98f44"
+    )
+
+
 def test_check_parse_error_exit_1(tmp_path, capsys):
     p = tmp_path / "bad.gdd"
     p.write_text("gdd M=6 n=2\ndiag 2 2\nedge 1 2 0\n")

@@ -84,7 +84,7 @@ class Oracle:
         self.db = db if db is not None else ArithmeticDatabase()
         self._memo: dict[bytes, OracleVerdict] = {}
         # (diagram, its classify.classical_type, its
-        # cartan.braiding_exponents) handed in by is_arithmetic for the
+        # cartan.braiding_exponents) handed in by _connected_read for the
         # query it makes, else None; _connected_uncached takes the diagram
         # alone, the signature perfbench/tracer.py wraps.
         self._given: tuple[GDD, set, cartan.Matrix | None] | None = None
@@ -102,16 +102,21 @@ class Oracle:
         if len(parts) == 1:
             if readings is None:
                 return self._connected(g)
-            self._given = (g, *readings)
-            try:
-                return self._connected(g)
-            finally:
-                self._given = None
+            return self._connected_read(g, readings)
         for part in parts:
             v = self._connected(g.induced(part))
             if not v.arithmetic:
                 return OracleVerdict(False, ("component",) + v.witness)
         return OracleVerdict(True, ("all-components",))
+
+    def _connected_read(self, g: GDD, readings: tuple) -> OracleVerdict:
+        """The verdict on a connected g with the readings its caller took
+        (see is_arithmetic)."""
+        self._given = (g, *readings)
+        try:
+            return self._connected(g)
+        finally:
+            self._given = None
 
     def _connected(self, g: GDD) -> OracleVerdict:
         # Kept so perfbench/tracer.py can count queries here, decisions below.
@@ -203,8 +208,9 @@ class Oracle:
         submatrix of g's (cartan.exponent_matrix).  A classical deletion is
         checked against that matrix and counted arithmetic, with nothing
         built; any other is built and queried with both readings.  A
-        deletion of rank 1, or one that keeps a vertex labelled 1, is built
-        and queried on its own.
+        deletion that keeps a vertex labelled 1 is not arithmetic
+        (has_degenerate_diag, or the rank-1 verdict), and nothing is built
+        for it either.
         """
         nbrs = g.neighbour_masks()
         if len(components_of(nbrs)) != 1:
@@ -217,15 +223,13 @@ class Oracle:
         exponents = list(cartan.edge_exponents(g))
         ones = sum(1 << v for v, d in enumerate(g.diag) if d.is_one)
         for v in non_cut_vertices(nbrs):
-            if g.rank == 2 or ones & ~(1 << v):
-                if not self._connected(g.delete_vertex(v)).arithmetic:
-                    return False
-                continue
+            if ones & ~(1 << v):
+                return False
             a = cartan.exponent_matrix(g.rank, exponents, v)
             if readings(v):
                 if a is not None and not cartan.is_finite_cartan(a):
                     raise self._denial(g.delete_vertex(v), "classical")
-            elif not self.is_arithmetic(g.delete_vertex(v), readings=((), a)).arithmetic:
+            elif not self._connected_read(g.delete_vertex(v), ((), a)).arithmetic:
                 return False
         return True
 

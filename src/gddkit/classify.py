@@ -24,7 +24,14 @@ The shape predicates ask whether one given vertex is a tail, never for the
 set of all tails: ``_Subsets.readings(keep, tail)`` reads only the chain
 orientation, heads and bodies that can end at that tail, and
 ``_Subsets.has_quasi_tail`` asks each deletion for that tail alone and stops
-at the second witness.  No subset's readings are kept between queries.
+at the second witness; they, and any caller that asks only whether a
+subset has a reading, stop at the first (``readings(keep, first=True)``).
+
+A diagram is read once: ``reading(g)`` keeps the _Subsets of the last
+diagram asked, by identity, so the callers that ask about one diagram in
+turn (check, the oracle, the quasi-affine test, the shape tags) share its
+head table, its classical readings and its edge exponents.  No other
+subset's readings are kept, and no GDD keeps a reading.
 """
 
 from __future__ import annotations
@@ -32,6 +39,7 @@ from __future__ import annotations
 from collections import namedtuple
 from itertools import combinations
 
+from . import cartan
 from .chains import ChainProfile, exponent_failures, exponent_profile
 from .core import GDD, components_of, path_order, vertices_of
 from .roots import UnityRoot, minus_one
@@ -105,7 +113,8 @@ class _Subsets:
     entries it fills the first time a subset needs one: the one-vertex heads
     on end e with neighbour b, keyed (e, b), and the two-vertex heads on
     tips h1 < h2 with centre c, keyed (h1, h2, c).  Which entries a subset
-    reads depends only on its degrees; what an entry holds, only on labels."""
+    reads depends only on its degrees; what an entry holds, only on labels.
+    g's classical readings and edge exponents are kept once asked."""
 
     def __init__(self, g: GDD):
         self.g = g
@@ -118,6 +127,31 @@ class _Subsets:
         self.all = (1 << g.rank) - 1
         self._ends: dict[tuple[int, int], list[HeadPattern]] = {}
         self._forks: dict[tuple[int, int, int], list[HeadPattern]] = {}
+        self._types: set[TypeTag] | None = None
+        self._exponents: list | None = None
+
+    # -- the whole diagram ------------------------------------------------------
+
+    def classical_type(self) -> set[TypeTag]:
+        """All readings of g as one of the classical types, kept: callers
+        must not change the set."""
+        if self._types is None:
+            self._types = self.readings(self.all)
+        return self._types
+
+    def is_classical(self) -> bool:
+        """Whether g has a classical reading, stopping at the first."""
+        types = self._types
+        return bool(self.readings(self.all, first=True) if types is None else types)
+
+    def matrix(self, without: int | None = None) -> cartan.Matrix | None:
+        """g's braiding exponential matrix, or that of its deletion of vertex
+        ``without``, which must keep no vertex labelled 1; None when it is
+        not of Cartan type.  Read from g's edge exponents, read once
+        (cartan.edge_exponents, cartan.exponent_matrix)."""
+        if self._exponents is None:
+            self._exponents = list(cartan.edge_exponents(self.g))
+        return cartan.exponent_matrix(self.g.rank, self._exponents, without)
 
     # -- labels along a path ----------------------------------------------------
 
@@ -245,11 +279,12 @@ class _Subsets:
             return None
         return profile, order[0]
 
-    def readings(self, keep: int, tail: int | None = None) -> set[TypeTag]:
+    def readings(self, keep: int, tail: int | None = None, first: bool = False) -> set[TypeTag]:
         """All readings of the subdiagram on ``keep`` as one of the
         classical types, or only those with the given tail.  A tail skips the
         other chain orientation, the heads holding it and the bodies ending
-        elsewhere."""
+        elsewhere.  With ``first`` the search stops at the first reading:
+        the set holds at most one, and is empty exactly when all are."""
         g = self.g
         tags: set[TypeTag] = set()
         order = path_order(self.nbrs, keep)
@@ -266,11 +301,11 @@ class _Subsets:
                 profile = self._profile(o)
                 if profile is None:
                     continue
-                if profile.wildcard:
-                    q = minus_one(g.modulus)  # rank-1 vertex -1: q is free
-                    tags.add(TypeTag("T7", q, profile, (), o[0]))
-                else:
-                    tags.add(TypeTag("T7", profile.q ** -1, profile, (), o[0]))
+                # a rank-1 vertex -1 leaves q free
+                q = minus_one(g.modulus) if profile.wildcard else profile.q ** -1
+                tags.add(TypeTag("T7", q, profile, (), o[0]))
+                if first:
+                    return tags
 
         # Types 1-6: a head on one end of a simple-chain body.
         for head in self.heads(keep):
@@ -297,10 +332,9 @@ class _Subsets:
             else:
                 q = head.body_param
             tags.add(TypeTag(head.kind, q, profile, head.vertices, far))
+            if first:
+                break
         return tags
-
-    def tails(self, keep: int) -> set[int]:
-        return {t.tail for t in self.readings(keep)}
 
     def has_quasi_tail(self, keep: int, t: int) -> bool:
         """Whether t is a quasi-classical tail of the subdiagram on ``keep``
@@ -313,12 +347,12 @@ class _Subsets:
             if t not in (order[0], order[-1]):
                 return False
             other = order[-1] if t == order[0] else order[0]
-            return bool(self.readings(keep & ~(1 << other), t))
+            return bool(self.readings(keep & ~(1 << other), t, first=True))
         witnesses = 0
         # deleting the tail leaves no reading with it
         for v in vertices_of(keep & ~(1 << t)):
             rest = keep & ~(1 << v)
-            if self.is_connected(rest) and self.readings(rest, t):
+            if self.is_connected(rest) and self.readings(rest, t, first=True):
                 witnesses += 1
                 if witnesses == 2:
                     return True
@@ -423,9 +457,23 @@ class _Subsets:
         return False
 
 
+_last: _Subsets | None = None
+
+
+def reading(g: GDD) -> _Subsets:
+    """The one reading of g: a _Subsets kept for the last diagram asked, by
+    identity (it holds g, so the identity is not reused), so that callers
+    asking about one diagram in turn share it.  One reading at most is kept,
+    and none on a GDD: the diagrams a call stores hold no reading."""
+    global _last
+    if _last is None or _last.g is not g:
+        _last = _Subsets(g)
+    return _last
+
+
 def _connected(g: GDD) -> _Subsets:
-    """The subsets of g, which must be connected."""
-    s = _Subsets(g)
+    """The reading of g, which must be connected."""
+    s = reading(g)
     if not s.is_connected(s.all):
         raise ValueError("needs a connected diagram")
     return s
@@ -434,19 +482,7 @@ def _connected(g: GDD) -> _Subsets:
 def classical_type(g: GDD) -> set[TypeTag]:
     """All readings of g as one of the classical types; empty when g is not
     classical."""
-    s = _Subsets(g)
-    if not s.is_connected(s.all):
-        raise ValueError("classical recognition needs a connected diagram")
-    return s.readings(s.all)
-
-
-def deletion_readings(g: GDD):
-    """A function of a vertex v of g giving the readings of g - v as
-    classical types, numbered as in g: what classical_type(g.delete_vertex(v))
-    reads, up to that numbering.  g is read once for every v, and g - v must
-    be connected."""
-    s = _Subsets(g)
-    return lambda v: s.readings(s.all & ~(1 << v))
+    return _connected(g).classical_type()
 
 
 def quasi_classical_tails(g: GDD) -> set[int]:
@@ -463,7 +499,7 @@ def quasi_classical_tails(g: GDD) -> set[int]:
 def tail_vertices(g: GDD) -> set[int]:
     """Tails of g read as a classical or quasi-classical structure."""
     s = _connected(g)
-    return s.tails(s.all) | s.quasi_classical_tails(s.all)
+    return {t.tail for t in s.classical_type()} | s.quasi_classical_tails(s.all)
 
 
 def is_semi_classical(g: GDD) -> bool:
@@ -475,11 +511,11 @@ def is_semi_classical(g: GDD) -> bool:
 
 def is_quasi_classical(g: GDD) -> bool:
     s = _connected(g)
-    return bool(s.quasi_classical_tails(s.all)) or bool(s.readings(s.all))
+    return bool(s.quasi_classical_tails(s.all)) or s.is_classical()
 
 
 def is_simple_cycle(g: GDD) -> bool:
-    return _Subsets(g).is_simple_cycle()
+    return reading(g).is_simple_cycle()
 
 
 def is_bi_classical(g: GDD) -> bool:

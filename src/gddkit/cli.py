@@ -77,16 +77,17 @@ def cmd_check(args) -> int:
         else:
             print("  chain: no")
         if connected:
-            tags = classify.classical_type(g)
+            # g's one reading, which the oracle's queries below share
+            r = classify.reading(g)
+            tags = r.classical_type()
             if tags:
                 kinds = sorted({t.kind for t in tags})
                 print(f"  classical: yes ({', '.join(kinds)})")
             else:
                 print("  classical: no")
-            print(f"  simple cycle: {'yes' if classify.is_simple_cycle(g) else 'no'}")
-            a = None
+            print(f"  simple cycle: {'yes' if r.is_simple_cycle() else 'no'}")
             if not g.has_degenerate_diag():
-                a = cartan.braiding_exponents(g)
+                a = r.matrix()
                 if a is None:
                     print("  Cartan type: no")
                 else:
@@ -105,7 +106,7 @@ def cmd_check(args) -> int:
                               + (f" at N={fam.size}" if fam.size is not None else ""))
         if oracle is not None and connected:
             try:
-                verdict = oracle.is_arithmetic(g, readings=(tags, a))
+                verdict = oracle.is_arithmetic(g)
                 print(f"  arithmetic: {'yes' if verdict.arithmetic else 'no'} "
                       f"(witness: {verdict.witness[0]})")
                 if not verdict.arithmetic and g.rank >= 2:

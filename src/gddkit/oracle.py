@@ -31,18 +31,19 @@ every component of a disconnected deletion embeds into a connected deletion
 (each side of a cut vertex contains a non-cut vertex of the whole diagram),
 and connected subdiagrams of arithmetic diagrams are arithmetic, so the
 connected deletions decide the full condition.  They are read in the diagram
-itself: a deletion's classical readings are those of a vertex subset
-(classify.deletion_readings), and its exponent matrix is a principal
-submatrix of the diagram's, read from the edge exponents once
-(cartan.edge_exponents, cartan.exponent_matrix).  A classical deletion is
-checked against that matrix and counted arithmetic, built only to name it
-in an InternalInconsistency; any other deletion is built and queried with
-both readings, so it is keyed and memoized like any query.
+itself, on its one reading (classify.reading): whether a deletion has a
+classical reading is asked of a vertex subset, stopping at the first, and
+its exponent matrix is a principal submatrix of the diagram's.  A classical
+deletion is checked against that matrix and counted arithmetic, built only
+to name it in an InternalInconsistency; any other deletion is built and
+decided by the keyed half of a query alone (Oracle._keyed), so it is keyed
+and memoized like any query and never read as a classical type again.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
+from functools import partial
 from itertools import combinations
 
 from . import cartan, classify
@@ -73,50 +74,30 @@ class OracleVerdict(namedtuple("OracleVerdict", "arithmetic witness")):
 
 
 class Oracle:
-    """Arithmetic decisions by recognition: the classical types
-    (classify.classical_type), the exceptional-row database, and the
-    Cartan-type shortcut.  The verdicts on queries that are not classical
-    are memoized by canonical key, in a plain dict with no locking, holding
-    at most MEMO_LIMIT entries; a classical query is neither keyed nor
-    memoized."""
+    """Arithmetic decisions by recognition: the classical types, asked of
+    the diagram's one reading (classify.reading), the exceptional-row
+    database, and the Cartan-type shortcut on the same reading's matrix.
+    The verdicts on queries that are not classical are memoized by
+    canonical key, in a plain dict with no locking, holding at most
+    MEMO_LIMIT entries; a classical query is neither keyed nor memoized."""
 
     def __init__(self, db: ArithmeticDatabase | None = None):
         self.db = db if db is not None else ArithmeticDatabase()
         self._memo: dict[bytes, OracleVerdict] = {}
-        # (diagram, its classify.classical_type, its
-        # cartan.braiding_exponents) handed in by _connected_read for the
-        # query it makes, else None; _connected_uncached takes the diagram
-        # alone, the signature perfbench/tracer.py wraps.
-        self._given: tuple[GDD, set, cartan.Matrix | None] | None = None
 
     # -- the oracle ----------------------------------------------------------
 
-    def is_arithmetic(self, g: GDD, *, readings: tuple | None = None) -> OracleVerdict:
+    def is_arithmetic(self, g: GDD) -> OracleVerdict:
         """Componentwise arithmetic decision (a disconnected diagram is
-        arithmetic exactly when all its components are).  A caller that has
-        read a connected g as classify.classical_type(g) and, when no vertex
-        label is 1, cartan.braiding_exponents(g) passes the pair as
-        ``readings`` (None for the matrix otherwise); they stand for the
-        oracle's own readings."""
+        arithmetic exactly when all its components are)."""
         parts = g.component_vertex_sets()
         if len(parts) == 1:
-            if readings is None:
-                return self._connected(g)
-            return self._connected_read(g, readings)
+            return self._connected(g)
         for part in parts:
             v = self._connected(g.induced(part))
             if not v.arithmetic:
                 return OracleVerdict(False, ("component",) + v.witness)
         return OracleVerdict(True, ("all-components",))
-
-    def _connected_read(self, g: GDD, readings: tuple) -> OracleVerdict:
-        """The verdict on a connected g with the readings its caller took
-        (see is_arithmetic)."""
-        self._given = (g, *readings)
-        try:
-            return self._connected(g)
-        finally:
-            self._given = None
 
     def _connected(self, g: GDD) -> OracleVerdict:
         # Kept so perfbench/tracer.py can count queries here, decisions below.
@@ -125,10 +106,9 @@ class Oracle:
     def _connected_uncached(self, g: GDD) -> OracleVerdict:
         """The verdict on a connected diagram.  A query already keyed is
         answered from the memo first.  Otherwise recognition comes first: a
-        classical query is answered with no canonical key and no memo entry,
-        once the Cartan shortcut has not denied it.  Any other query is keyed,
-        answered from the memo, else by a stored row or the shortcut, which
-        must not deny a stored row, and memoized."""
+        query with a classical reading is answered with no canonical key and
+        no memo entry, once the Cartan shortcut has not denied it.  Any
+        other query takes the keyed half (_keyed)."""
         if g.rank == 1:
             return OracleVerdict(not g.diag[0].is_one, ("rank-1",))
         if g.has_degenerate_diag():
@@ -138,56 +118,40 @@ class Oracle:
             hit = self._memo.get(keyed[0])
             if hit is not None:
                 return hit
-        given = self._given
-        if given is not None and given[0] is g:
-            tags = given[1]
-        else:
-            given, tags = None, classify.classical_type(g)
-        if tags:
-            self._check(g, "classical", given)
-            return OracleVerdict(True, ("classical",))
-        # The one canonicalization of this query: its key indexes the memo
-        # and the database.
+        r = classify.reading(g)
+        if not r.is_classical():
+            return self._keyed(g, r.matrix)
+        a = r.matrix()
+        if a is not None and not cartan.is_finite_cartan(a):
+            raise self._denial(g, "classical")
+        return OracleVerdict(True, ("classical",))
+
+    def _keyed(self, g: GDD, matrix) -> OracleVerdict:
+        """The verdict on a connected g of rank >= 2 with no vertex labelled
+        1 and no classical reading, ``matrix()`` giving its exponent matrix.
+        The one canonicalization of g keys the memo and the database: a
+        memoized verdict is returned, else a stored row, which the shortcut
+        must not deny, or the shortcut decides, and the verdict is memoized."""
         key = g.canonical_key()
-        if keyed is None:
-            hit = self._memo.get(key)
-            if hit is not None:
-                return hit
+        hit = self._memo.get(key)
+        if hit is not None:
+            return hit
+        a = matrix()
+        finite = None if a is None else cartan.is_finite_cartan(a)
         meta = self.db.lookup(g.rank, key)
         if meta is not None:
-            self._check(g, "table", given)
+            if finite is False:
+                raise self._denial(g, "table")
             verdict = OracleVerdict(True, ("table", meta.row, meta.gdd_index))
+        elif finite is not None:
+            verdict = OracleVerdict(finite, ("cartan-finite" if finite else "cartan-not-finite",))
+        elif g.rank < 5 and not self.db.covers(g.rank):
+            raise OracleGap(f"cannot certify non-arithmetic at rank {g.rank}: no coverage")
         else:
-            shortcut = self._shortcut(g, given)
-            if shortcut is True:
-                verdict = OracleVerdict(True, ("cartan-finite",))
-            elif shortcut is False:
-                verdict = OracleVerdict(False, ("cartan-not-finite",))
-            elif g.rank < 5 and not self.db.covers(g.rank):
-                raise OracleGap(
-                    f"cannot certify non-arithmetic at rank {g.rank}: no coverage"
-                )
-            else:
-                verdict = OracleVerdict(False, ("no-match",))
+            verdict = OracleVerdict(False, ("no-match",))
         if len(self._memo) < MEMO_LIMIT:
             self._memo[key] = verdict
         return verdict
-
-    @staticmethod
-    def _shortcut(g: GDD, given: tuple | None) -> bool | None:
-        """The Cartan shortcut (cartan.arithmetic_via_cartan) on g, on the
-        exponent matrix given with it when there is one."""
-        if given is None:
-            return cartan.arithmetic_via_cartan(g)
-        exponents = given[2]
-        return None if exponents is None else cartan.is_finite_cartan(exponents)
-
-    @staticmethod
-    def _check(g: GDD, witness: str, given: tuple | None) -> None:
-        """Raise InternalInconsistency when the Cartan shortcut denies a
-        positive found by recognition or the database."""
-        if Oracle._shortcut(g, given) is False:
-            raise Oracle._denial(g, witness)
 
     @staticmethod
     def _denial(g: GDD, witness: str) -> InternalInconsistency:
@@ -202,15 +166,14 @@ class Oracle:
 
         Decided through connected deletions only (see the module docstring);
         at rank >= 6 those have rank >= 5 and stay inside the oracle domain.
-        Each deletion is read in g: whether it is connected from g's
-        neighbour masks, its classical readings as a vertex subset of g
-        (classify.deletion_readings), and its exponent matrix as a principal
-        submatrix of g's (cartan.exponent_matrix).  A classical deletion is
-        checked against that matrix and counted arithmetic, with nothing
-        built; any other is built and queried with both readings.  A
-        deletion that keeps a vertex labelled 1 is not arithmetic
-        (has_degenerate_diag, or the rank-1 verdict), and nothing is built
-        for it either.
+        Each deletion is read on g's reading (classify.reading): whether it
+        is connected from g's neighbour masks, whether it has a classical
+        reading as a vertex subset of g, and its exponent matrix as a
+        principal submatrix of g's.  A classical deletion is checked against
+        that matrix and counted arithmetic, with nothing built; any other is
+        built and decided by the keyed half alone (_keyed).  A deletion that
+        keeps a vertex labelled 1 is not arithmetic (has_degenerate_diag, or
+        the rank-1 verdict), and nothing is built for it either.
         """
         nbrs = g.neighbour_masks()
         if len(components_of(nbrs)) != 1:
@@ -219,17 +182,16 @@ class Oracle:
             return False
         if self._connected(g).arithmetic:
             return False
-        readings = classify.deletion_readings(g)
-        exponents = list(cartan.edge_exponents(g))
+        r = classify.reading(g)
         ones = sum(1 << v for v, d in enumerate(g.diag) if d.is_one)
         for v in non_cut_vertices(nbrs):
             if ones & ~(1 << v):
                 return False
-            a = cartan.exponent_matrix(g.rank, exponents, v)
-            if readings(v):
+            if r.readings(r.all & ~(1 << v), first=True):
+                a = r.matrix(v)
                 if a is not None and not cartan.is_finite_cartan(a):
                     raise self._denial(g.delete_vertex(v), "classical")
-            elif not self._connected_read(g.delete_vertex(v), ((), a)).arithmetic:
+            elif not self._keyed(g.delete_vertex(v), partial(r.matrix, v)).arithmetic:
                 return False
         return True
 

@@ -1,11 +1,14 @@
+import gc
 import hashlib
 import re
 from pathlib import Path
 
 import pytest
 
+from gddkit import cli, classify
 from gddkit.cli import main
 from gddkit.core import parse_blocks
+from gddkit.roots import UnityRoot
 from gddkit.search import enumerate_quasi_affine
 from gddkit.tables import load
 
@@ -109,6 +112,60 @@ def test_check_batch_output_is_pinned(capsys):
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == (
         "b47fa909b0e569e5fd94763202072bceaec6b30b4c11db797f39d343d5e98f44"
     )
+
+
+def test_check_output_on_all_fixture_blocks_is_pinned(tmp_path, capsys):
+    """The stdout of one ``check --db`` call on the 334 fixture blocks in
+    one file, all quasi-affine, and on the same blocks each with a leaf
+    labelled -1 added at vertex 0, none arithmetic or quasi-affine, as
+    recorded before the classical readings were shared: the quasi-affine
+    and shape lines of each are held fixed."""
+    text = "\n".join(path.read_text().rstrip("\n") + "\n"
+                     for path in sorted(FIXTURES.glob("*.gdd")))
+    blocks = parse_blocks(text)
+    assert len(blocks) == 334
+    leafed = "\n\n".join(
+        g.add_vertex(UnityRoot(g.modulus // 2, g.modulus), [(0, g.diag[0] ** -1)]).to_text()
+        for g, _, _ in blocks)
+    digests = []
+    for name, body in (("fixtures", text), ("leafed", leafed)):
+        path = tmp_path / f"{name}.gdd"
+        path.write_text(body)
+        assert main(["check", str(path), "--db", DATA]) == 0
+        digests.append(hashlib.sha256(capsys.readouterr().out.encode()).hexdigest())
+    assert digests == [
+        "8902357c9ff062480b749c7a722a8fe121e275f71e5c4f35a6ee0150cf26c75f",
+        "14d777e4558ce5d275689ee38bfe6128d51ca9bca44bad008a0e19c5a22e25c2",
+    ]
+
+
+def test_check_reads_each_diagram_once(monkeypatch, capsys):
+    """``check --db`` on the check batch builds one classify reading per
+    input diagram and, as recorded, no other (306 in all: no shape tag there
+    queries a continual extension), and keeps at most one reading alive
+    once it returns."""
+    path = Path(__file__).parent.parent / "perfbench" / "data" / "check_batch.gdd"
+    inputs, built = [], []
+    parse, init = cli.parse_blocks, classify._Subsets.__init__
+
+    def parsed(text):
+        blocks = parse(text)
+        inputs.extend(g for g, _, _ in blocks)
+        return blocks
+
+    def counted(self, g):
+        built.append(g)
+        init(self, g)
+
+    monkeypatch.setattr(cli, "parse_blocks", parsed)
+    monkeypatch.setattr(classify._Subsets, "__init__", counted)
+    assert main(["check", str(path), "--db", DATA]) == 0
+    capsys.readouterr()
+    assert len(inputs) == 306
+    assert all(sum(h is g for h in built) == 1 for g in inputs)
+    assert len(built) == 306
+    gc.collect()
+    assert sum(isinstance(o, classify._Subsets) for o in gc.get_objects()) <= 1
 
 
 def test_check_parse_error_exit_1(tmp_path, capsys):

@@ -176,3 +176,39 @@ def test_only_deletions_that_are_not_classical_are_built(monkeypatch):
         assert all(h is g and d.canonical_key() in oracle._memo for h, _, d in built)
         checked += 1
     assert checked > 10
+
+
+def test_first_reading_agrees_with_all_readings(monkeypatch):
+    """Every subset the oracle's classical test, is_quasi_affine's deletions
+    and the shape tags' has_quasi_tail ask with ``first=True`` gets at most
+    one reading, one of all its readings, and none exactly when it has none;
+    with and without a tail.  Run on the fixture blocks, the same with a
+    leaf added (whose deletion of the leaf is not arithmetic) and the
+    check-batch blocks."""
+    fixtures = [g for path in sorted((ROOT / "fixtures").glob("*.gdd"))
+                for g in _blocks(path)]
+    batch = _blocks(ROOT.parent / "perfbench" / "data" / "check_batch.gdd")
+    assert (len(fixtures), len(batch)) == (334, 306)
+    readings = classify._Subsets.readings
+    asked = {(tail is None, bool(found)): 0 for tail in (None, 0) for found in (0, 1)}
+
+    def checked(self, keep, tail=None, first=False):
+        got = readings(self, keep, tail, first)
+        if first:
+            every = readings(self, keep, tail)
+            assert len(got) <= 1 and got <= every and bool(got) == bool(every), (
+                self.g.to_text(), keep, tail)
+            asked[tail is None, bool(got)] += 1
+        return got
+
+    monkeypatch.setattr(classify._Subsets, "readings", checked)
+    oracle = Oracle(load(DATA))
+    verdicts = {True: 0, False: 0}
+    for g in fixtures + [_with_leaf(g) for g in fixtures] + batch:
+        oracle.is_arithmetic(g)
+        quasi_affine = oracle.is_quasi_affine(g)
+        if quasi_affine:
+            oracle.shape_tag(g)
+        verdicts[quasi_affine] += 1
+    assert verdicts == {True: 361, False: 613}
+    assert all(n > 200 for n in asked.values()), asked

@@ -69,26 +69,32 @@ def test_classical_chain_is_arithmetic(oracle):
 
 
 def test_given_readings_stand_for_the_oracles_own(db, monkeypatch):
-    """is_arithmetic decides a query from the classical readings and the
-    exponent matrix a caller hands in, deriving neither again, and still
-    checks the positive against that matrix: a classical diagram handed an
-    affine matrix raises InternalInconsistency."""
+    """A reading a caller already took, as check does (classify.reading,
+    its classical readings and its matrix), is the one the oracle's query
+    reads: nothing is derived again, and the positive is still checked
+    against that matrix, so a shared reading whose matrix is not finite
+    raises InternalInconsistency and leaves the memo empty."""
     g = path([2] * 6, [4] * 5)
-    tags, a = classify.classical_type(g), cartan.braiding_exponents(g)
+    r = classify.reading(g)
+    r.classical_type(), r.matrix()
     derived = []
-    for module, name in ((classify, "classical_type"), (cartan, "braiding_exponents")):
-        original = getattr(module, name)
+    for owner, name in ((classify._Subsets, "__init__"), (classify._Subsets, "readings"),
+                        (cartan, "edge_exponents")):
+        original = getattr(owner, name)
 
-        def counted(h, original=original, name=name):
+        def counted(*args, original=original, name=name, **kwargs):
             derived.append(name)
-            return original(h)
+            return original(*args, **kwargs)
 
-        monkeypatch.setattr(module, name, counted)
-    verdict = Oracle(db).is_arithmetic(g, readings=(tags, a))
+        monkeypatch.setattr(owner, name, counted)
+    verdict = Oracle(db).is_arithmetic(g)
     assert verdict.witness == ("classical",) and derived == []
-    with pytest.raises(InternalInconsistency):
-        Oracle(db).is_arithmetic(g, readings=(tags, ((2, -2), (-2, 2))))
-    assert derived == []
+    assert classify.reading(g) is r
+    r._exponents = [((0, 1), (-2, -2))]  # an affine A_1^(1) block
+    oracle = Oracle(db)
+    with pytest.raises(InternalInconsistency, match="classical"):
+        oracle.is_arithmetic(g)
+    assert derived == [] and oracle._memo == {}
 
 
 def test_item_is_quasi_affine(oracle):
@@ -289,18 +295,19 @@ def test_unrecognized_query_is_keyed_and_memoized(db, make, witness):
 
 def test_keyed_query_is_answered_from_the_memo_first(db, monkeypatch):
     """A query that carries its key reads the memo before any classical
-    reading; an unkeyed copy is read, then keyed and found there."""
+    reading (classify.reading, the oracle's classical entry point); an
+    unkeyed copy is read, then keyed and found there."""
     oracle = Oracle(db)
     g = item_11_1_1()
     verdict = oracle.is_arithmetic(g)
     readings = []
-    original = classify.classical_type
+    original = classify.reading
 
     def counted(h):
         readings.append(h)
         return original(h)
 
-    monkeypatch.setattr(classify, "classical_type", counted)
+    monkeypatch.setattr(classify, "reading", counted)
     assert oracle.is_arithmetic(g) is verdict
     assert readings == []
     copy = item_11_1_1()
@@ -310,16 +317,21 @@ def test_keyed_query_is_answered_from_the_memo_first(db, monkeypatch):
 
 @pytest.mark.parametrize("given", [False, True])
 def test_shortcut_denying_a_positive_raises(db, monkeypatch, given):
-    """With the Cartan shortcut forced to deny, a classical reading, handed
-    in or the oracle's own, and a stored row raise InternalInconsistency and
-    leave nothing in the memo."""
+    """With the Cartan shortcut forced to deny (every reading's matrix
+    affine, and not finite), a classical reading, shared with a caller that
+    took it first or the oracle's own, and a stored row raise
+    InternalInconsistency and leave nothing in the memo."""
     g = path([2] * 6, [4] * 5)
-    readings = (classify.classical_type(g), cartan.braiding_exponents(g)) if given else None
-    monkeypatch.setattr(cartan, "arithmetic_via_cartan", lambda h: False)
+    if given:
+        r = classify.reading(g)
+        r.classical_type(), r.matrix()
+    monkeypatch.setattr(classify._Subsets, "matrix",
+                        lambda self, without=None: ((2, -2), (-2, 2)))
     monkeypatch.setattr(cartan, "is_finite_cartan", lambda a: False)
     oracle = Oracle(db)
     with pytest.raises(InternalInconsistency, match="classical"):
-        oracle.is_arithmetic(g, readings=readings)
+        oracle.is_arithmetic(g)
+    assert not given or classify.reading(g) is r
     with pytest.raises(InternalInconsistency, match="table"):
         oracle.is_arithmetic(row11_gdd1())
     assert oracle._memo == {}

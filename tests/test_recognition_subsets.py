@@ -157,9 +157,9 @@ def test_targeted_tail_queries_match_full_readings(diagrams):
         reader, keeps = subsets(g, True)
         read = reader.readings
 
-        def recording(keep, tail=None):
+        def recording(keep, tail=None, first=False):
             asked.append((keep, tail))
-            return read(keep, tail)
+            return read(keep, tail, first)
 
         for keep in [tuple(range(g.rank))] + keeps:
             full = read(mask(keep))

@@ -124,7 +124,10 @@ def cmd_enumerate(args) -> int:
     if args.db is None:
         print("enumeration needs a database (--db)", file=sys.stderr)
         return 3
-    modulus = Parameter(args.order_of_q).modulus
+    if args.modulus is not None:
+        modulus = args.modulus
+    else:
+        modulus = Parameter(args.order_of_q).modulus
     expected = _read(args.expected) if args.expected else None
     db = load(args.db)
     try:
@@ -206,8 +209,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("enumerate", help="search for quasi-affine diagrams")
     p.add_argument("--rank", type=int, required=True)
-    p.add_argument("--order-of-q", type=int, required=True,
-                   help="N: search with labels in mu_M, M = lcm(2, N)")
+    # The search depends only on M; exactly one of the two is given.
+    group = p.add_mutually_exclusive_group(required=True)
+    group.add_argument("--modulus", type=int,
+                       help="M: search with labels in mu_M (M even)")
+    group.add_argument("--order-of-q", type=int,
+                       help="N: alias for --modulus lcm(2, N)")
     p.add_argument("--db", help=f"database of exceptional rows (packaged: {DEFAULT_DB})")
     p.add_argument("--out")
     p.add_argument("--expected", help="diagram file to diff the found set against")

@@ -3,6 +3,13 @@
 Every label on a diagram lives in a single group mu_M = <zeta>, zeta a fixed
 primitive M-th root of unity.  An element is stored as its exponent mod M.
 M is kept even so that -1 = zeta^(M/2) always exists.
+
+Labels are interned: UnityRoot(e, M) returns one shared instance per
+(e mod M, M), so building a label is a lookup once it has been built.  Each
+modulus has its own table, made when the first label of that modulus is
+built and filled one exponent at a time; a pickle or copy of a label reads
+back the shared instance.  discrete_log_nonpositive likewise keeps, per
+modulus, the answer for each (base, target) pair it has solved.
 """
 
 from __future__ import annotations
@@ -10,18 +17,36 @@ from __future__ import annotations
 from collections import namedtuple
 from math import gcd, lcm
 
+# modulus -> {exponent: the shared UnityRoot}
+_ROOTS: dict[int, dict[int, UnityRoot]] = {}
+# modulus -> {base exponent * modulus + target exponent: discrete log}
+_LOGS: dict[int, dict[int, int | None]] = {}
+
 
 class UnityRoot(namedtuple("UnityRoot", "exponent modulus")):
-    """zeta^exponent inside mu_M, with 0 <= exponent < M and M even."""
+    """zeta^exponent inside mu_M, with 0 <= exponent < M and M even; one
+    shared instance per (exponent mod M, M)."""
 
     __slots__ = ()
 
     def __new__(cls, exponent: int, modulus: int):
+        try:
+            return _ROOTS[modulus][exponent]
+        except KeyError:
+            pass
         if modulus < 2 or modulus % 2 != 0:
             raise ValueError(f"modulus must be even and >= 2, got {modulus}")
-        if not 0 <= exponent < modulus:
-            exponent %= modulus
-        return tuple.__new__(cls, (exponent, modulus))
+        # an exponent outside 0..M-1 is reduced and then looked up
+        exponent %= modulus
+        table = _ROOTS.setdefault(modulus, {})
+        root = table.get(exponent)
+        if root is None:
+            root = table[exponent] = tuple.__new__(cls, (exponent, modulus))
+        return root
+
+    def __reduce__(self):
+        # a pickle or copy is rebuilt through __new__: the shared instance
+        return UnityRoot, tuple(self)
 
     def _check(self, other: "UnityRoot") -> None:
         if self.modulus != other.modulus:
@@ -71,9 +96,24 @@ def discrete_log_nonpositive(base: UnityRoot, target: UnityRoot) -> int | None:
     of base.
 
     Returns 0 when target == 1; this is the exponent solver behind Cartan-type
-    recognition, where absence encodes a non-Cartan edge.
+    recognition, where absence encodes a non-Cartan edge.  Each pair is
+    solved once (_solve_log) and then read from its modulus's table.
     """
     base._check(target)
+    m = base.modulus
+    table = _LOGS.get(m)
+    if table is None:
+        table = _LOGS[m] = {}
+    pair = base.exponent * m + target.exponent
+    try:
+        return table[pair]
+    except KeyError:
+        table[pair] = b = _solve_log(base, target)
+        return b
+
+
+def _solve_log(base: UnityRoot, target: UnityRoot) -> int | None:
+    """discrete_log_nonpositive in closed form."""
     if target.is_one:
         return 0
     n = base.order()

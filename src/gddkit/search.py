@@ -39,17 +39,20 @@ bases, so the index and the key set are built from all of collect_bases
 From rank 5 on the finite-Cartan diagrams add a class only at ranks 6-8
 (E_6-E_8), and collect_bases grows them only there.
 
-A labelled candidate (x's label and pairs in A's coordinates) is built from
+A labelled candidate (x's label and pairs in A's coordinates) is given by
 each non-cut v of A at which x's pairs outside v are a pattern of A - v, and
-decided only from its owner (CandidateDeletions.owns): the least non-cut u
-of A at which x keeps an edge outside u, that is the least non-cut vertex
-v0, or the next one, v1, when x's only edge goes to v0.  No survivor is
-lost: if every deletion of g = A + x passes and x keeps an edge outside a
-non-cut u, then g - u is connected and arithmetic, hence a base, so g is
-built from u, in particular from its owner; any other copy repeats the
-owner's or fails its verdict at the owner.  The owner is the first vertex
-to build a candidate, so the found set keeps its order and labellings, and
-the report still counts every candidate built.
+decided only from its owner: the least non-cut u of A at which x keeps an
+edge outside u, that is the least non-cut vertex v0, or the next one, v1,
+when x's only edge goes to v0.  No survivor is lost: if every deletion of
+g = A + x passes and x keeps an edge outside a non-cut u, then g - u is
+connected and arithmetic, hence a base, so g is given by u, in particular
+by its owner; any other copy repeats the owner's or fails its verdict at
+the owner.  The owner is the first vertex to give a candidate, so the found
+set keeps its order and labellings.  Only owned candidates are generated
+(CandidateDeletions.owned): every candidate from v0, and from v1 those
+whose one edge goes to v0, with none back to v1.  ``candidates=`` counts
+every candidate the patterns give (CandidateDeletions.count); only owned
+ones are generated.
 
 A class of candidates is decided only from the first walked base among its
 deletions (the first-base rule).  Each verdict is the key of the base the
@@ -79,7 +82,7 @@ closed under them.  By default the search therefore walks one base per twist
 orbit, the first of each in key order, and afterwards closes the found set
 under the twists; a diagram found directly keeps its own vertex labelling.
 The report header counts what was searched: ``bases`` is the number of orbit
-representatives and ``candidates`` the candidates built from them, while
+representatives and ``candidates`` the candidates their patterns give, while
 ``found`` counts the closed set.  An explicit ``bases`` list is searched as
 given, with no reduction and no closure.
 
@@ -325,27 +328,35 @@ class CandidateDeletions:
         # A connected diagram has at least two non-cut vertices.
         self.v0, self.v1 = list(self.completions)[:2]
 
-    def owns(self, v: int, pairs) -> bool:
-        """Whether v is the owner of the candidate with x's pairs: the least
-        non-cut vertex of A at which x keeps an edge outside it (see the
-        module docstring)."""
-        return v == (self.v1 if [w for w, _ in pairs] == [self.v0] else self.v0)
+    def count(self, back) -> int:
+        """The number of candidates the patterns give: x attached by a
+        pattern of A - v, for every non-cut v, plus an edge to v labelled
+        by each entry of back (None for no edge), owned or not."""
+        return len(back) * sum(map(len, self.completions.values()))
 
-    def candidates(self, back):
-        """Every candidate, with the key of the base g - v is: x attached by
-        a pattern of A - v, carried to A, plus an edge to v labelled by each
-        entry of back (None for no edge).  By v, then patterns in
-        BaseIndex.completions order, then back-edge order."""
-        for v, completions in self.completions.items():
-            # A - v numbers the vertices of A other than v in order.
-            lift = [u for u in range(self.base.rank) if u != v]
-            for (diag, pairs), key in completions.items():
-                lifted = [(lift[t], lab) for t, lab in pairs]
-                for v_edge in back:
-                    if v_edge is None:
-                        yield v, diag, lifted, key
-                    else:
-                        yield v, diag, sorted(lifted + [(v, v_edge)]), key
+    def owned(self, back):
+        """The candidates that their owner builds, with the key of the base
+        g - v is, in the order all of them are given: by v, then patterns in
+        BaseIndex.completions order, then back-edge order.  The owner is the
+        least non-cut vertex of A at which x keeps an edge outside it (see
+        the module docstring): v0 for every candidate from v0, as a pattern
+        is nonempty, and v1 for one whose only edge goes to v0.  back holds
+        None, for no edge to v, and the edge labels."""
+        v0, v1 = self.v0, self.v1
+        # A - v0 numbers the vertices of A other than v0 in order.
+        lift = [u for u in range(self.base.rank) if u != v0]
+        for (diag, pairs), key in self.completions[v0].items():
+            lifted = [(lift[t], lab) for t, lab in pairs]
+            for v_edge in back:
+                if v_edge is None:
+                    yield v0, diag, lifted, key
+                else:
+                    yield v0, diag, sorted(lifted + [(v0, v_edge)]), key
+        # From v1: one edge, to v0 (numbered v0 in A - v1, as v0 < v1), and
+        # none back to v1.
+        for (diag, pairs), key in self.completions[v1].items():
+            if len(pairs) == 1 and pairs[0][0] == v0:
+                yield v1, diag, list(pairs), key
 
     def verdicts(self, v: int, diag: UnityRoot, pairs):
         """(u, the key of the base g - u is, or None when it is not a base)
@@ -446,9 +457,9 @@ def enumerate_quasi_affine(
     for base in bases:
         report.bases_tried += 1
         deletions = CandidateDeletions(base, index)
-        for v, diag, pairs, base_v in deletions.candidates(back):
-            report.candidates_examined += 1
-            if not deletions.owns(v, pairs) or base_v in dropped:
+        report.candidates_examined += deletions.count(back)
+        for v, diag, pairs, base_v in deletions.owned(back):
+            if base_v in dropped:
                 continue
             verdicts = deletions.verdicts(v, diag, pairs)
             if any(base_u in dropped for _, base_u in verdicts):

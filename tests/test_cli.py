@@ -238,9 +238,11 @@ def test_enumerate_rejects_odd_or_small_modulus(modulus):
     (["catalogue", "--order-of-q", "1"], "order of q must be >= 2"),
     (["enumerate", "--rank", "6", "--order-of-q", "33", "--db", DATA],
      "modulus 66 above configured bound 64"),
+    (["enumerate", "--rank", "6", "--modulus", "5", "--db", DATA],
+     "modulus must be even and >= 2, got 5"),
 ], ids=["check-missing", "verify-missing", "export-dot-missing", "db-validate-missing",
         "enumerate-expected-missing", "enumerate-q-order-1", "catalogue-q-order-1",
-        "enumerate-modulus-66"])
+        "enumerate-modulus-66", "enumerate-modulus-5"])
 def test_bad_input_exit_1_with_one_line(tmp_path, capsys, argv, message):
     missing = str(tmp_path / "missing.gdd")
     rc = main([missing if a == "MISSING" else a for a in argv])
@@ -364,6 +366,28 @@ def test_enumerate_report_is_keyed_by_modulus(tmp_path):
     assert head[0] == "# quasi-affine enumeration rank=6 modulus=6"
     assert re.fullmatch(r"# bases=\d+ candidates=\d+ pruned-by-filters=0 found=\d+",
                         head[1])
+
+
+def test_enumerate_modulus_and_order_of_q_write_one_report(tmp_path):
+    """--modulus 4 and its alias --order-of-q 4 (M = lcm(2, 4)) write
+    byte-identical reports."""
+    texts = []
+    for flag in ("--modulus", "--order-of-q"):
+        out = tmp_path / f"{flag[2:]}.txt"
+        assert main(["enumerate", "--rank", "6", flag, "4", "--db", DATA,
+                     "--out", str(out)]) == 0
+        texts.append(out.read_bytes())
+    assert texts[0] == texts[1]
+    assert texts[0].startswith(b"# quasi-affine enumeration rank=6 modulus=4\n")
+
+
+@pytest.mark.parametrize("flags", [[], ["--modulus", "4", "--order-of-q", "4"]],
+                         ids=["neither", "both"])
+def test_enumerate_takes_exactly_one_of_modulus_and_order_of_q(capsys, flags):
+    with pytest.raises(SystemExit) as exc:
+        main(["enumerate", "--rank", "6", *flags, "--db", DATA])
+    assert exc.value.code == 2
+    assert "--modulus" in capsys.readouterr().err
 
 
 def test_verify_subcommand(tmp_path, capsys):

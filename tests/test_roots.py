@@ -1,8 +1,14 @@
+import copy
+import pickle
+import subprocess
+import sys
+
 import pytest
 
 from gddkit.roots import (
     Parameter,
     UnityRoot,
+    _solve_log,
     discrete_log_nonpositive,
     minus_one,
     one,
@@ -38,10 +44,38 @@ def test_order_examples():
 
 
 def test_odd_or_small_modulus_rejected():
-    with pytest.raises(ValueError):
-        UnityRoot(0, 5)
-    with pytest.raises(ValueError):
-        UnityRoot(0, 0)
+    # each asked twice: a rejected modulus leaves no table to answer from
+    for exponent, modulus in [(0, 5), (0, 0), (3, 1), (1, -2), (7, 9)] * 2:
+        with pytest.raises(ValueError):
+            UnityRoot(exponent, modulus)
+
+
+@pytest.mark.parametrize("m", [2, 4, 6, 60])
+def test_labels_are_interned(m):
+    for e in range(-3 * m, 3 * m):
+        x = UnityRoot(e, m)
+        assert x is UnityRoot(e + m, m) is UnityRoot(e % m, m)
+        assert x.exponent == e % m and type(x.exponent) is int
+    x = UnityRoot(m - 1, m)
+    assert x * x.inverse() is one(m) and x ** 2 is UnityRoot(m - 2, m)
+
+
+def test_copies_and_pickles_read_back_the_shared_label():
+    x = UnityRoot(5, 12)
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        assert pickle.loads(pickle.dumps(x, protocol)) is x
+        assert pickle.loads(pickle.dumps([x, (x, 1)], protocol))[1][0] is x
+    assert copy.copy(x) is x and copy.deepcopy(x) is x
+
+
+def test_no_label_table_is_built_at_import(child_env):
+    """The tables fill as labels are asked for; importing the command line
+    builds none."""
+    code = "import gddkit.cli, gddkit.roots as r; print(r._ROOTS, r._LOGS)"
+    proc = subprocess.run([sys.executable, "-c", code], env=child_env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "{} {}"
 
 
 @pytest.mark.parametrize("m", [2, 4, 6, 8, 10, 12, 14, 16, 18, 20, 22, 24])
@@ -92,6 +126,22 @@ def test_discrete_log_maximality_exhaustive(m):
                 assert base ** got == target
                 for better in range(got + 1, 1):
                     assert base ** better != target
+
+
+@pytest.mark.parametrize("m", [2, 4, 6, 10, 12, 60])
+def test_tabled_discrete_log_equals_closed_form(m):
+    for base in all_roots(m):
+        for target in all_roots(m):
+            want = _solve_log(base, target)
+            # the first call solves and tables the pair, the second reads it
+            assert discrete_log_nonpositive(base, target) == want
+            assert discrete_log_nonpositive(base, target) == want
+
+
+def test_discrete_log_modulus_mismatch():
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            discrete_log_nonpositive(UnityRoot(1, 6), UnityRoot(1, 4))
 
 
 def test_parameter_embedding():

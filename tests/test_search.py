@@ -375,6 +375,35 @@ def test_memoized_patterns_equal_direct_computation(db, modulus, trimmed):
 # -- the deletion verdicts against the oracle -----------------------------------
 
 
+def all_candidates(deletions, back):
+    """Every candidate the patterns of the base of deletions give, owned or
+    not, with the key of the base g - v is: x attached by a pattern of
+    A - v, carried to A, plus an edge to v labelled by each entry of back
+    (None for no edge).  By v, then patterns in BaseIndex.completions
+    order, then back-edge order."""
+    for v, completions in deletions.completions.items():
+        # A - v numbers the vertices of A other than v in order.
+        lift = [u for u in range(deletions.base.rank) if u != v]
+        for (diag, pairs), key in completions.items():
+            lifted = [(lift[t], lab) for t, lab in pairs]
+            for v_edge in back:
+                if v_edge is None:
+                    yield v, diag, lifted, key
+                else:
+                    yield v, diag, sorted(lifted + [(v, v_edge)]), key
+
+
+def owns(deletions, v, pairs):
+    """Whether v is the owner of the candidate with x's pairs: the least
+    non-cut vertex of A at which x keeps an edge outside it."""
+    only_v0 = [w for w, _ in pairs] == [deletions.v0]
+    return v == (deletions.v1 if only_v0 else deletions.v0)
+
+
+def back_edges(modulus):
+    return [None] + [UnityRoot(e, modulus) for e in range(1, modulus)]
+
+
 def compare_deletion_verdicts(rank, modulus, db, bases=None):
     """Walk the search's candidates on the given bases (by default one per
     twist orbit) and compare the verdict the search takes on every connected
@@ -390,13 +419,13 @@ def compare_deletion_verdicts(rank, modulus, db, bases=None):
     all_bases = collect_bases(rank - 1, modulus, db)
     index = BaseIndex(all_bases)
     oracle = Oracle(db)
-    back = [None] + [UnityRoot(e, modulus) for e in range(1, modulus)]
+    back = back_edges(modulus)
     candidates = from_index = from_keys = owned = survivors = owned_survivors = 0
     mismatched = []
     for base in twist_representatives(all_bases) if bases is None else bases:
         deletions = CandidateDeletions(base, index)
         survived, survived_owned = set(), []
-        for v, diag, pairs, base_v in deletions.candidates(back):
+        for v, diag, pairs, base_v in all_candidates(deletions, back):
             g = base.add_vertex(diag, pairs)
             decided = dict(deletions.verdicts(v, diag, pairs))
             by_keys = [u for u in decided if u not in deletions.completions]
@@ -412,13 +441,13 @@ def compare_deletion_verdicts(rank, modulus, db, bases=None):
             candidates += 1
             from_index += len(decided) - len(by_keys)
             from_keys += len(by_keys)
-            owns = deletions.owns(v, pairs)
-            owned += owns
+            owned_here = owns(deletions, v, pairs)
+            owned += owned_here
             if all(ok is not None for ok in decided.values()):
                 item = (diag, tuple(pairs))
                 survivors += 1
                 survived.add(item)
-                if owns:
+                if owned_here:
                     survived_owned.append(item)
         assert set(survived_owned) == survived, base.to_text()
         assert len(set(survived_owned)) == len(survived_owned), base.to_text()
@@ -440,6 +469,36 @@ def test_deletion_verdicts_equal_oracle(db, rank, modulus, base_of, counts):
     got, mismatched = compare_deletion_verdicts(rank, modulus, db, bases)
     assert got == counts
     assert not mismatched, mismatched[0][0].to_text()
+
+
+@pytest.mark.parametrize(
+    "rank, modulus, base_of, counts",
+    [(6, 4, None, (3960, 1379)), (6, 6, None, (25902, 7848)),
+     (7, 4, None, (7004, 2376)), (7, 4, "19.7.1", (80, 28))],
+)
+def test_owned_candidates_are_the_owned_ones_of_all(db, rank, modulus, base_of, counts):
+    """CandidateDeletions.owned gives, in order, exactly the candidates of
+    the full enumeration that their owner builds, and CandidateDeletions.count
+    the length of the full enumeration, on every base the default search
+    walks and on a base of fixture 19.7.1 at rank 7.  The full totals are
+    the reports' candidates= counts."""
+    all_bases = collect_bases(rank - 1, modulus, db)
+    index = BaseIndex(all_bases)
+    if base_of is None:
+        bases = twist_representatives(all_bases)
+    else:
+        bases = [fixture_item(base_of).delete_vertex(4)]
+    back = back_edges(modulus)
+    total = total_owned = 0
+    for base in bases:
+        deletions = CandidateDeletions(base, index)
+        every = list(all_candidates(deletions, back))
+        owned = list(deletions.owned(back))
+        assert owned == [c for c in every if owns(deletions, c[0], c[2])], base.to_text()
+        assert deletions.count(back) == len(every), base.to_text()
+        total += len(every)
+        total_owned += len(owned)
+    assert (total, total_owned) == counts
 
 
 @pytest.mark.parametrize("rank, modulus", [(5, 4), (5, 6), (5, 10), (6, 4), (6, 6)])

@@ -5,6 +5,10 @@ For a diagram of Cartan type, a_ij is the maximal b <= 0 with the edge label
 on {i, j} equal to q_ii^b (0 off edges), and a_ii = 2.  The diagram is
 arithmetic exactly when that matrix is a finite-type Cartan matrix, and it is
 called affine when the matrix is an affine generalized Cartan matrix.
+
+The search's bases take from here the one kind of finite Cartan type that is
+neither classical nor stored from rank 5 on: the diagrams of type E_6-E_8,
+built directly (e_type_diagrams).
 """
 
 from __future__ import annotations
@@ -98,23 +102,6 @@ def _leading_minors(a: Matrix):
             return
         _bareiss_step(m, k, prev)
         prev = pivot
-
-
-def _det(a: Matrix) -> int:
-    """Exact determinant by Bareiss's fraction-free integer elimination, with
-    row swaps past zero pivots."""
-    m = [list(row) for row in a]
-    n, sign, prev = len(m), 1, 1
-    for k in range(n):
-        if m[k][k] == 0:
-            r = next((r for r in range(k + 1, n) if m[r][k] != 0), None)
-            if r is None:
-                return 0
-            m[k], m[r] = m[r], m[k]
-            sign = -sign
-        _bareiss_step(m, k, prev)
-        prev = m[k][k]
-    return sign * prev
 
 
 def _submatrix(a: Matrix, keep: list[int]) -> Matrix:
@@ -373,43 +360,25 @@ def arithmetic_via_cartan(g: GDD) -> bool | None:
     return is_finite_cartan(a)
 
 
-def finite_cartan_diagrams(rank: int, modulus: int) -> list[GDD]:
-    """Every connected diagram of finite Cartan type of the given rank over
-    mu_modulus, one per relabelling class, in key order.
+# The edges of E_8 on a branch vertex 0 with arms 3, 1-4-6-7 and 2-5; E_6
+# keeps the first five, E_7 the first six.
+_E_EDGES = ((0, 1), (0, 2), (0, 3), (1, 4), (2, 5), (4, 6), (6, 7))
 
-    They are grown one leaf at a time from rank 1: the diagram of a connected
-    finite Cartan matrix is a tree, and deleting a leaf leaves a connected
-    one of finite type.  Since a_ij * a_ji <= 3 in a finite matrix, the edge
-    to the new leaf is q^-a for the label q of the vertex it joins, and d^-b
-    for the label d of the leaf, with a and b in {1, 2, 3}.
 
-    Each leaf is decided before it is built.  For h = g + x with x joined to
-    v, order x last: the leading minors of A_g are positive, so by the
-    criterion of is_finite_cartan h is of finite type exactly when
-    det A_h = 2 det A_g - a_vx a_xv det A_{g-v} > 0, where a_vx and a_xv are
-    the exponents of the new edge label at q and at d."""
-    labels = [UnityRoot(e, modulus) for e in range(1, modulus)]
-    powers = {
-        d: [t for t in dict.fromkeys(d ** -a for a in (1, 2, 3)) if not t.is_one]
-        for d in labels
-    }
-    level = {g.canonical_key(): g for g in (GDD(modulus, (d,)) for d in labels)}
-    for _ in range(rank - 1):
-        grown: dict[bytes, GDD] = {}
-        for g in level.values():
-            a = braiding_exponents(g)
-            det_g = _det(a)
-            for v in range(g.rank):
-                q = g.diag[v]
-                det_rest = _det(_submatrix(a, [u for u in range(g.rank) if u != v]))
-                for t in powers[q]:
-                    a_vx = discrete_log_nonpositive(q, t)
-                    for d in labels:
-                        if t not in powers[d]:
-                            continue
-                        a_xv = discrete_log_nonpositive(d, t)
-                        if 2 * det_g > a_vx * a_xv * det_rest:
-                            h = g.add_vertex(d, [(v, t)])
-                            grown.setdefault(h.canonical_key(), h)
-        level = grown
-    return [level[k] for k in sorted(level)]
+def e_type_diagrams(rank: int, modulus: int) -> list[GDD]:
+    """The diagrams of Cartan type E_rank over mu_modulus, one for each
+    q != 1 in mu_modulus: every vertex labelled q, every edge q^-1; [] at a
+    rank other than 6, 7 or 8.
+
+    These are all of them.  E_6-E_8 are simply laced, so a_ij = a_ji = -1 on
+    every edge: the edge label is q_i^-1 and q_j^-1 at once, and the labels
+    of the connected tree are one q.  No vertex is labelled 1, so q != 1, and
+    -1 is the largest exponent b <= 0 with q^b the edge label, since an edge
+    label is never 1.  Vertex 0 is the branch vertex (_E_EDGES)."""
+    if not 6 <= rank <= 8:
+        return []
+    edges = _E_EDGES[:rank - 1]
+    return [
+        GDD(modulus, (q,) * rank, dict.fromkeys(edges, q ** -1))
+        for q in (UnityRoot(e, modulus) for e in range(1, modulus))
+    ]

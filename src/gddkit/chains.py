@@ -101,21 +101,9 @@ def is_simple_chain(g: GDD, order: list[int] | None = None) -> bool:
 def chain_profile(g: GDD) -> set[ChainProfile]:
     """Profiles of a simple chain, one per orientation (they can coincide)."""
     order = g.chain_order()
-    if order is None or not is_simple_chain(g):
+    if order is None or not is_simple_chain(g, order):
         raise ValueError("not a simple chain")
-    if len(order) == 1:
-        d = g.diag[0]
-        if d.is_minus_one:
-            return {ChainProfile(None, frozenset(), wildcard=True, end=0)}
-        if d.is_one:
-            return set()
-        return {ChainProfile(d, frozenset(), end=0)}
-    out = set()
-    for o in (order, order[::-1]):
-        p = oriented_profile(g, o)
-        if p is not None:
-            out.add(p)
-    return out
+    return {p for o in (order, order[::-1]) if (p := oriented_profile(g, o)) is not None}
 
 
 def oriented_profile(g: GDD, order: list[int]) -> ChainProfile | None:

@@ -193,8 +193,21 @@ def cmd_export_dot(args) -> int:
     return 0
 
 
+class UsageError(Exception):
+    """A command line the parser rejects."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser, and the parser of each subcommand, that raises
+    UsageError where argparse would print the usage and exit 2, the code
+    of a verification mismatch."""
+
+    def error(self, message):
+        raise UsageError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="gddkit",
         description="Classify and enumerate generalized Dynkin diagrams "
         "with root-of-unity labels.",
@@ -245,7 +258,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except UsageError as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
+        return 1
     try:
         return args.fn(args)
     except ParseError as exc:

@@ -37,7 +37,7 @@ of this needs every connected arithmetic diagram of rank n-1 among the
 bases, so the index and the key set are built from all of collect_bases
 (classical, stored and finite-Cartan diagrams) whichever bases are walked.
 From rank 5 on the finite-Cartan diagrams add a class only at ranks 6-8
-(E_6-E_8), and collect_bases grows them only there.
+(E_6-E_8), and collect_bases builds those directly.
 
 A labelled candidate (x's label and pairs in A's coordinates) is given by
 each non-cut v of A at which x's pairs outside v are a pattern of A - v, and
@@ -101,7 +101,7 @@ from __future__ import annotations
 
 import time
 
-from .cartan import finite_cartan_diagrams
+from .cartan import e_type_diagrams
 from .core import (
     GDD,
     isomorphisms,
@@ -278,10 +278,6 @@ class BaseIndex:
         carried.sort(key=lambda item: _pattern_order(item[0]))
         return dict(carried)
 
-    def patterns(self, trimmed: GDD) -> list[tuple[UnityRoot, tuple]]:
-        """The attachments of completions(trimmed), in its order."""
-        return list(self.completions(trimmed))
-
 
 def _pairing(g: GDD, h: GDD) -> list[int]:
     """The isomorphism g -> h of two diagrams with equal canonical keys and
@@ -380,29 +376,29 @@ class CandidateDeletions:
 
 
 def collect_bases(rank: int, modulus: int, db: ArithmeticDatabase) -> list[GDD]:
-    """Connected arithmetic diagrams of the given rank over mu_modulus:
-    generated classical families, stored exceptional rows and diagrams of
-    finite Cartan type, one representative per relabelling class, in key
-    order.  Only the database buckets whose minimal modulus divides
-    ``modulus`` are read, so only their rows are keyed: the rows of any
-    other bucket have a label outside mu_modulus.
+    """Connected arithmetic diagrams of the given rank, at least 5, over
+    mu_modulus: generated classical families, stored exceptional rows and
+    diagrams of finite Cartan type, one representative per relabelling
+    class, in key order.  Only the database buckets whose minimal modulus
+    divides ``modulus`` are read, so only their rows are keyed: the rows of
+    any other bucket have a label outside mu_modulus.
 
-    From rank 5 on, the finite-Cartan diagrams are grown only at ranks 6, 7
-    and 8, the only ranks where they can add a class.  A connected finite
-    Cartan matrix is of type A_n, B_n, C_n, D_n, E_6, E_7, E_8, F_4 or G_2
-    (Kac, Infinite-dimensional Lie algebras, 4.8).  From rank 5 on that
-    leaves A-D, whose diagrams of Cartan type are classical and so already
-    generated, and E_6-E_8.  Below rank 5 (F_4, G_2) they are grown as
-    well; the search collects no bases there."""
+    A connected finite Cartan matrix is of type A_n, B_n, C_n, D_n, E_6,
+    E_7, E_8, F_4 or G_2 (Kac, Infinite-dimensional Lie algebras, 4.8).
+    From rank 5 on that leaves A-D, whose diagrams of Cartan type are
+    classical and so already generated, and E_6-E_8, which
+    cartan.e_type_diagrams builds.  Below rank 5 (F_4, G_2) the set would
+    be incomplete, so a lower rank raises ValueError."""
+    if rank < 5:
+        raise ValueError(f"bases are collected from rank 5 on, not at rank {rank}")
     seen: dict[bytes, GDD] = {}
     for g in generate_classical(rank, modulus):
         seen.setdefault(g.canonical_key(), g)
     for key, g in db.keyed(rank, modulus):
         if key not in seen:
             seen[key] = with_modulus(g, modulus)
-    if rank < 5 or 6 <= rank <= 8:
-        for g in finite_cartan_diagrams(rank, modulus):
-            seen.setdefault(g.canonical_key(), g)
+    for g in e_type_diagrams(rank, modulus):
+        seen.setdefault(g.canonical_key(), g)
     return [seen[k] for k in sorted(seen)]
 
 

@@ -1,5 +1,6 @@
-"""SHA-256 digests of an enumeration report, for tests that pin a found set
-and its shape tags as first recorded, and of canonical keys and orders."""
+"""SHA-256 digests of an enumeration report, for tests that pin a found set,
+its shape tags and its text as first recorded, and of canonical keys and
+orders."""
 
 import hashlib
 
@@ -14,6 +15,12 @@ def shape_digest(report):
     line as the key in hex and the tag."""
     text = "\n".join(f"{key.hex()} {tag}" for key, tag in sorted(report.shape_tags.items()))
     return hashlib.sha256(text.encode()).hexdigest()
+
+
+def text_digest(report):
+    """SHA-256 of the report's text: every found diagram as labelled, and
+    the header."""
+    return hashlib.sha256(report.to_text().encode()).hexdigest()
 
 
 def key_digest(diagrams):

@@ -17,8 +17,10 @@ The dense canonical-form kernel (``_refine``, ``least_form``,
 works from per-vertex label dicts, and the tests hold its forms and orders
 to these.
 
-``collect_bases`` merges the finite-Cartan growth at every rank;
-``gddkit.search`` grows it only at the ranks where it can add a class.
+``grow_by_full_test`` grows every connected diagram of finite Cartan type
+leaf by leaf, testing each grown leaf with ``arithmetic_via_cartan``, and
+``collect_bases`` merges that growth at every rank; ``gddkit.search`` adds
+only the E_6-E_8 diagrams, built directly, at ranks 6-8.
 
 The dense ``braiding_exponents`` reads the label pair of every ordered pair
 of vertices and tests the generalized Cartan axioms afterwards;
@@ -33,11 +35,11 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from gddkit.cartan import finite_cartan_diagrams, is_generalized_cartan
+from gddkit.cartan import arithmetic_via_cartan, is_generalized_cartan
 from gddkit.chains import ChainProfile
 from gddkit.classify import HeadPattern, TypeTag, _some_square_root
 from gddkit.core import GDD, with_modulus
-from gddkit.roots import discrete_log_nonpositive, minus_one
+from gddkit.roots import UnityRoot, discrete_log_nonpositive, minus_one
 from gddkit.tables import generate_classical
 
 # -- graphs as adjacency lists -------------------------------------------------
@@ -614,17 +616,47 @@ def braiding_exponents(g):
 # -- bases with finite-Cartan growth at every rank -------------------------------
 
 
+def grow_by_full_test(rank, modulus):
+    """Every connected diagram of finite Cartan type of the given rank over
+    mu_modulus, one per relabelling class, in key order.  They are grown one
+    leaf at a time from rank 1: the diagram of a connected finite Cartan
+    matrix is a tree, and deleting a leaf leaves a connected one of finite
+    type.  Since a_ij * a_ji <= 3 in a finite matrix, the edge to the new
+    leaf is q^-a for the label q of the vertex it joins, and d^-b for the
+    label d of the leaf, with a and b in {1, 2, 3}; every such leaf is built
+    and tested with arithmetic_via_cartan."""
+    labels = [UnityRoot(e, modulus) for e in range(1, modulus)]
+    powers = {
+        d: [t for t in dict.fromkeys(d ** -a for a in (1, 2, 3)) if not t.is_one]
+        for d in labels
+    }
+    level = {g.canonical_key(): g for g in (GDD(modulus, (d,)) for d in labels)}
+    for _ in range(rank - 1):
+        grown = {}
+        for g in level.values():
+            for v in range(g.rank):
+                for t in powers[g.diag[v]]:
+                    for d in labels:
+                        if t in powers[d]:
+                            h = g.add_vertex(d, [(v, t)])
+                            if arithmetic_via_cartan(h):
+                                grown.setdefault(h.canonical_key(), h)
+        level = grown
+    return [level[k] for k in sorted(level)]
+
+
 def collect_bases(rank, modulus, db):
     """The classical families, the stored rows whose minimal modulus divides
-    modulus, and the finite-Cartan diagrams, grown at every rank: one
-    representative per relabelling class, the first met, in key order."""
+    modulus, and the finite-Cartan diagrams, grown at every rank
+    (grow_by_full_test): one representative per relabelling class, the
+    first met, in key order."""
     seen = {}
     for g in generate_classical(rank, modulus):
         seen.setdefault(g.canonical_key(), g)
     for key, g in db.keyed(rank, modulus):
         if key not in seen:
             seen[key] = with_modulus(g, modulus)
-    for g in finite_cartan_diagrams(rank, modulus):
+    for g in grow_by_full_test(rank, modulus):
         seen.setdefault(g.canonical_key(), g)
     return [seen[k] for k in sorted(seen)]
 

@@ -12,14 +12,13 @@ from gddkit.cartan import (
     FAMILY_NAMES,
     AffineFamily,
     _SIZE_RULES,
-    _det,
     _reference_matrix,
     admissible,
     affine_family_of,
     arithmetic_via_cartan,
     braiding_exponents,
     build_affine_gdd,
-    finite_cartan_diagrams,
+    e_type_diagrams,
     is_affine_cartan,
     is_finite_cartan,
     is_generalized_cartan,
@@ -127,23 +126,6 @@ def test_same_up_to_permutation_matches_permutation_search():
         assert same_up_to_permutation(a, b) == want, (a, b)
         agree += want
     assert 200 < agree < 700
-
-
-def test_det_matches_reference_elimination():
-    """Integer elimination with row swaps against rational elimination, on
-    random integer matrices with zeros (so pivots vanish) up to n = 9."""
-    rng = random.Random(23)
-    zero = 0
-    for _ in range(600):
-        n = rng.randint(1, 9)
-        a = tuple(
-            tuple(rng.choice([0, 0, rng.randint(-5, 5)]) for _ in range(n))
-            for _ in range(n)
-        )
-        assert _det(a) == _det_int(a), a
-        zero += _det(a) == 0
-    assert 0 < zero < 600
-    assert _det(((0, 1), (1, 0))) == -1
 
 
 def test_finite_test_matches_minor_by_minor_reference():
@@ -342,9 +324,9 @@ def test_shortcut_true_on_cartan_type_classical():
 
 @pytest.mark.parametrize("rank, modulus", [(2, 4), (2, 12), (3, 4), (3, 6), (4, 2)])
 def test_finite_cartan_diagrams_match_every_labelling(rank, modulus):
-    """The leaf-by-leaf growth finds, one per relabelling class, exactly the
-    connected diagrams of finite Cartan type among all labellings of the
-    complete graph's edge subsets."""
+    """The reference leaf-by-leaf growth finds, one per relabelling class,
+    exactly the connected diagrams of finite Cartan type among all
+    labellings of the complete graph's edge subsets."""
     pairs = [(i, j) for i in range(rank) for j in range(i + 1, rank)]
     labels = [u(e, modulus) for e in range(modulus)]
     expected = set()
@@ -354,41 +336,24 @@ def test_finite_cartan_diagrams_match_every_labelling(rank, modulus):
             g = GDD(modulus, diag, edges)
             if g.is_connected() and arithmetic_via_cartan(g):
                 expected.add(g.canonical_key())
-    grown = finite_cartan_diagrams(rank, modulus)
+    grown = reference.grow_by_full_test(rank, modulus)
     assert [g.canonical_key() for g in grown] == sorted(expected)
 
 
-def grow_by_full_test(rank, modulus):
-    """The leaf-by-leaf growth that builds every grown leaf and tests it with
-    arithmetic_via_cartan: the reference for finite_cartan_diagrams, which
-    decides each leaf by one determinant before building it."""
-    labels = [u(e, modulus) for e in range(1, modulus)]
-    powers = {
-        d: [t for t in dict.fromkeys(d ** -a for a in (1, 2, 3)) if not t.is_one]
-        for d in labels
-    }
-    level = {g.canonical_key(): g for g in (GDD(modulus, (d,)) for d in labels)}
-    for _ in range(rank - 1):
-        grown = {}
-        for g in level.values():
-            for v in range(g.rank):
-                for t in powers[g.diag[v]]:
-                    for d in labels:
-                        if t in powers[d]:
-                            h = g.add_vertex(d, [(v, t)])
-                            if arithmetic_via_cartan(h):
-                                grown.setdefault(h.canonical_key(), h)
-        level = grown
-    return [level[k] for k in sorted(level)]
-
-
 @pytest.mark.parametrize(
-    "rank, modulus", [(5, 4), (5, 6), (5, 10), (6, 4), (6, 6), (7, 4), (8, 4)]
+    "rank, modulus",
+    [(5, 4), (5, 6), (5, 10), (6, 4), (6, 6), (6, 10), (7, 4), (8, 4), (8, 6), (9, 4)],
 )
 def test_determinant_leaf_rule_matches_full_test(rank, modulus):
-    """The determinant rule keeps the leaves the full test keeps: the same
-    representatives in the same order.  Ranks 7 and 8 bring in E7 and E8."""
-    grown = finite_cartan_diagrams(rank, modulus)
-    reference = grow_by_full_test(rank, modulus)
-    assert [g.to_text() for g in grown] == [g.to_text() for g in reference]
-    assert [g.canonical_key() for g in grown] == [g.canonical_key() for g in reference]
+    """e_type_diagrams gives exactly the classes of finite Cartan type that
+    are not classical, as the reference growth finds them: the same
+    representatives, by text and key.  There are none at ranks 5 and 9;
+    at ranks 6-8 one E_rank(q) for each q != 1, some of them stored rows
+    (M=6)."""
+    classical = {g.canonical_key() for g in generate_classical(rank, modulus)}
+    grown = [g for g in reference.grow_by_full_test(rank, modulus)
+             if g.canonical_key() not in classical]
+    built = sorted(e_type_diagrams(rank, modulus), key=lambda g: g.canonical_key())
+    assert [g.to_text() for g in built] == [g.to_text() for g in grown]
+    assert [g.canonical_key() for g in built] == [g.canonical_key() for g in grown]
+    assert len(built) == (modulus - 1 if 6 <= rank <= 8 else 0)

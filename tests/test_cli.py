@@ -384,10 +384,18 @@ def test_enumerate_modulus_and_order_of_q_write_one_report(tmp_path):
 @pytest.mark.parametrize("flags", [[], ["--modulus", "4", "--order-of-q", "4"]],
                          ids=["neither", "both"])
 def test_enumerate_takes_exactly_one_of_modulus_and_order_of_q(capsys, flags):
+    """A usage error exits 1 with one line on stderr; 2 means a mismatch."""
+    assert main(["enumerate", "--rank", "6", *flags, "--db", DATA]) == 1
+    err = capsys.readouterr().err
+    assert "--modulus" in err
+    assert err.count("\n") == 1
+
+
+def test_help_exits_0(capsys):
     with pytest.raises(SystemExit) as exc:
-        main(["enumerate", "--rank", "6", *flags, "--db", DATA])
-    assert exc.value.code == 2
-    assert "--modulus" in capsys.readouterr().err
+        main(["enumerate", "--help"])
+    assert exc.value.code == 0
+    assert "--modulus" in capsys.readouterr().out
 
 
 def test_verify_subcommand(tmp_path, capsys):

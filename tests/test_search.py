@@ -4,11 +4,10 @@ from pathlib import Path
 
 import pytest
 
-import gddkit.search
 import reference
 from db_rows import DATA, row11_gdd1
-from digests import found_digest, shape_digest
-from gddkit.cartan import affine_family_of, finite_cartan_diagrams
+from digests import found_digest, shape_digest, text_digest
+from gddkit.cartan import affine_family_of
 from gddkit.classify import classical_type
 from gddkit.core import GDD, isomorphisms, parse_blocks
 from gddkit.oracle import Oracle
@@ -53,7 +52,7 @@ def _attachment_patterns(modulus, vertices, room):
 
 def extensions(base, modulus):
     """All diagrams adding one vertex to base, in _attachment_patterns
-    order: the reference for the order of BaseIndex.patterns."""
+    order: the reference for the order of BaseIndex.completions."""
     for diag, pairs in _attachment_patterns(modulus, range(base.rank), base.rank):
         yield base.add_vertex(diag, pairs)
 
@@ -269,9 +268,10 @@ def test_orbit_search_tries_one_base_per_orbit(rank6_m4):
 
 
 class OraclePrescreen:
-    """The reference for BaseIndex.patterns: every attachment to a trimmed
-    base, inside the shape bounds of the known arithmetic diagrams of rank
-    n-1, whose one-vertex extension the oracle calls arithmetic."""
+    """The reference for the attachments of BaseIndex.completions: every
+    attachment to a trimmed base, inside the shape bounds of the known
+    arithmetic diagrams of rank n-1, whose one-vertex extension the oracle
+    calls arithmetic."""
 
     def __init__(self, rank, modulus, db):
         self.modulus = modulus
@@ -310,7 +310,7 @@ def compare_pattern_lists(rank, modulus, db):
             trimmed = base.delete_vertex(v)
             if not trimmed.is_connected():
                 continue
-            got, want = index.patterns(trimmed), reference.patterns(trimmed)
+            got, want = list(index.completions(trimmed)), reference.patterns(trimmed)
             trimmed_count += 1
             pattern_count += len(want)
             if got != want:
@@ -356,10 +356,10 @@ def direct_patterns(bases):
 
 @pytest.mark.parametrize("modulus, trimmed", [(4, 273), (6, 867)])
 def test_memoized_patterns_equal_direct_computation(db, modulus, trimmed):
-    """BaseIndex.patterns, computed once per class on its representative and
-    carried by one isomorphism, returns the direct computation's list, in
-    the same order, for every connected one-vertex deletion of every
-    rank-5 base."""
+    """The attachments of BaseIndex.completions, computed once per class on
+    its representative and carried by one isomorphism, are the direct
+    computation's list, in the same order, for every connected one-vertex
+    deletion of every rank-5 base."""
     bases = collect_bases(5, modulus, db)
     index, reference = BaseIndex(bases), direct_patterns(bases)
     seen = 0
@@ -367,7 +367,7 @@ def test_memoized_patterns_equal_direct_computation(db, modulus, trimmed):
         for v in range(base.rank):
             sub = base.delete_vertex(v)
             if sub.is_connected():
-                assert index.patterns(sub) == reference(sub), sub.to_text()
+                assert list(index.completions(sub)) == reference(sub), sub.to_text()
                 seen += 1
     assert seen == trimmed
 
@@ -506,9 +506,9 @@ def test_bases_include_finite_cartan_diagrams(db, rank, modulus):
     """The base set holds every finite-Cartan diagram; those that are
     neither classical nor stored are the E6 diagrams, from rank 6 on."""
     keys = {g.canonical_key() for g in collect_bases(rank, modulus, db)}
-    extra = [g for g in finite_cartan_diagrams(rank, modulus)
-             if not classical_type(g) and db.contains(g) is None]
-    assert all(g.canonical_key() in keys for g in finite_cartan_diagrams(rank, modulus))
+    grown = reference.grow_by_full_test(rank, modulus)
+    extra = [g for g in grown if not classical_type(g) and db.contains(g) is None]
+    assert all(g.canonical_key() in keys for g in grown)
     assert len(extra) == {5: 0, 6: 3}[rank]
     for g in extra:
         # E6: arms of one, two and two vertices on the branch vertex.
@@ -517,26 +517,32 @@ def test_bases_include_finite_cartan_diagrams(db, rank, modulus):
         assert sorted(len(arm) for arm in arms) == [1, 2, 2]
 
 
-@pytest.mark.parametrize("rank, modulus", [(5, 4), (5, 6), (5, 10), (5, 12), (9, 4)])
-def test_bases_without_finite_cartan_growth_are_unchanged(db, rank, modulus, monkeypatch):
-    """At ranks 5 and 9 the base set is collected without growing the
-    finite-Cartan diagrams, and it equals, diagram by diagram and in order,
-    the set grown with them."""
-    want = reference.collect_bases(rank, modulus, db)
+@pytest.mark.parametrize(
+    "rank, modulus",
+    [(5, 4), (5, 6), (5, 10), (5, 12), (6, 4), (6, 6), (7, 4), (8, 4), (9, 4)],
+)
+def test_bases_without_finite_cartan_growth_are_unchanged(db, rank, modulus):
+    """The base set, with the E_6-E_8 diagrams built directly, equals,
+    diagram by diagram and in order, the set that merges the reference
+    growth of every finite-Cartan diagram."""
+    assert collect_bases(rank, modulus, db) == reference.collect_bases(rank, modulus, db)
 
-    def grown(*args):
-        raise AssertionError("finite-Cartan growth at a rank where it adds nothing")
 
-    monkeypatch.setattr(gddkit.search, "finite_cartan_diagrams", grown)
-    assert collect_bases(rank, modulus, db) == want
+@pytest.mark.parametrize("rank", [1, 4])
+def test_bases_are_not_collected_below_rank_5(db, rank):
+    """Below rank 5 the finite-Cartan diagrams include F_4 and G_2, which
+    collect_bases does not build, so it refuses the rank."""
+    with pytest.raises(ValueError, match="rank 5"):
+        collect_bases(rank, 4, db)
 
 
 @pytest.mark.parametrize("rank", [6, 7, 8])
 def test_finite_cartan_growth_adds_the_e_types(db, rank):
-    """At ranks 6-8 and M=4 the growth adds three classes to the classical
-    ones: E_rank at q = i, -1 and -i, each edge q^-1."""
+    """At ranks 6-8 and M=4 the finite-Cartan diagrams add three classes to
+    the classical ones: E_rank at q = i, -1 and -i, each edge q^-1."""
     classical = {g.canonical_key() for g in generate_classical(rank, 4)}
-    extra = [g for g in finite_cartan_diagrams(rank, 4) if g.canonical_key() not in classical]
+    extra = [g for g in reference.grow_by_full_test(rank, 4)
+             if g.canonical_key() not in classical]
     assert sorted(g.diag[0].exponent for g in extra) == [1, 2, 3]
     keys = {g.canonical_key() for g in collect_bases(rank, 4, db)}
     for g in extra:
@@ -571,4 +577,18 @@ def test_rank7_m4_search_finds_affine_e6(db):
     }
     assert shape_digest(report) == (
         "6a52c9d13f467e5b2dddc283cc2f4d30a2ee32f62a48be3bb6add15e152b667b"
+    )
+    # The keys cannot see the labellings; the report's text can.
+    assert text_digest(report) == (
+        "3c7bd4ce0ba62f4d25cb7a9fe032b6b18be0fce92e1023eb93b95e9ff8e34481"
+    )
+
+
+def test_rank8_m6_report_text_is_pinned(db):
+    """The default rank 8, M=6 report, labellings included, as first
+    recorded: its bases hold E_7 at the five q != 1 of mu_6."""
+    report = enumerate_quasi_affine(8, 6, db)
+    assert len(report.found) == 1779
+    assert text_digest(report) == (
+        "495c792c75ea40f390bccdd1c45f707264a3e879bf466ff4e7d6262e0cc574c6"
     )

@@ -4,7 +4,10 @@ the catalogue of affine diagrams.
 For a diagram of Cartan type, a_ij is the maximal b <= 0 with the edge label
 on {i, j} equal to q_ii^b (0 off edges), and a_ii = 2.  The diagram is
 arithmetic exactly when that matrix is a finite-type Cartan matrix, and it is
-called affine when the matrix is an affine generalized Cartan matrix.
+called affine when the matrix is an affine generalized Cartan matrix; each
+type is decided by one elimination of the whole matrix (_leading_minors).
+One table (_FAMILIES) holds the sixteen affine families; their printed
+names, ranks and reference matrices follow from it.
 
 The search's bases take from here the one kind of finite Cartan type that is
 neither classical nor stored from rank 5 on: the diagrams of type E_6-E_8,
@@ -16,7 +19,7 @@ from __future__ import annotations
 from collections import namedtuple
 from functools import cache
 
-from .core import GDD, components_of, least_form, vertices_of
+from .core import GDD, components_of, least_form
 from .roots import UnityRoot, discrete_log_nonpositive
 
 Matrix = tuple[tuple[int, ...], ...]
@@ -104,38 +107,38 @@ def _leading_minors(a: Matrix):
         prev = pivot
 
 
-def _submatrix(a: Matrix, keep: list[int]) -> Matrix:
-    return tuple(tuple(a[i][j] for j in keep) for i in keep)
-
-
-def _blocks(a: Matrix) -> list[list[int]]:
+def is_indecomposable(a: Matrix) -> bool:
     n = len(a)
     nbrs = [sum(1 << u for u in range(n) if u != v and a[v][u] != 0) for v in range(n)]
-    return [vertices_of(block) for block in components_of(nbrs)]
-
-
-def is_indecomposable(a: Matrix) -> bool:
-    return len(_blocks(a)) == 1
+    return len(components_of(nbrs)) == 1
 
 
 def is_finite_cartan(a: Matrix) -> bool:
-    """Finite type: every leading principal minor of every indecomposable
-    block is positive (the M-matrix criterion for matrices with nonpositive
-    off-diagonal entries).  One elimination per block yields its minors and
-    stops at the first that is not positive."""
+    """Finite type: every leading principal minor of a is positive, read off
+    one elimination of the whole matrix that stops at the first minor that
+    is not.
+
+    The off-diagonal entries of a are <= 0, so a is a nonsingular M-matrix
+    exactly when its leading principal minors are positive, in any vertex
+    order (Berman and Plemmons, Nonnegative Matrices in the Mathematical
+    Sciences, ch. 6, Thm 2.3): a simultaneous permutation of rows and
+    columns keeps the M-matrix property.  An indecomposable generalized
+    Cartan matrix is of finite type exactly when it is a nonsingular
+    M-matrix, that is, when au > 0 for some u > 0 (Kac, Infinite-dimensional
+    Lie algebras, Thm 4.3).  A decomposable one is of finite type when each
+    of its blocks is, and a block-diagonal matrix is a nonsingular M-matrix
+    exactly when each of its blocks is."""
     if not is_generalized_cartan(a):
         raise ValueError("not a generalized Cartan matrix")
-    return all(
-        all(minor > 0 for minor in _leading_minors(_submatrix(a, block)))
-        for block in _blocks(a)
-    )
+    return all(minor > 0 for minor in _leading_minors(a))
 
 
 def is_affine_cartan(a: Matrix) -> bool:
     """Affine type: indecomposable, determinant zero, and every proper
-    principal sub-block of finite type.  Decided in one elimination: an
-    indecomposable a is affine exactly when its leading principal minors of
-    orders 1 .. n-1 are positive and its determinant is 0.
+    principal sub-block of finite type; False for a decomposable matrix.
+    Decided in one elimination: an indecomposable a is affine exactly when
+    its leading principal minors of orders 1 .. n-1 are positive and its
+    determinant is 0.
 
     If those minors are positive, the leading block of order n-1 is a
     nonsingular M-matrix (a has nonpositive off-diagonal entries); with
@@ -148,7 +151,7 @@ def is_affine_cartan(a: Matrix) -> bool:
     if not is_generalized_cartan(a):
         raise ValueError("not a generalized Cartan matrix")
     if not is_indecomposable(a):
-        raise ValueError("affine recognition needs an indecomposable matrix")
+        return False
     *leading, det = _leading_minors(a)
     return len(leading) == len(a) - 1 and det == 0 and all(x > 0 for x in leading)
 
@@ -176,42 +179,28 @@ class AffineFamily(namedtuple("AffineFamily", "name size")):
         return self.name if self.size is None else f"{self.name}(N={self.size})"
 
 
-FAMILY_NAMES = [
-    "A1_1", "A1_N", "B1_N", "C1_N", "D1_N", "E1_6", "E1_7", "E1_8",
-    "F1_4", "G1_2", "A2_2", "A2_2N", "A2_2N-1", "D2_N+1", "E2_6", "D3_4",
-]
-
-DISPLAY = {
-    "A1_1": "A^(1)_1", "A1_N": "A^(1)_N", "B1_N": "B^(1)_N", "C1_N": "C^(1)_N",
-    "D1_N": "D^(1)_N", "E1_6": "E^(1)_6", "E1_7": "E^(1)_7", "E1_8": "E^(1)_8",
-    "F1_4": "F^(1)_4", "G1_2": "G^(1)_2", "A2_2": "A^(2)_2", "A2_2N": "A^(2)_2N",
-    "A2_2N-1": "A^(2)_2N-1", "D2_N+1": "D^(2)_N+1", "E2_6": "E^(2)_6",
-    "D3_4": "D^(3)_4",
+# name -> (least N, or None for a fixed family; least order of q it admits).
+# A sized family has rank N + 1.
+_FAMILIES = {
+    "A1_1": (None, 3), "A1_N": (2, 2), "B1_N": (3, 3), "C1_N": (2, 3),
+    "D1_N": (4, 2), "E1_6": (None, 2), "E1_7": (None, 2), "E1_8": (None, 2),
+    "F1_4": (None, 3), "G1_2": (None, 4), "A2_2": (None, 5), "A2_2N": (2, 5),
+    "A2_2N-1": (3, 3), "D2_N+1": (2, 3), "E2_6": (None, 3), "D3_4": (None, 4),
 }
 
-# Size bounds: (minimal N, rank as a function of N or fixed rank).
-_SIZE_RULES = {
-    "A1_1": (None, 2), "A1_N": (2, lambda N: N + 1), "B1_N": (3, lambda N: N + 1),
-    "C1_N": (2, lambda N: N + 1), "D1_N": (4, lambda N: N + 1),
-    "E1_6": (None, 7), "E1_7": (None, 8), "E1_8": (None, 9),
-    "F1_4": (None, 5), "G1_2": (None, 3), "A2_2": (None, 2),
-    "A2_2N": (2, lambda N: N + 1), "A2_2N-1": (3, lambda N: N + 1),
-    "D2_N+1": (2, lambda N: N + 1), "E2_6": (None, 5), "D3_4": (None, 3),
-}
+FAMILY_NAMES = list(_FAMILIES)
+
+
+def display(name: str) -> str:
+    """The family's name as printed: "A1_N" is A^(1)_N."""
+    return f"{name[0]}^({name[1]})_{name[3:]}"
 
 
 def admissible(name: str, q: UnityRoot) -> bool:
     """Parameter constraint of the family, as stated in the catalogue."""
-    o = q.order()
-    if name in ("A1_1", "B1_N", "C1_N", "A2_2N-1", "D2_N+1", "E2_6", "F1_4"):
-        return o > 2
-    if name in ("A1_N", "D1_N", "E1_6", "E1_7", "E1_8"):
-        return o > 1
-    if name in ("G1_2", "D3_4"):
-        return o > 3
-    if name in ("A2_2", "A2_2N"):
-        return o > 4
-    raise ValueError(f"unknown family {name}")
+    if name not in _FAMILIES:
+        raise ValueError(f"unknown family {name}")
+    return q.order() >= _FAMILIES[name][1]
 
 
 def _path(q_powers: list[int], edge_powers: list[int], q: UnityRoot) -> GDD:
@@ -225,7 +214,7 @@ def build_affine_gdd(family: AffineFamily, q: UnityRoot) -> GDD:
     name, N = family.name, family.size
     if not admissible(name, q):
         raise ValueError(f"parameter of order {q.order()} not admissible for {name}")
-    lo, _rank = _SIZE_RULES[name]
+    lo = _FAMILIES[name][0]
     if (lo is None) != (N is None) or (N is not None and N < lo):
         raise ValueError(f"bad size {N} for {name}")
     m = q.modulus
@@ -276,59 +265,30 @@ def build_affine_gdd(family: AffineFamily, q: UnityRoot) -> GDD:
     raise ValueError(f"unknown family {name}")
 
 
-def _reference_matrix(name: str, rank: int) -> Matrix | None:
-    """The family's generalized Cartan matrix at the given rank, built from a
-    high-order parameter so no exponent collapses."""
-    lo, r = _SIZE_RULES[name]
-    if lo is None:
-        if r != rank:
-            return None
-        fam = AffineFamily(name, None)
-    else:
-        # rank = N + 1 for every sized family.
-        N = rank - 1
-        if N < lo:
-            return None
-        fam = AffineFamily(name, N)
-    q = UnityRoot(2, 60)  # order 30: no exponent collapses at any catalogue rank
-    g = build_affine_gdd(fam, q)
-    a = braiding_exponents(g)
-    assert a is not None
-    return a
-
-
 def catalogue(q: UnityRoot, max_rank: int = 9) -> list[tuple[AffineFamily, GDD]]:
     """Every catalogue family admissible at q, instantiated at ranks up to
     max_rank (sized families contribute one instance per size)."""
     out = []
-    for name in FAMILY_NAMES:
-        if not admissible(name, q):
-            continue
-        lo, r = _SIZE_RULES[name]
-        if lo is None:
-            if r <= max_rank:
-                fam = AffineFamily(name, None)
-                out.append((fam, build_affine_gdd(fam, q)))
-        else:
-            N = lo
-            while N + 1 <= max_rank:
+    for name, (lo, _) in _FAMILIES.items():
+        if admissible(name, q):
+            for N in [None] if lo is None else range(lo, max_rank):
                 fam = AffineFamily(name, N)
-                out.append((fam, build_affine_gdd(fam, q)))
-                N += 1
+                g = build_affine_gdd(fam, q)
+                if g.rank <= max_rank:
+                    out.append((fam, g))
     return out
 
 
 @cache
 def _affine_families(rank: int) -> dict[tuple, AffineFamily]:
-    """The least form of each family's reference matrix at the given rank ->
-    the first family in FAMILY_NAMES order with that matrix."""
+    """The least form of each family's matrix at the given rank -> the first
+    family in FAMILY_NAMES order with that matrix.  The matrices are read
+    off the catalogue at a parameter of order 30, so that no exponent
+    collapses at any rank it reaches."""
     table: dict[tuple, AffineFamily] = {}
-    for name in FAMILY_NAMES:
-        ref = _reference_matrix(name, rank)
-        if ref is not None:
-            lo, _ = _SIZE_RULES[name]
-            family = AffineFamily(name, None if lo is None else rank - 1)
-            table.setdefault(_least_form(ref), family)
+    for family, g in catalogue(UnityRoot(2, 60), rank):
+        if g.rank == rank:
+            table.setdefault(_least_form(braiding_exponents(g)), family)
     return table
 
 
@@ -344,7 +304,7 @@ def affine_family_of(g: GDD) -> AffineFamily | None:
     if g.has_degenerate_diag():
         return None
     a = braiding_exponents(g)
-    if a is None or not is_indecomposable(a) or not is_affine_cartan(a):
+    if a is None or not is_affine_cartan(a):
         return None
     return family_of_affine_matrix(a)
 

@@ -384,26 +384,14 @@ class _Subsets:
             drop1, drop2 = _mask(head1.vertices), _mask(head2.vertices)
             if drop1 & drop2:
                 continue
+            # the body is a simple chain from one head's attach vertex to the
+            # other's, read once toward each
             body = self.all & ~(drop1 | drop2)
-            if not body >> head1.attach & 1 or not body >> head2.attach & 1:
+            got1 = self._attached_profile(body, head1.attach, head2.attach)
+            if got1 is None or not head1.matches_body(got1[0]):
                 continue
-            order = path_order(self.nbrs, body)
-            if order is None or not self._is_simple(order):
-                continue
-            if len(order) == 1:
-                prof1 = prof2 = self._profile(order)
-            else:
-                ends = (order[0], order[-1])
-                if head1.attach not in ends or head2.attach not in ends:
-                    continue
-                if head1.attach == head2.attach:
-                    continue
-                o1 = order if order[-1] == head1.attach else order[::-1]
-                prof1 = self._profile(o1)
-                prof2 = self._profile(o1[::-1])
-            if prof1 is None or prof2 is None:
-                continue
-            if head1.matches_body(prof1) and head2.matches_body(prof2):
+            got2 = self._attached_profile(body, head2.attach, head1.attach)
+            if got2 is not None and head2.matches_body(got2[0]):
                 return True
         return False
 

@@ -92,17 +92,12 @@ def cmd_check(args) -> int:
                     print("  Cartan type: no")
                 else:
                     rows = "; ".join(" ".join(str(x) for x in row) for row in a)
-                    kind = (
-                        "finite"
-                        if cartan.is_finite_cartan(a)
-                        else "affine"
-                        if cartan.is_indecomposable(a) and cartan.is_affine_cartan(a)
-                        else "indefinite"
-                    )
+                    kind = ("finite" if cartan.is_finite_cartan(a)
+                            else "affine" if cartan.is_affine_cartan(a) else "indefinite")
                     print(f"  Cartan type: yes ({kind}); matrix [{rows}]")
                     fam = cartan.family_of_affine_matrix(a) if kind == "affine" else None
                     if fam is not None:
-                        print(f"  affine family: {cartan.DISPLAY[fam.name]}"
+                        print(f"  affine family: {cartan.display(fam.name)}"
                               + (f" at N={fam.size}" if fam.size is not None else ""))
         if oracle is not None and connected:
             try:

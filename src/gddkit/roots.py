@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from math import gcd, lcm
+from operator import index
 
 # modulus -> {exponent: the shared UnityRoot}
 _ROOTS: dict[int, dict[int, UnityRoot]] = {}
@@ -34,10 +35,14 @@ class UnityRoot(namedtuple("UnityRoot", "exponent modulus")):
             return _ROOTS[modulus][exponent]
         except KeyError:
             pass
+        # stored as ints, since a stored float would be the shared label of
+        # every later call it equals: a float raises TypeError here, and a
+        # numpy integer becomes an int
+        modulus = index(modulus)
         if modulus < 2 or modulus % 2 != 0:
             raise ValueError(f"modulus must be even and >= 2, got {modulus}")
         # an exponent outside 0..M-1 is reduced and then looked up
-        exponent %= modulus
+        exponent = index(exponent) % modulus
         table = _ROOTS.setdefault(modulus, {})
         root = table.get(exponent)
         if root is None:

@@ -22,6 +22,10 @@ leaf by leaf, testing each grown leaf with ``arithmetic_via_cartan``, and
 ``collect_bases`` merges that growth at every rank; ``gddkit.search`` adds
 only the E_6-E_8 diagrams, built directly, at ranks 6-8.
 
+``is_finite_cartan_by_blocks`` splits a matrix into its indecomposable
+blocks and runs one elimination per block; ``gddkit.cartan`` runs one
+elimination on the whole matrix.
+
 The dense ``braiding_exponents`` reads the label pair of every ordered pair
 of vertices and tests the generalized Cartan axioms afterwards;
 ``gddkit.cartan`` reads the edges only.
@@ -35,7 +39,7 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from gddkit.cartan import arithmetic_via_cartan, is_generalized_cartan
+from gddkit.cartan import _leading_minors, arithmetic_via_cartan, is_generalized_cartan
 from gddkit.chains import ChainProfile
 from gddkit.classify import HeadPattern, TypeTag, _some_square_root
 from gddkit.core import GDD, with_modulus
@@ -611,6 +615,27 @@ def braiding_exponents(g):
         rows.append(tuple(row))
     a = tuple(rows)
     return a if is_generalized_cartan(a) else None
+
+
+# -- finite type block by block --------------------------------------------------
+
+
+def submatrix(a, keep):
+    """The principal submatrix of a on the vertices ``keep``, in that order."""
+    return tuple(tuple(a[i][j] for j in keep) for i in keep)
+
+
+def is_finite_cartan_by_blocks(a):
+    """Finite type: every leading principal minor of every indecomposable
+    block is positive, one elimination per block."""
+    if not is_generalized_cartan(a):
+        raise ValueError("not a generalized Cartan matrix")
+    n = len(a)
+    adj = [[u for u in range(n) if u != v and a[v][u] != 0] for v in range(n)]
+    return all(
+        all(minor > 0 for minor in _leading_minors(submatrix(a, block)))
+        for block in components_of(adj)
+    )
 
 
 # -- bases with finite-Cartan growth at every rank -------------------------------

@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import brute
+import reference
 from cartan_matrices import all_gcms, finite_reference_list, same_up_to_permutation
 from digests import found_digest, shape_digest
 from gddkit.cartan import (
@@ -22,7 +23,6 @@ from gddkit.cartan import (
     is_affine_cartan,
     is_finite_cartan,
     is_indecomposable,
-    _submatrix,
 )
 from gddkit.chains import chain_profile, chains_with_parameter, is_simple_chain
 from gddkit.core import GDD, parse_blocks
@@ -113,12 +113,14 @@ def test_criterion_2_enumeration_completeness(db, rank6_run):
 def test_criterion_3_affine_catalogue():
     """16 families x 3 admissible parameters: determinant zero, proper
     principal minors positive, family identity round-trips."""
-    from gddkit.cartan import FAMILY_NAMES, _SIZE_RULES, admissible
+    from gddkit.cartan import FAMILY_NAMES, admissible, catalogue
 
+    sizes = {}
+    for family, _ in catalogue(UnityRoot(2, 60)):
+        sizes.setdefault(family.name, []).append(family.size)
     checks = 0
     for name in FAMILY_NAMES:
-        lo, _ = _SIZE_RULES[name]
-        fam = AffineFamily(name, None if lo is None else (lo + 1 if name == "A1_N" else lo))
+        fam = AffineFamily(name, sizes[name][1 if name == "A1_N" else 0])
         got = []
         for order in (3, 4, 5, 6, 7, 8, 9):
             from math import lcm
@@ -138,7 +140,7 @@ def test_criterion_3_affine_catalogue():
             n = len(a)
             for i in range(n):
                 keep = [j for j in range(n) if j != i]
-                sub = _submatrix(a, keep)
+                sub = reference.submatrix(a, keep)
                 assert is_finite_cartan(sub), (name, q, i)
             back = affine_family_of(g)
             assert back is not None and back.name == name

@@ -1,5 +1,6 @@
 import random
 import time
+from collections import Counter
 from itertools import product
 from pathlib import Path
 
@@ -11,13 +12,13 @@ from cartan_matrices import all_gcms, finite_reference_list, same_up_to_permutat
 from gddkit.cartan import (
     FAMILY_NAMES,
     AffineFamily,
-    _SIZE_RULES,
-    _reference_matrix,
     admissible,
     affine_family_of,
     arithmetic_via_cartan,
     braiding_exponents,
     build_affine_gdd,
+    catalogue,
+    display,
     e_type_diagrams,
     is_affine_cartan,
     is_finite_cartan,
@@ -76,8 +77,10 @@ def test_finite_and_affine_recognition():
     assert not is_affine_cartan(((2, -1), (-1, 2)))
     # G_2 belongs to the finite classification
     assert is_finite_cartan(((2, -1), (-3, 2)))
+    # decomposable: not affine
+    assert not is_affine_cartan(((2, 0, -1), (0, 2, 0), (-1, 0, 2)))
     with pytest.raises(ValueError):
-        is_affine_cartan(((2, 0, -1), (0, 2, 0), (-1, 0, 2)))
+        is_affine_cartan(((2, 1), (1, 2)))
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -91,6 +94,68 @@ def test_minor_criterion_matches_classification(n):
             continue
         expected = any(same_up_to_permutation(a, r) for r in reference)
         assert is_finite_cartan(a) == expected, a
+
+
+def _reference_matrices(rank):
+    """Each family's matrix at the given rank, by name, read off the
+    catalogue at a parameter of order 30 (no exponent collapses)."""
+    return {fam.name: braiding_exponents(g)
+            for fam, g in catalogue(u(2, 60), rank) if g.rank == rank}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_one_elimination_matches_the_per_block_test_exhaustively(n):
+    """is_finite_cartan eliminates the whole matrix at once; the reference
+    splits it into blocks first.  They agree on every matrix with entries
+    >= -4 at ranks 1-3, decomposable ones included, and is_affine_cartan
+    says no to every decomposable one."""
+    seen = Counter()
+    for a in all_gcms(n):
+        finite = reference.is_finite_cartan_by_blocks(a)
+        assert is_finite_cartan(a) == finite, a
+        whole = is_indecomposable(a)
+        if not whole:
+            assert not is_affine_cartan(a), a
+        seen[finite, whole] += 1
+    assert seen == {
+        1: {(True, True): 1},
+        2: {(True, True): 5, (False, True): 11, (True, False): 1},
+        3: {(True, True): 15, (False, True): 4849, (True, False): 16, (False, False): 33},
+    }[n]
+
+
+def _random_forest(rng, n):
+    """A random forest on n vertices, mostly simply laced and path-like so
+    that blocks of finite type are common: vertex j joins j - 1 or an
+    earlier vertex, or stays apart from them."""
+    edges = [(-1, -1)] * 8 + [(-1, -2), (-2, -1), (-1, -3), (-3, -1)]
+    m = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
+    for j in range(1, n):
+        i = j - 1 if rng.random() < 0.85 else rng.randrange(j)
+        if rng.random() < 0.85:
+            m[i][j], m[j][i] = rng.choice(edges)
+    return tuple(tuple(row) for row in m)
+
+
+def test_one_elimination_matches_the_per_block_test_on_samples():
+    """The same on seeded random matrices and forests at ranks 4-9, each
+    also under a random simultaneous permutation."""
+    rng = random.Random(37)
+    seen = Counter()
+    for i in range(4000):
+        n = rng.randint(4, 9)
+        if i % 2:
+            a = _random_gcm(rng, n, density=rng.choice([0.1, 0.2, 0.3, 0.6]))
+        else:
+            a = _random_forest(rng, n)
+        finite = reference.is_finite_cartan_by_blocks(a)
+        assert is_finite_cartan(a) == finite, a
+        p = list(range(n))
+        rng.shuffle(p)
+        assert is_finite_cartan(_permuted(a, p)) == finite, (a, p)
+        seen[finite, is_indecomposable(a)] += 1
+    assert seen == {(True, True): 190, (False, True): 1328,
+                    (True, False): 951, (False, False): 1531}
 
 
 def _permuted(a, p):
@@ -173,8 +238,7 @@ def test_affine_test_matches_deletion_reference_on_samples():
     at ranks 4-9: random connected matrices (a random tree plus sparse
     extra edges), and permuted reference matrices with one entry pair often
     redrawn, so that both answers occur."""
-    refs = [a for name in FAMILY_NAMES for rank in range(2, 10)
-            if (a := _reference_matrix(name, rank)) is not None]
+    refs = [a for rank in range(2, 10) for a in _reference_matrices(rank).values()]
     for a in refs:
         assert is_affine_cartan(a) and _deletion_affine(a), a
     rng = random.Random(31)
@@ -213,8 +277,7 @@ def test_affine_test_matches_deletion_reference_on_samples():
 def test_same_up_to_permutation_on_permuted_references():
     rng = random.Random(12)
     for rank in range(2, 10):
-        refs = {name: _reference_matrix(name, rank) for name in FAMILY_NAMES}
-        refs = {name: a for name, a in refs.items() if a is not None}
+        refs = _reference_matrices(rank)
         for name, a in refs.items():
             p = list(range(rank))
             rng.shuffle(p)
@@ -254,10 +317,12 @@ def _sample_parameters(name):
 
 
 def _families_to_check():
+    """Each family at its least size (A1_N at the next one)."""
+    sizes = {}
+    for fam, _ in catalogue(u(2, 60)):
+        sizes.setdefault(fam.name, []).append(fam.size)
     for name in FAMILY_NAMES:
-        lo, rule = _SIZE_RULES[name]
-        fam = AffineFamily(name, None if lo is None else lo + 1 if name == "A1_N" else lo)
-        yield fam
+        yield AffineFamily(name, sizes[name][1 if name == "A1_N" else 0])
 
 
 def test_catalogue_matrices_are_affine_and_round_trip():
@@ -273,6 +338,27 @@ def test_catalogue_matrices_are_affine_and_round_trip():
             assert got is not None and got.name == fam.name, (fam, q, got)
             checks += 1
     assert checks == 48
+
+
+def test_every_family_round_trips_at_every_size_up_to_rank_12():
+    """affine_family_of names the family and size of every catalogue
+    diagram up to rank 12, at every order of q from 2 to 7 and at order 30;
+    a family is built only where q is admissible for it."""
+    counts = []
+    for q in [u(1, 2), u(2, 6), u(1, 4), u(2, 10), u(1, 6), u(2, 14), u(2, 60)]:
+        built = catalogue(q, 12)
+        for fam, g in built:
+            assert affine_family_of(g) == fam, (fam, q)
+        counts.append(len(built))
+    assert counts == [21, 62, 64, 75, 75, 75, 75]
+
+
+def test_display_names_and_unknown_family():
+    assert " ".join(map(display, FAMILY_NAMES)) == (
+        "A^(1)_1 A^(1)_N B^(1)_N C^(1)_N D^(1)_N E^(1)_6 E^(1)_7 E^(1)_8 "
+        "F^(1)_4 G^(1)_2 A^(2)_2 A^(2)_2N A^(2)_2N-1 D^(2)_N+1 E^(2)_6 D^(3)_4")
+    with pytest.raises(ValueError):
+        admissible("A1_M", u(2, 60))
 
 
 def test_build_affine_examples():

@@ -12,7 +12,7 @@ from gddkit.classify import (
     quasi_classical_tails,
     tail_vertices,
 )
-from gddkit.core import GDD
+from gddkit.core import GDD, parse_gdd
 from gddkit.roots import UnityRoot, minus_one
 from gddkit.tables import generate_classical
 
@@ -189,6 +189,18 @@ def test_bi_classical_construction():
 
 def test_plain_chain_is_not_bi_classical():
     g = path([2] * 6, [4] * 5)
+    assert not is_bi_classical(g)
+
+
+@pytest.mark.parametrize("text", [
+    "gdd M=6 n=4\ndiag 3 3 4 4\nedge 1 2 5\nedge 1 3 2\nedge 1 4 2\n",
+    "gdd M=6 n=4\ndiag 2 2 1 1\nedge 1 2 4\nedge 2 3 4\nedge 2 4 4\n",
+], ids=["type-1-heads", "type-2-heads"])
+def test_two_heads_at_one_body_end_are_not_bi_classical(text):
+    # two disjoint one-vertex heads attach at the same end of a two-vertex
+    # body and each matches the body read toward it; a bi-classical diagram
+    # needs them at the body's two ends
+    g = parse_gdd(text)
     assert not is_bi_classical(g)
 
 

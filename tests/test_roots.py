@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from gddkit.core import GDD
 from gddkit.roots import (
     Parameter,
     UnityRoot,
@@ -58,6 +59,37 @@ def test_labels_are_interned(m):
         assert x.exponent == e % m and type(x.exponent) is int
     x = UnityRoot(m - 1, m)
     assert x * x.inverse() is one(m) and x ** 2 is UnityRoot(m - 2, m)
+
+
+# Each test below builds its own modulus, which no other test builds, so
+# that its first label misses the shared table.
+
+
+def test_a_float_exponent_is_refused_and_leaves_the_table_clean():
+    with pytest.raises(TypeError):
+        UnityRoot(2.0, 9998)
+    x = UnityRoot(2, 9998)
+    assert type(x.exponent) is int
+    assert GDD(9998, (x, x)).to_text().splitlines()[1] == "diag 2 2"
+
+
+def test_a_non_integral_exponent_is_refused():
+    with pytest.raises(TypeError):
+        UnityRoot(1.5, 9996)
+
+
+def test_a_float_modulus_is_refused():
+    with pytest.raises(TypeError):
+        UnityRoot(1, 9994.0)
+    assert type(UnityRoot(1, 9994).modulus) is int
+
+
+def test_numpy_integers_are_stored_as_ints():
+    np = pytest.importorskip("numpy")
+    x = UnityRoot(np.int64(3), 9992)
+    assert type(x.exponent) is int and x is UnityRoot(3, 9992)
+    y = UnityRoot(5, np.int64(9990))
+    assert type(y.modulus) is int and y is UnityRoot(5, 9990)
 
 
 def test_copies_and_pickles_read_back_the_shared_label():

@@ -282,13 +282,16 @@ def catalogue(q: UnityRoot, max_rank: int = 9) -> list[tuple[AffineFamily, GDD]]
 @cache
 def _affine_families(rank: int) -> dict[tuple, AffineFamily]:
     """The least form of each family's matrix at the given rank -> the first
-    family in FAMILY_NAMES order with that matrix.  The matrices are read
-    off the catalogue at a parameter of order 30, so that no exponent
-    collapses at any rank it reaches."""
+    family in FAMILY_NAMES order with that matrix.  Only that rank's
+    catalogue diagrams are built (a sized family's at N = rank - 1), at a
+    parameter of order 30, so that no exponent collapses."""
     table: dict[tuple, AffineFamily] = {}
-    for family, g in catalogue(UnityRoot(2, 60), rank):
-        if g.rank == rank:
-            table.setdefault(_least_form(braiding_exponents(g)), family)
+    for name, (lo, _) in _FAMILIES.items():
+        if lo is None or lo < rank:
+            family = AffineFamily(name, None if lo is None else rank - 1)
+            g = build_affine_gdd(family, UnityRoot(2, 60))
+            if g.rank == rank:
+                table.setdefault(_least_form(braiding_exponents(g)), family)
     return table
 
 

@@ -30,8 +30,8 @@ subset has a reading, stop at the first (``readings(keep, first=True)``).
 A diagram is read once: ``reading(g)`` keeps the _Subsets of the last
 diagram asked, by identity, so the callers that ask about one diagram in
 turn (check, the oracle, the quasi-affine test, the shape tags) share its
-head table, its classical readings and its edge exponents.  No other
-subset's readings are kept, and no GDD keeps a reading.
+components, head table, classical readings, exponent matrix and its finite
+verdict.  No other subset's readings are kept, and no GDD keeps a reading.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from itertools import combinations
 
 from . import cartan
 from .chains import ChainProfile, exponent_failures, exponent_profile
-from .core import GDD, components_of, path_order, vertices_of
+from .core import GDD, components_of, is_cycle_graph, path_order, vertices_of
 from .roots import UnityRoot, minus_one
 
 class TypeTag(namedtuple("TypeTag", "kind q body_profile head tail")):
@@ -114,7 +114,7 @@ class _Subsets:
     on end e with neighbour b, keyed (e, b), and the two-vertex heads on
     tips h1 < h2 with centre c, keyed (h1, h2, c).  Which entries a subset
     reads depends only on its degrees; what an entry holds, only on labels.
-    g's classical readings and edge exponents are kept once asked."""
+    g's components, classical readings, matrices and verdicts are kept."""
 
     def __init__(self, g: GDD):
         self.g = g
@@ -127,10 +127,18 @@ class _Subsets:
         self.all = (1 << g.rank) - 1
         self._ends: dict[tuple[int, int], list[HeadPattern]] = {}
         self._forks: dict[tuple[int, int, int], list[HeadPattern]] = {}
+        self._parts: list[int] | None = None
         self._types: set[TypeTag] | None = None
         self._exponents: list | None = None
+        self._matrix = self._finite = _UNASKED
 
     # -- the whole diagram ------------------------------------------------------
+
+    def parts(self) -> list[int]:
+        """g's components as vertex masks (core.components_of), kept."""
+        if self._parts is None:
+            self._parts = components_of(self.nbrs)
+        return self._parts
 
     def classical_type(self) -> set[TypeTag]:
         """All readings of g as one of the classical types, kept: callers
@@ -145,13 +153,29 @@ class _Subsets:
         return bool(self.readings(self.all, first=True) if types is None else types)
 
     def matrix(self, without: int | None = None) -> cartan.Matrix | None:
-        """g's braiding exponential matrix, or that of its deletion of vertex
-        ``without``, which must keep no vertex labelled 1; None when it is
-        not of Cartan type.  Read from g's edge exponents, read once
-        (cartan.edge_exponents, cartan.exponent_matrix)."""
+        """g's braiding exponential matrix, kept, or that of its deletion of
+        vertex ``without``; the diagram read must keep no vertex labelled 1.
+        None when it is not of Cartan type.  Read from g's edge exponents,
+        read once (cartan.edge_exponents, cartan.exponent_matrix)."""
+        if without is None and self._matrix is not _UNASKED:
+            return self._matrix
         if self._exponents is None:
             self._exponents = list(cartan.edge_exponents(self.g))
-        return cartan.exponent_matrix(self.g.rank, self._exponents, without)
+        a = cartan.exponent_matrix(self.g.rank, self._exponents, without)
+        if without is None:
+            self._matrix = a
+        return a
+
+    def finite(self, without: int | None = None) -> bool | None:
+        """Whether matrix(without) is of finite type, kept for g itself;
+        None when it is not of Cartan type."""
+        if without is None and self._finite is not _UNASKED:
+            return self._finite
+        a = self.matrix(without)
+        verdict = None if a is None else cartan.is_finite_cartan(a)
+        if without is None:
+            self._finite = verdict
+        return verdict
 
     # -- labels along a path ----------------------------------------------------
 
@@ -396,7 +420,7 @@ class _Subsets:
         return False
 
     def is_simple_cycle(self) -> bool:
-        return self.g.is_cycle() and all(
+        return is_cycle_graph(self.nbrs) and all(
             self.is_simple_path(self.all & ~(1 << v)) for v in range(self.g.rank)
         )
 
@@ -446,13 +470,14 @@ class _Subsets:
 
 
 _last: _Subsets | None = None
+_UNASKED = object()  # a kept answer not asked yet (None is an answer)
 
 
 def reading(g: GDD) -> _Subsets:
-    """The one reading of g: a _Subsets kept for the last diagram asked, by
-    identity (it holds g, so the identity is not reused), so that callers
-    asking about one diagram in turn share it.  One reading at most is kept,
-    and none on a GDD: the diagrams a call stores hold no reading."""
+    """The one reading of g, kept for the last diagram asked by identity (it
+    holds g, so the identity is not reused): callers asking about one diagram
+    in turn share it and all it keeps.  One reading at most is kept, and none
+    on a GDD: the diagrams a call stores hold no reading."""
     global _last
     if _last is None or _last.g is not g:
         _last = _Subsets(g)
@@ -462,7 +487,7 @@ def reading(g: GDD) -> _Subsets:
 def _connected(g: GDD) -> _Subsets:
     """The reading of g, which must be connected."""
     s = reading(g)
-    if not s.is_connected(s.all):
+    if len(s.parts()) != 1:
         raise ValueError("needs a connected diagram")
     return s
 

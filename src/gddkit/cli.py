@@ -17,7 +17,7 @@ from pathlib import Path
 
 from . import cartan, classify
 from .chains import chain_profile, is_simple_chain
-from .core import GDD, ParseError, minimal_modulus, parse_blocks, with_modulus
+from .core import GDD, ParseError, minimal_modulus, parse_blocks, path_order, with_modulus
 from .oracle import Oracle, OracleGap
 from .roots import Parameter
 from .search import diff_keys, enumerate_quasi_affine, verify_against
@@ -60,10 +60,12 @@ def cmd_check(args) -> int:
     for i, (g, meta, _) in enumerate(blocks, start=1):
         name = meta.get("item") or meta.get("row") or str(i)
         print(f"diagram {name}: rank {g.rank}, modulus {g.modulus}")
-        connected = g.is_connected()
+        # g's one reading, shared by every answer below and the oracle's queries
+        r = classify.reading(g)
+        connected = len(r.parts()) == 1
         print(f"  connected: {'yes' if connected else 'no'}")
-        if g.is_chain():
-            simple = is_simple_chain(g)
+        if (order := path_order(r.nbrs, r.all)) is not None:
+            simple = is_simple_chain(g, order)
             print(f"  chain: yes; simple chain: {'yes' if simple else 'no'}")
             if simple:
                 for p in sorted(chain_profile(g), key=lambda p: (p.wildcard, p.q)):
@@ -77,8 +79,6 @@ def cmd_check(args) -> int:
         else:
             print("  chain: no")
         if connected:
-            # g's one reading, which the oracle's queries below share
-            r = classify.reading(g)
             tags = r.classical_type()
             if tags:
                 kinds = sorted({t.kind for t in tags})
@@ -92,7 +92,7 @@ def cmd_check(args) -> int:
                     print("  Cartan type: no")
                 else:
                     rows = "; ".join(" ".join(str(x) for x in row) for row in a)
-                    kind = ("finite" if cartan.is_finite_cartan(a)
+                    kind = ("finite" if r.finite()
                             else "affine" if cartan.is_affine_cartan(a) else "indefinite")
                     print(f"  Cartan type: yes ({kind}); matrix [{rows}]")
                     fam = cartan.family_of_affine_matrix(a) if kind == "affine" else None

@@ -19,12 +19,12 @@ that canonical order with the form, and a diagram keeps both: two diagrams
 with equal keys and the same modulus are carried onto each other by pairing
 their canonical orders position by position, with no isomorphism search.
 
-The graph helpers (components_of, path_order, non_cut_vertices) read a
-graph as neighbour masks, one int per vertex with bit u set for each
-neighbour u (GDD.neighbour_masks), and a vertex subset as one int mask:
-restricting to a subset is an ``&`` and a degree is ``int.bit_count()``.
-Each has this one implementation; classify, cartan, the oracle and the
-search read vertex subsets through them.
+The graph helpers (components_of, path_order, non_cut_vertices,
+is_cycle_graph) read a graph as neighbour masks, one int per vertex with
+bit u set for each neighbour u (GDD.neighbour_masks), and a vertex subset
+as one int mask: restricting to a subset is an ``&`` and a degree is
+``int.bit_count()``.  Each has this one implementation; classify, cartan,
+the oracle and the search read vertex subsets through them.
 """
 
 from __future__ import annotations
@@ -228,10 +228,7 @@ class GDD:
         return path_order(self.neighbour_masks(), (1 << self.rank) - 1)
 
     def is_cycle(self) -> bool:
-        if self.rank < 3:
-            return False
-        nbrs = self.neighbour_masks()
-        return all(nb.bit_count() == 2 for nb in nbrs) and len(components_of(nbrs)) == 1
+        return is_cycle_graph(self.neighbour_masks())
 
     # -- canonical form ------------------------------------------------------
 
@@ -340,6 +337,12 @@ def non_cut_vertices(nbrs: list[int]) -> list[int]:
     every = (1 << len(nbrs)) - 1
     return [v for v in range(len(nbrs))
             if len(components_of(nbrs, every & ~(1 << v))) == 1]
+
+
+def is_cycle_graph(nbrs: list[int]) -> bool:
+    """Whether the graph given by neighbour masks is a single cycle."""
+    return (len(nbrs) >= 3 and all(nb.bit_count() == 2 for nb in nbrs)
+            and path_order(nbrs, (1 << len(nbrs)) - 2) is not None)
 
 
 def path_order(nbrs: list[int], keep: int) -> list[int] | None:
@@ -510,24 +513,31 @@ def _least_order(cells: list[list[int]], twin: list[int], labels: list[list[int]
 
     def search(parts: list[list[int]], rows: list[list], path: tuple) -> None:
         nonlocal best, best_order
-        if not parts:
+        if all(len(p) == 1 for p in parts):  # every position left is forced
+            rest = [p[0] for p in parts]
+            rows = rows + [[labels[v][u] for u in rest[i:]] for i, v in enumerate(rest, 1)]
             if best is None or rows < best:
-                best, best_order = rows, path
+                best, best_order = rows, path + tuple(rest)
             return
         head, tail = parts[0], parts[1:]
-        least, chosen, tried = None, [], set()
-        for v in head:
-            if twin[v] not in tried:
-                tried.add(twin[v])
-                lab = labels[v]
-                first = [u for u in head if u != v]
-                row = sorted([lab[u] for u in first])
-                for p in tail:
-                    row += sorted([lab[u] for u in p])
-                if least is None or row < least:
-                    least, chosen = row, []
-                if row == least:
-                    chosen.append((v, first))
+        if len(head) == 1:  # a forced position: one choice, no comparison
+            lab = labels[head[0]]
+            least = [x for p in tail for x in sorted([lab[u] for u in p])]
+            chosen = [(head[0], [])]
+        else:
+            least, chosen, tried = None, [], set()
+            for v in head:
+                if twin[v] not in tried:
+                    tried.add(twin[v])
+                    lab = labels[v]
+                    first = [u for u in head if u != v]
+                    row = sorted([lab[u] for u in first])
+                    for p in tail:
+                        row += sorted([lab[u] for u in p])
+                    if least is None or row < least:
+                        least, chosen = row, []
+                    if row == least:
+                        chosen.append((v, first))
         rows = rows + [least]
         if best is not None and rows > best[: len(rows)]:
             return

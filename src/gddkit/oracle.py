@@ -48,7 +48,7 @@ from itertools import combinations
 
 from . import cartan, classify
 from .chains import chain_condition_failures
-from .core import GDD, components_of, non_cut_vertices
+from .core import GDD, non_cut_vertices, vertices_of
 from .roots import minus_one
 from .tables import ArithmeticDatabase
 
@@ -89,12 +89,16 @@ class Oracle:
 
     def is_arithmetic(self, g: GDD) -> OracleVerdict:
         """Componentwise arithmetic decision (a disconnected diagram is
-        arithmetic exactly when all its components are)."""
-        parts = g.component_vertex_sets()
+        arithmetic exactly when all its components are), read off g's
+        reading (classify.reading) unless g is keyed and memoized."""
+        keyed = getattr(g, "_canonical", None)
+        if keyed is not None and keyed[0] in self._memo:
+            return self._connected(g)
+        parts = classify.reading(g).parts()
         if len(parts) == 1:
             return self._connected(g)
         for part in parts:
-            v = self._connected(g.induced(part))
+            v = self._connected(g.induced(vertices_of(part)))
             if not v.arithmetic:
                 return OracleVerdict(False, ("component",) + v.witness)
         return OracleVerdict(True, ("all-components",))
@@ -120,24 +124,23 @@ class Oracle:
                 return hit
         r = classify.reading(g)
         if not r.is_classical():
-            return self._keyed(g, r.matrix)
-        a = r.matrix()
-        if a is not None and not cartan.is_finite_cartan(a):
+            return self._keyed(g, r.finite)
+        if r.finite() is False:
             raise self._denial(g, "classical")
         return OracleVerdict(True, ("classical",))
 
-    def _keyed(self, g: GDD, matrix) -> OracleVerdict:
+    def _keyed(self, g: GDD, finite_of) -> OracleVerdict:
         """The verdict on a connected g of rank >= 2 with no vertex labelled
-        1 and no classical reading, ``matrix()`` giving its exponent matrix.
-        The one canonicalization of g keys the memo and the database: a
-        memoized verdict is returned, else a stored row, which the shortcut
-        must not deny, or the shortcut decides, and the verdict is memoized."""
+        1 and no classical reading, ``finite_of()`` giving the Cartan
+        shortcut on it (a reading's kept _Subsets.finite verdict).  The one
+        canonicalization of g keys the memo and the database: a memoized
+        verdict is returned, else a stored row, which the shortcut must not
+        deny, or the shortcut decides, and the verdict is memoized."""
         key = g.canonical_key()
         hit = self._memo.get(key)
         if hit is not None:
             return hit
-        a = matrix()
-        finite = None if a is None else cartan.is_finite_cartan(a)
+        finite = finite_of()
         meta = self.db.lookup(g.rank, key)
         if meta is not None:
             if finite is False:
@@ -166,32 +169,31 @@ class Oracle:
 
         Decided through connected deletions only (see the module docstring);
         at rank >= 6 those have rank >= 5 and stay inside the oracle domain.
-        Each deletion is read on g's reading (classify.reading): whether it
-        is connected from g's neighbour masks, whether it has a classical
-        reading as a vertex subset of g, and its exponent matrix as a
-        principal submatrix of g's.  A classical deletion is checked against
-        that matrix and counted arithmetic, with nothing built; any other is
-        built and decided by the keyed half alone (_keyed).  A deletion that
-        keeps a vertex labelled 1 is not arithmetic (has_degenerate_diag, or
-        the rank-1 verdict), and nothing is built for it either.
+        g and each deletion are read on g's reading (classify.reading):
+        whether it is connected from g's neighbour masks, whether it has a
+        classical reading as a vertex subset of g, and its exponent matrix
+        as a principal submatrix of g's.  A classical deletion is checked
+        against that matrix and counted arithmetic, with nothing built; any
+        other is built and decided by the keyed half alone (_keyed).  A
+        deletion that keeps a vertex labelled 1 is not arithmetic
+        (has_degenerate_diag, or the rank-1 verdict), and nothing is built
+        for it either.
         """
-        nbrs = g.neighbour_masks()
-        if len(components_of(nbrs)) != 1:
+        r = classify.reading(g)
+        if len(r.parts()) != 1:
             raise ValueError("quasi-affine is defined for connected diagrams")
         if g.rank < 2:
             return False
         if self._connected(g).arithmetic:
             return False
-        r = classify.reading(g)
         ones = sum(1 << v for v, d in enumerate(g.diag) if d.is_one)
-        for v in non_cut_vertices(nbrs):
+        for v in non_cut_vertices(r.nbrs):
             if ones & ~(1 << v):
                 return False
             if r.readings(r.all & ~(1 << v), first=True):
-                a = r.matrix(v)
-                if a is not None and not cartan.is_finite_cartan(a):
+                if r.finite(v) is False:
                     raise self._denial(g.delete_vertex(v), "classical")
-            elif not self._keyed(g.delete_vertex(v), partial(r.matrix, v)).arithmetic:
+            elif not self._keyed(g.delete_vertex(v), partial(r.finite, v)).arithmetic:
                 return False
         return True
 

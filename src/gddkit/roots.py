@@ -31,13 +31,13 @@ class UnityRoot(namedtuple("UnityRoot", "exponent modulus")):
     __slots__ = ()
 
     def __new__(cls, exponent: int, modulus: int):
-        try:
-            return _ROOTS[modulus][exponent]
-        except KeyError:
-            pass
-        # stored as ints, since a stored float would be the shared label of
-        # every later call it equals: a float raises TypeError here, and a
-        # numpy integer becomes an int
+        if type(exponent) is int and type(modulus) is int:
+            try:
+                return _ROOTS[modulus][exponent]
+            except KeyError:
+                pass
+        # stored as ints: a float raises TypeError here (only an exact int
+        # is looked up above), and a numpy integer or a bool becomes an int
         modulus = index(modulus)
         if modulus < 2 or modulus % 2 != 0:
             raise ValueError(f"modulus must be even and >= 2, got {modulus}")

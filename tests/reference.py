@@ -30,6 +30,10 @@ The dense ``braiding_exponents`` reads the label pair of every ordered pair
 of vertices and tests the generalized Cartan axioms afterwards;
 ``gddkit.cartan`` reads the edges only.
 
+``affine_families`` reads the affine family table of one rank off the whole
+catalogue up to that rank; ``gddkit.cartan`` builds that rank's diagrams
+only.
+
 ``is_quasi_affine`` builds every connected deletion and queries the oracle
 on it; ``Oracle.is_quasi_affine`` reads each deletion as a vertex subset of
 the diagram and builds only those that are not classical.
@@ -39,7 +43,13 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from gddkit.cartan import _leading_minors, arithmetic_via_cartan, is_generalized_cartan
+from gddkit.cartan import (
+    _leading_minors,
+    _least_form,
+    arithmetic_via_cartan,
+    catalogue,
+    is_generalized_cartan,
+)
 from gddkit.chains import ChainProfile
 from gddkit.classify import HeadPattern, TypeTag, _some_square_root
 from gddkit.core import GDD, with_modulus
@@ -615,6 +625,20 @@ def braiding_exponents(g):
         rows.append(tuple(row))
     a = tuple(rows)
     return a if is_generalized_cartan(a) else None
+
+
+# -- the affine family table off the whole catalogue ------------------------------
+
+
+def affine_families(rank):
+    """The least form of each family's matrix at the given rank -> the first
+    family in catalogue order with that matrix, read off the catalogue up
+    to that rank at a parameter of order 30, the other ranks dropped."""
+    table = {}
+    for family, g in catalogue(UnityRoot(2, 60), rank):
+        if g.rank == rank:
+            table.setdefault(_least_form(braiding_exponents(g)), family)
+    return table
 
 
 # -- finite type block by block --------------------------------------------------

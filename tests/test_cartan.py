@@ -12,6 +12,7 @@ from cartan_matrices import all_gcms, finite_reference_list, same_up_to_permutat
 from gddkit.cartan import (
     FAMILY_NAMES,
     AffineFamily,
+    _affine_families,
     admissible,
     affine_family_of,
     arithmetic_via_cartan,
@@ -351,6 +352,17 @@ def test_every_family_round_trips_at_every_size_up_to_rank_12():
             assert affine_family_of(g) == fam, (fam, q)
         counts.append(len(built))
     assert counts == [21, 62, 64, 75, 75, 75, 75]
+
+
+def test_rank_only_family_table_equals_the_catalogue_filtered_one():
+    """The family table of each rank, built from that rank's diagrams only,
+    equals the one read off the whole catalogue up to that rank: the same
+    keys, in the same order, each naming the same family and size."""
+    for rank in range(2, 13):
+        got = _affine_families(rank)
+        want = reference.affine_families(rank)
+        assert list(got.items()) == list(want.items()), rank
+        assert got, rank
 
 
 def test_display_names_and_unknown_family():

@@ -7,6 +7,10 @@ kernel in ``reference.py`` reads an n x n matrix and always searches.  Both
 must give the same form and the same canonical order on every input.
 """
 
+import importlib.util
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -15,6 +19,7 @@ import gddkit.cartan
 import gddkit.core
 import reference
 from db_rows import DATA
+from gddkit.cli import main
 from gddkit.core import least_form
 from gddkit.search import enumerate_quasi_affine
 from gddkit.tables import load
@@ -137,16 +142,43 @@ def test_symmetric_inputs_match_reference(g, labels, pairs, paired):
     assert_matches_reference(*_labelled(colours, edges, pairs if paired else labels, paired))
 
 
-def test_search_inputs_match_reference():
+def _check_batch_input(tmp_path, monkeypatch, seed):
+    """The input file of the benchmark's ``check-batch`` call at the seed,
+    written by perfbench/run.py's own job."""
+    here = Path(__file__).resolve().parents[1] / "perfbench"
+    monkeypatch.syspath_prepend(str(here))
+    spec = importlib.util.spec_from_file_location("perfbench_run", here / "run.py")
+    run = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, run)  # its dataclasses look it up
+    spec.loader.exec_module(run)
+    return run.CheckBatchJob(seed, tmp_path / "batch").input
+
+
+def test_search_inputs_match_reference(tmp_path, monkeypatch, capsys):
     """Every least_form input of the rank 6 and rank 7 searches at M=4 and
     the rank 6 search at M=6, cartan's included, and of keying every stored
     row and its twists: the database keys a bucket when it is first read,
-    and len reads them all."""
+    and len reads them all.  Then every input of the seed-1 ``check-batch``
+    call that reaches the order search (_least_order), the rank-9 cycles
+    among them."""
     seen = []
+    searched = [False]
+    least_order = gddkit.core._least_order
 
     def recorded(colours, nbrs):
         seen.append((colours, nbrs))
         return least_form(colours, nbrs)
+
+    def search(*args):
+        searched[0] = True
+        return least_order(*args)
+
+    def recorded_if_searched(colours, nbrs):
+        searched[0] = False
+        out = least_form(colours, nbrs)
+        if searched[0]:
+            seen.append((colours, nbrs))
+        return out
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(gddkit.core, "least_form", recorded)
@@ -156,5 +188,16 @@ def test_search_inputs_match_reference():
             assert len(db) == 212
             enumerate_quasi_affine(rank, modulus, db)
     assert len(seen) > 2000
+    batch = _check_batch_input(tmp_path, monkeypatch, 1)
+    enumerated = len(seen)
+    gddkit.cartan._affine_families.cache_clear()  # its matrices are inputs too
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gddkit.core, "_least_order", search)
+        mp.setattr(gddkit.core, "least_form", recorded_if_searched)
+        mp.setattr(gddkit.cartan, "least_form", recorded_if_searched)
+        assert main(["check", str(batch), "--db", str(DATA)]) == 0
+    capsys.readouterr()
+    assert len(seen) - enumerated > 100
+    assert any(len(colours) == 9 for colours, _ in seen[enumerated:])
     for colours, nbrs in seen:
         assert_matches_reference(colours, nbrs)

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from gddkit import cartan, classify
+from gddkit import cartan, classify, cli, core, search, tables
 from gddkit import oracle as oracle_module
 from gddkit.core import GDD, parse_blocks
 from gddkit.oracle import (
@@ -68,33 +68,86 @@ def test_classical_chain_is_arithmetic(oracle):
     assert v.arithmetic and v.witness[0] == "classical"
 
 
+def _count_calls(monkeypatch, targets) -> list:
+    """Replace each (owner, name) by a wrapper that appends name, and the
+    call's arguments, to the returned list."""
+    calls = []
+    for owner, name in targets:
+        original = getattr(owner, name)
+
+        def counted(*args, original=original, name=name, **kwargs):
+            calls.append((name, args, kwargs))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
 def test_given_readings_stand_for_the_oracles_own(db, monkeypatch):
     """A reading a caller already took, as check does (classify.reading,
     its classical readings and its matrix), is the one the oracle's query
     reads: nothing is derived again, and the positive is still checked
-    against that matrix, so a shared reading whose matrix is not finite
-    raises InternalInconsistency and leaves the memo empty."""
+    against that matrix, so a shared reading whose cached matrix is not
+    finite raises InternalInconsistency and leaves the memo empty."""
     g = path([2] * 6, [4] * 5)
     r = classify.reading(g)
     r.classical_type(), r.matrix()
-    derived = []
-    for owner, name in ((classify._Subsets, "__init__"), (classify._Subsets, "readings"),
-                        (cartan, "edge_exponents")):
-        original = getattr(owner, name)
-
-        def counted(*args, original=original, name=name, **kwargs):
-            derived.append(name)
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(owner, name, counted)
+    derived = _count_calls(monkeypatch, (
+        (classify._Subsets, "__init__"), (classify._Subsets, "readings"),
+        (cartan, "edge_exponents"), (cartan, "exponent_matrix")))
     verdict = Oracle(db).is_arithmetic(g)
     assert verdict.witness == ("classical",) and derived == []
     assert classify.reading(g) is r
-    r._exponents = [((0, 1), (-2, -2))]  # an affine A_1^(1) block
+    h = path([2] * 6, [4] * 5)
+    s = classify.reading(h)
+    s.classical_type(), s.matrix()
+    # an affine A_1^(1) block, put in before any verdict is cached
+    s._matrix = cartan.exponent_matrix(6, [((0, 1), (-2, -2))])
+    derived.clear()
     oracle = Oracle(db)
     with pytest.raises(InternalInconsistency, match="classical"):
-        oracle.is_arithmetic(g)
+        oracle.is_arithmetic(h)
     assert derived == [] and oracle._memo == {}
+
+
+def test_check_reads_each_diagram_once(db, monkeypatch, tmp_path, capsys):
+    """One check block, the affine cycle A_5^(1) (quasi-affine, of Cartan
+    type) with the database, builds one reading (classify._Subsets), scans
+    the components of the whole diagram once (core.components_of), builds
+    its whole exponent matrix once (cartan.exponent_matrix) and tests that
+    matrix for finite type once (cartan.is_finite_cartan); its deletions are
+    read as vertex subsets and principal submatrices of it."""
+    block = tmp_path / "cycle.gdd"
+    block.write_text("gdd M=6 n=6\ndiag 2 2 2 2 2 2\n"
+                     + "".join(f"edge {i} {i + 1} 4\n" for i in range(1, 6))
+                     + "edge 1 6 4\n")
+    # the database and the family table are read before counting: they
+    # read other diagrams
+    monkeypatch.setattr(cli, "load", lambda path: db)
+    cartan._affine_families(6)
+    # every binding of components_of that reads a diagram's graph (cartan's
+    # reads the blocks of a matrix)
+    graph_modules = [m for m in (core, classify, oracle_module, search, tables)
+                     if getattr(m, "components_of", None) is core.components_of]
+    calls = _count_calls(monkeypatch, [
+        (classify._Subsets, "__init__"), (cartan, "exponent_matrix"),
+        (cartan, "is_finite_cartan")] + [(m, "components_of") for m in graph_modules])
+    assert cli.main(["check", str(block), "--db", str(DATA)]) == 0
+    out = capsys.readouterr().out
+    assert "Cartan type: yes (affine)" in out and "quasi-affine: YES" in out
+    rank = 6
+    whole = {
+        "__init__": [c for c in calls if c[0] == "__init__"],
+        "components_of": [c for c in calls if c[0] == "components_of"
+                          and c[1][1:] in ((), (None,), ((1 << rank) - 1,))],
+        "exponent_matrix": [c for c in calls if c[0] == "exponent_matrix"
+                            and c[1][2:] in ((), (None,))],
+        "is_finite_cartan": [c for c in calls if c[0] == "is_finite_cartan"
+                             and len(c[1][0]) == rank],
+    }
+    assert {name: len(got) for name, got in whole.items()} == dict.fromkeys(whole, 1)
+    # each of the six deletions is tested on a principal submatrix
+    assert len([c for c in calls if c[0] == "is_finite_cartan"]) == 1 + rank
 
 
 def test_item_is_quasi_affine(oracle):
@@ -296,7 +349,8 @@ def test_unrecognized_query_is_keyed_and_memoized(db, make, witness):
 def test_keyed_query_is_answered_from_the_memo_first(db, monkeypatch):
     """A query that carries its key reads the memo before any classical
     reading (classify.reading, the oracle's classical entry point); an
-    unkeyed copy is read, then keyed and found there."""
+    unkeyed copy is read, for its components and then for its decision,
+    then keyed and found there."""
     oracle = Oracle(db)
     g = item_11_1_1()
     verdict = oracle.is_arithmetic(g)
@@ -312,7 +366,7 @@ def test_keyed_query_is_answered_from_the_memo_first(db, monkeypatch):
     assert readings == []
     copy = item_11_1_1()
     assert oracle.is_arithmetic(copy) is verdict
-    assert readings == [copy] and len(oracle._memo) == 1
+    assert readings == [copy, copy] and len(oracle._memo) == 1
 
 
 @pytest.mark.parametrize("given", [False, True])

@@ -92,6 +92,22 @@ def test_numpy_integers_are_stored_as_ints():
     assert type(y.modulus) is int and y is UnityRoot(5, 9990)
 
 
+def test_a_float_is_refused_before_and_after_its_label_is_built():
+    """Whether a float is refused does not depend on the labels the process
+    built before: both call orders, in one process, on a modulus of its
+    own; a numpy integer or a bool reads back the shared label either way."""
+    for args in ((2.0, 9988), (2, 9988.0)):
+        with pytest.raises(TypeError):
+            UnityRoot(*args)
+    x = UnityRoot(2, 9988)
+    for args in ((2.0, 9988), (2, 9988.0)):
+        with pytest.raises(TypeError):
+            UnityRoot(*args)
+    assert UnityRoot(True, 9988) is UnityRoot(1, 9988)
+    np = pytest.importorskip("numpy")
+    assert UnityRoot(np.int64(2), 9988) is x is UnityRoot(2, np.int32(9988))
+
+
 def test_copies_and_pickles_read_back_the_shared_label():
     x = UnityRoot(5, 12)
     for protocol in range(pickle.HIGHEST_PROTOCOL + 1):

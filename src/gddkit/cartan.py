@@ -7,7 +7,8 @@ arithmetic exactly when that matrix is a finite-type Cartan matrix, and it is
 called affine when the matrix is an affine generalized Cartan matrix; each
 type is decided by one elimination of the whole matrix (_leading_minors).
 One table (_FAMILIES) holds the sixteen affine families; their printed
-names, ranks and reference matrices follow from it.
+names, ranks and reference matrices follow from it.  An affine matrix is
+named by a permutation test against the families of its vertex signatures.
 
 The search's bases take from here the one kind of finite Cartan type that is
 neither classical nor stored from rank 5 on: the diagrams of type E_6-E_8,
@@ -19,7 +20,7 @@ from __future__ import annotations
 from collections import namedtuple
 from functools import cache
 
-from .core import GDD, components_of, least_form
+from .core import GDD, components_of
 from .roots import UnityRoot, discrete_log_nonpositive
 
 Matrix = tuple[tuple[int, ...], ...]
@@ -156,16 +157,6 @@ def is_affine_cartan(a: Matrix) -> bool:
     return len(leading) == len(a) - 1 and det == 0 and all(x > 0 for x in leading)
 
 
-def _least_form(a: Matrix) -> tuple:
-    n = len(a)
-    form, _ = least_form(
-        [a[v][v] for v in range(n)],
-        [{u: (a[v][u], a[u][v]) for u in range(n) if u != v and (a[v][u] or a[u][v])}
-         for v in range(n)],
-    )
-    return form
-
-
 # -- the affine catalogue ------------------------------------------------------
 
 
@@ -279,27 +270,59 @@ def catalogue(q: UnityRoot, max_rank: int = 9) -> list[tuple[AffineFamily, GDD]]
     return out
 
 
+def _vertex_signatures(a: Matrix) -> list[tuple]:
+    """Per vertex v: a_vv and the sorted pairs (a_vu, a_uv) of its edges."""
+    n = len(a)
+    return [(a[v][v], *sorted((a[v][u], a[u][v]) for u in range(n) if u != v and a[v][u]))
+            for v in range(n)]
+
+
+def _permutes_to(a: Matrix, sig_a: list, b: Matrix, sig_b: list) -> bool:
+    """Whether a simultaneous permutation of rows and columns turns the
+    connected a into b, given their vertex signatures: a's vertices are
+    placed breadth-first, each after the first next to a placed one."""
+    n = len(a)
+    order = [0]
+    for v in order:
+        order += [u for u in range(n) if a[v][u] and u not in order]
+
+    def place(image: dict[int, int]) -> bool:
+        if len(image) == len(order):
+            return len(image) == n
+        v = order[len(image)]
+        return any(
+            place({**image, v: w}) for w in set(range(n)).difference(image.values())
+            if sig_b[w] == sig_a[v]
+            and all(a[v][u] == b[w][x] and a[u][v] == b[x][w] for u, x in image.items()))
+
+    return place({})
+
+
 @cache
-def _affine_families(rank: int) -> dict[tuple, AffineFamily]:
-    """The least form of each family's matrix at the given rank -> the first
-    family in FAMILY_NAMES order with that matrix.  Only that rank's
-    catalogue diagrams are built (a sized family's at N = rank - 1), at a
-    parameter of order 30, so that no exponent collapses."""
-    table: dict[tuple, AffineFamily] = {}
+def _affine_families(rank: int) -> dict[tuple, list[tuple]]:
+    """Sorted vertex signatures -> (matrix, vertex signatures, family) of
+    each family of the given rank with them, in FAMILY_NAMES order.  Only
+    that rank's catalogue diagrams are built (a sized family's at N = rank -
+    1), at a parameter of order 30, so that no exponent collapses."""
+    table: dict[tuple, list[tuple]] = {}
     for name, (lo, _) in _FAMILIES.items():
         if lo is None or lo < rank:
             family = AffineFamily(name, None if lo is None else rank - 1)
             g = build_affine_gdd(family, UnityRoot(2, 60))
             if g.rank == rank:
-                table.setdefault(_least_form(braiding_exponents(g)), family)
+                b = braiding_exponents(g)
+                sig = _vertex_signatures(b)
+                table.setdefault(tuple(sorted(sig)), []).append((b, sig, family))
     return table
 
 
 def family_of_affine_matrix(a: Matrix) -> AffineFamily | None:
-    """The catalogue family whose matrix is a up to a simultaneous
-    permutation of rows and columns, if any; a must be an indecomposable
-    affine Cartan matrix."""
-    return _affine_families(len(a)).get(_least_form(a))
+    """The first catalogue family whose matrix is a up to a simultaneous
+    permutation of rows and columns (_permutes_to), if any; a must be an
+    indecomposable affine Cartan matrix."""
+    sig = _vertex_signatures(a)
+    bucket = _affine_families(len(a)).get(tuple(sorted(sig)), ())
+    return next((fam for b, sig_b, fam in bucket if _permutes_to(a, sig, b, sig_b)), None)
 
 
 def affine_family_of(g: GDD) -> AffineFamily | None:

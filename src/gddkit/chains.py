@@ -98,10 +98,10 @@ def is_simple_chain(g: GDD, order: list[int] | None = None) -> bool:
     return not chain_condition_failures(g, order)
 
 
-def chain_profile(g: GDD) -> set[ChainProfile]:
-    """Profiles of a simple chain, one per orientation (they can coincide)."""
-    order = g.chain_order()
-    if order is None or not is_simple_chain(g, order):
+def chain_profile(g: GDD, order: list[int] | None = None) -> set[ChainProfile]:
+    """Profiles of a simple chain, one per orientation (they can coincide);
+    ``order`` is its chain order, if the caller has tested that already."""
+    if order is None and ((order := g.chain_order()) is None or not is_simple_chain(g, order)):
         raise ValueError("not a simple chain")
     return {p for o in (order, order[::-1]) if (p := oriented_profile(g, o)) is not None}
 

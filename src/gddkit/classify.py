@@ -17,8 +17,9 @@ g.  The one diagram built is the trunk handed to the ``continual`` callback
 of is_classical_plus_semiclassical.  Head patterns are tabled once per
 diagram: an entry (an end vertex and its neighbour, or two tips and their
 centre) is read on label exponents mod M the first time a subset has it,
-and a subset's heads are the entries its degrees select.  A UnityRoot is
-built only for a returned parameter.
+and a subset's heads are the entries its degrees select, or for a chain
+the entries at the ends of its path order.  A UnityRoot is built only for
+a returned parameter.
 
 The shape predicates ask whether one given vertex is a tail, never for the
 set of all tails: ``_Subsets.readings(keep, tail)`` reads only the chain
@@ -192,10 +193,13 @@ class _Subsets:
     # -- heads ------------------------------------------------------------------
 
     def _end_heads(self, e: int, b: int) -> list[HeadPattern]:
-        """The one-vertex heads on end e attached at b."""
+        """The one-vertex heads on end e attached at b, tabled."""
+        got = self._ends.get((e, b))
+        if got is not None:
+            return got
         m, d_e, t_eb = self.m, self.d[e], self.ties[e][b]
         half = m // 2
-        out = []
+        out = self._ends[(e, b)] = []
         if d_e == 0:
             return out  # no head end is labelled 1
         # Type 1: end p^2, edge p^-2, body parameter p.
@@ -212,40 +216,40 @@ class _Subsets:
 
     def _fork_heads(self, h1: int, h2: int, c: int) -> list[HeadPattern]:
         """Types 5 (ends p, no link) and 6 (ends -1, link p^2): tips h1 and
-        h2 on a common body end c, edges p^-1."""
+        h2 on a common body end c, edges p^-1; tabled."""
+        got = self._forks.get((h1, h2, c))
+        if got is not None:
+            return got
         m, d, ties = self.m, self.d, self.ties
         half = m // 2
+        out = self._forks[(h1, h2, c)] = []
         t1 = ties[h1][c]
         if t1 != ties[h2][c]:
-            return []
+            return out
         p = -t1 % m
         link = ties[h1].get(h2)
-        out = []
         if link is None and d[h1] == p and d[h2] == p and p != 0:
             out.append(HeadPattern("T5", (h1, h2), c, body_param=UnityRoot(p, m)))
         if link is not None and d[h1] == half and d[h2] == half and link == 2 * p % m != 0:
             out.append(HeadPattern("T6", (h1, h2), c, body_param=UnityRoot(p, m)))
         return out
 
-    def heads(self, keep: int) -> list[HeadPattern]:
-        """The head readings on end vertices of the subdiagram on ``keep``
-        (any subset), in head_patterns' order.  A one-vertex head needs an
-        end e with one neighbour b.  A two-vertex head needs tips h1, h2 on
-        a centre c with no neighbour but c and each other: two ends on c, or
-        two vertices of degree 2 in a triangle with c."""
-        nbrs, ends = self.nbrs, self._ends
-        out = []
+    def _scan(self, keep: int) -> tuple[list[tuple[int, int]], list[tuple[int, int, int]]]:
+        """The places a head can sit on the subdiagram on ``keep`` (any
+        subset): its ends e, in vertex order, each with its one neighbour b,
+        and the sorted fork keys (h1, h2, c) of tips h1 < h2 on a centre c
+        with no neighbour but c and each other: two ends on c, or two
+        vertices of degree 2 in a triangle with c."""
+        nbrs = self.nbrs
+        ends = []
         leaves: dict[int, list[int]] = {}
-        at = []
+        forks = []
         for v in vertices_of(keep):
             around = nbrs[v] & keep
             if not around & (around - 1):
                 if around:
                     b = around.bit_length() - 1
-                    got = ends.get((v, b))
-                    if got is None:
-                        got = ends[(v, b)] = self._end_heads(v, b)
-                    out += got
+                    ends.append((v, b))
                     leaves.setdefault(b, []).append(v)
                 continue
             low = around & -around
@@ -255,18 +259,21 @@ class _Subsets:
             x, y = low.bit_length() - 1, high.bit_length() - 1
             # v as the lesser tip of a triangle, its partner y or x
             if v < y and nbrs[y] & keep == low | 1 << v:
-                at.append((v, y, x))
+                forks.append((v, y, x))
             if v < x and nbrs[x] & keep == high | 1 << v:
-                at.append((v, x, y))
+                forks.append((v, x, y))
         for c, tips in leaves.items():
-            at.extend((h1, h2, c) for h1, h2 in combinations(tips, 2))
-        forks = self._forks
-        for key in sorted(at):
-            got = forks.get(key)
-            if got is None:
-                got = forks[key] = self._fork_heads(*key)
-            out += got
-        return out
+            forks.extend((h1, h2, c) for h1, h2 in combinations(tips, 2))
+        forks.sort()
+        return ends, forks
+
+    def heads(self, keep: int) -> list[HeadPattern]:
+        """The head readings on end vertices of the subdiagram on ``keep``
+        (any subset), in head_patterns' order: the one-vertex heads on each
+        end (_scan), then the two-vertex heads on each fork key."""
+        ends, forks = self._scan(keep)
+        return ([h for e, b in ends for h in self._end_heads(e, b)]
+                + [h for key in forks for h in self._fork_heads(*key)])
 
     # -- subsets ----------------------------------------------------------------
 
@@ -280,13 +287,12 @@ class _Subsets:
         return order is not None and self._is_simple(order)
 
     def _attached_profile(
-        self, body: int, attach: int, tail: int | None
+        self, order: list[int] | None, attach: int, tail: int | None
     ) -> tuple[ChainProfile, int] | None:
-        """Profile of the subdiagram on ``body`` read with ``attach`` as its
-        oriented end, plus the body's far-end vertex; None when the body is
-        not a simple chain ending at ``attach``, or its far end is not
-        ``tail`` when one is given."""
-        order = path_order(self.nbrs, body)
+        """Profile of a body on path order ``order`` (None when the body is
+        no chain) read with ``attach`` as its oriented end, plus the body's
+        far-end vertex; None when the body is not a simple chain ending at
+        ``attach``, or its far end is not ``tail`` when one is given."""
         if order is None:
             return None
         if order[-1] != attach:
@@ -303,12 +309,29 @@ class _Subsets:
             return None
         return profile, order[0]
 
+    def _headed_bodies(self, keep: int, order: list[int] | None):
+        """Each head on the subdiagram on ``keep`` of path order ``order``
+        with its body's path order.  A chain's heads are on its ends and, on
+        three vertices, the fork of both at the middle: bodies are slices of
+        ``order``.  Elsewhere only two-vertex heads can leave a chain body."""
+        if order is None:
+            for h1, h2, c in self._scan(keep)[1]:
+                for head in self._fork_heads(h1, h2, c):
+                    yield head, path_order(self.nbrs, keep & ~(1 << h1 | 1 << h2))
+            return
+        if len(order) > 1:
+            yield from ((h, order[:0:-1]) for h in self._end_heads(order[0], order[1]))
+            yield from ((h, order[:-1]) for h in self._end_heads(order[-1], order[-2]))
+        if len(order) == 3:
+            yield from ((h, order[1:2]) for h in self._fork_heads(*sorted(order[::2]), order[1]))
+
     def readings(self, keep: int, tail: int | None = None, first: bool = False) -> set[TypeTag]:
         """All readings of the subdiagram on ``keep`` as one of the
         classical types, or only those with the given tail.  A tail skips the
         other chain orientation, the heads holding it and the bodies ending
         elsewhere.  With ``first`` the search stops at the first reading:
-        the set holds at most one, and is empty exactly when all are."""
+        the set holds at most one, and is empty exactly when all are.  A
+        chain subset runs no head scan (_headed_bodies)."""
         g = self.g
         tags: set[TypeTag] = set()
         order = path_order(self.nbrs, keep)
@@ -332,12 +355,10 @@ class _Subsets:
                     return tags
 
         # Types 1-6: a head on one end of a simple-chain body.
-        for head in self.heads(keep):
-            if len(head.vertices) == 1 and order is None:
-                continue  # one end vertex on a chain body makes a chain
+        for head, body in self._headed_bodies(keep, order):
             if tail in head.vertices:
                 continue
-            got = self._attached_profile(keep & ~_mask(head.vertices), head.attach, tail)
+            got = self._attached_profile(body, head.attach, tail)
             if got is None:
                 continue
             profile, far = got
@@ -410,7 +431,7 @@ class _Subsets:
                 continue
             # the body is a simple chain from one head's attach vertex to the
             # other's, read once toward each
-            body = self.all & ~(drop1 | drop2)
+            body = path_order(self.nbrs, self.all & ~(drop1 | drop2))
             got1 = self._attached_profile(body, head1.attach, head2.attach)
             if got1 is None or not head1.matches_body(got1[0]):
                 continue

@@ -68,7 +68,7 @@ def cmd_check(args) -> int:
             simple = is_simple_chain(g, order)
             print(f"  chain: yes; simple chain: {'yes' if simple else 'no'}")
             if simple:
-                for p in sorted(chain_profile(g), key=lambda p: (p.wildcard, p.q)):
+                for p in sorted(chain_profile(g, order), key=lambda p: (p.wildcard, p.q)):
                     if p.wildcard:
                         print("    profile: q free (rank-1 vertex -1)")
                     else:

@@ -5,12 +5,12 @@ them."""
 
 from itertools import product
 
-from gddkit.cartan import _least_form
+from reference import matrix_least_form
 
 
 def same_up_to_permutation(a, b):
     """True when a simultaneous row/column permutation turns a into b."""
-    return len(a) == len(b) and _least_form(a) == _least_form(b)
+    return len(a) == len(b) and matrix_least_form(a) == matrix_least_form(b)
 
 
 def finite_reference_list(n):

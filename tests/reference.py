@@ -31,8 +31,9 @@ of vertices and tests the generalized Cartan axioms afterwards;
 ``gddkit.cartan`` reads the edges only.
 
 ``affine_families`` reads the affine family table of one rank off the whole
-catalogue up to that rank; ``gddkit.cartan`` builds that rank's diagrams
-only.
+catalogue up to that rank and keys it by least form (``matrix_least_form``);
+``gddkit.cartan`` builds that rank's diagrams only, files them by vertex
+signature and matches a matrix by a permutation test.
 
 ``is_quasi_affine`` builds every connected deletion and queries the oracle
 on it; ``Oracle.is_quasi_affine`` reads each deletion as a vertex subset of
@@ -45,14 +46,13 @@ from itertools import combinations
 
 from gddkit.cartan import (
     _leading_minors,
-    _least_form,
     arithmetic_via_cartan,
     catalogue,
     is_generalized_cartan,
 )
 from gddkit.chains import ChainProfile
 from gddkit.classify import HeadPattern, TypeTag, _some_square_root
-from gddkit.core import GDD, with_modulus
+from gddkit.core import GDD, least_form as kernel_least_form, with_modulus
 from gddkit.roots import UnityRoot, discrete_log_nonpositive, minus_one
 from gddkit.tables import generate_classical
 
@@ -630,14 +630,31 @@ def braiding_exponents(g):
 # -- the affine family table off the whole catalogue ------------------------------
 
 
+def matrix_least_form(a):
+    """The least form of a square matrix up to a simultaneous permutation of
+    rows and columns: the canonical-form kernel (core.least_form) on the
+    diagonal entries and, per vertex, the pairs (a_vu, a_uv) of its
+    nonzero off-diagonal entries."""
+    n = len(a)
+    form, _ = kernel_least_form(
+        [a[v][v] for v in range(n)],
+        [{u: (a[v][u], a[u][v]) for u in range(n) if u != v and (a[v][u] or a[u][v])}
+         for v in range(n)],
+    )
+    return form
+
+
 def affine_families(rank):
     """The least form of each family's matrix at the given rank -> the first
     family in catalogue order with that matrix, read off the catalogue up
-    to that rank at a parameter of order 30, the other ranks dropped."""
+    to that rank at a parameter of order 30, the other ranks dropped.
+    ``gddkit.cartan`` files the families by vertex signature and matches a
+    matrix by a permutation test; looking up its least form here is the
+    reference for that."""
     table = {}
     for family, g in catalogue(UnityRoot(2, 60), rank):
         if g.rank == rank:
-            table.setdefault(_least_form(braiding_exponents(g)), family)
+            table.setdefault(matrix_least_form(braiding_exponents(g)), family)
     return table
 
 

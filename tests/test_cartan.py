@@ -12,7 +12,6 @@ from cartan_matrices import all_gcms, finite_reference_list, same_up_to_permutat
 from gddkit.cartan import (
     FAMILY_NAMES,
     AffineFamily,
-    _affine_families,
     admissible,
     affine_family_of,
     arithmetic_via_cartan,
@@ -21,6 +20,7 @@ from gddkit.cartan import (
     catalogue,
     display,
     e_type_diagrams,
+    family_of_affine_matrix,
     is_affine_cartan,
     is_finite_cartan,
     is_generalized_cartan,
@@ -354,15 +354,35 @@ def test_every_family_round_trips_at_every_size_up_to_rank_12():
     assert counts == [21, 62, 64, 75, 75, 75, 75]
 
 
-def test_rank_only_family_table_equals_the_catalogue_filtered_one():
-    """The family table of each rank, built from that rank's diagrams only,
-    equals the one read off the whole catalogue up to that rank: the same
-    keys, in the same order, each naming the same family and size."""
+def test_family_lookup_matches_the_least_form_reference():
+    """family_of_affine_matrix, which compares a matrix only with the
+    families of its vertex signature, names what the least-form table read
+    off the whole catalogue names (reference.affine_families): for every
+    catalogue matrix of ranks 2-12 under seeded simultaneous permutations of
+    rows and columns, and for every affine matrix among the generalized
+    Cartan matrices of rank <= 3 with entries >= -4."""
+    rng = random.Random(32)
+    looked = 0
     for rank in range(2, 13):
-        got = _affine_families(rank)
         want = reference.affine_families(rank)
-        assert list(got.items()) == list(want.items()), rank
-        assert got, rank
+        for _, g in catalogue(UnityRoot(2, 60), rank):
+            if g.rank != rank:
+                continue
+            b = braiding_exponents(g)
+            for _ in range(5):
+                sigma = list(range(rank))
+                rng.shuffle(sigma)
+                a = tuple(tuple(b[i][j] for j in sigma) for i in sigma)
+                assert family_of_affine_matrix(a) == want[reference.matrix_least_form(a)], a
+                looked += 1
+    affine = 0
+    for n in (2, 3):
+        want = reference.affine_families(n)
+        for a in all_gcms(n):
+            if is_affine_cartan(a):
+                assert family_of_affine_matrix(a) == want[reference.matrix_least_form(a)], a
+                affine += 1
+    assert (looked, affine) == (375, 28)
 
 
 def test_display_names_and_unknown_family():

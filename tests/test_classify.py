@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+import reference
 from gddkit.chains import is_simple_chain
 from gddkit.classify import (
     classical_type,
@@ -99,6 +100,30 @@ def test_fork_types():
          (3, 4): q ** 2},
     )
     assert any(t.kind == "T6" for t in classical_type(g6))
+
+
+def test_fork_heads_on_a_one_vertex_body():
+    """Types 5 and 6 with a one-vertex body, the centre: on the 3-vertex
+    chain q - q - q (edges q^-1) the fork's tips are the chain's two ends,
+    read off its path order; on the triangle -1, -1 on a centre q the tips
+    are linked by q^2.  Each centre takes every position in the vertex
+    numbering, and the readings are the reference's."""
+    m = 10
+    q = UnityRoot(2, m)
+    mm = minus_one(m)
+    for kind, tips, link in (("T5", q, None), ("T6", mm, q ** 2)):
+        for c in range(3):
+            h1, h2 = (v for v in range(3) if v != c)
+            diag = tuple(q if v == c else tips for v in range(3))
+            edges = {tuple(sorted((h, c))): q ** -1 for h in (h1, h2)}
+            if link is not None:
+                edges[(h1, h2)] = link
+            g = GDD(m, diag, edges)
+            tags = classical_type(g)
+            assert any(t.kind == kind and t.head == (h1, h2) and t.tail == c
+                       and t.q == q for t in tags), (kind, c)
+            assert {(t.kind, t.q, t.head, t.tail) for t in tags} == {
+                (t.kind, t.q, t.head, t.tail) for t in reference.classical_type(g)}, (kind, c)
 
 
 def test_row11_gdd1_not_classical_but_quasi_classical():

@@ -15,7 +15,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import gddkit.cartan
 import gddkit.core
 import reference
 from db_rows import DATA
@@ -156,11 +155,12 @@ def _check_batch_input(tmp_path, monkeypatch, seed):
 
 def test_search_inputs_match_reference(tmp_path, monkeypatch, capsys):
     """Every least_form input of the rank 6 and rank 7 searches at M=4 and
-    the rank 6 search at M=6, cartan's included, and of keying every stored
-    row and its twists: the database keys a bucket when it is first read,
-    and len reads them all.  Then every input of the seed-1 ``check-batch``
-    call that reaches the order search (_least_order), the rank-9 cycles
-    among them."""
+    the rank 6 search at M=6, and of keying every stored row and its
+    twists: the database keys a bucket when it is first read, and len reads
+    them all.  Then every input of the seed-1 ``check-batch`` call that
+    reaches the order search (_least_order), the rank-9 cycles among them.
+    The kernel keys only diagrams: cartan names an affine matrix by a
+    permutation test, with no least form."""
     seen = []
     searched = [False]
     least_order = gddkit.core._least_order
@@ -182,22 +182,19 @@ def test_search_inputs_match_reference(tmp_path, monkeypatch, capsys):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(gddkit.core, "least_form", recorded)
-        mp.setattr(gddkit.cartan, "least_form", recorded)
         for rank, modulus in ((6, 4), (7, 4), (6, 6)):
             db = load(DATA)
             assert len(db) == 212
             enumerate_quasi_affine(rank, modulus, db)
-    assert len(seen) > 2000
+    assert len(seen) == 3742
     batch = _check_batch_input(tmp_path, monkeypatch, 1)
     enumerated = len(seen)
-    gddkit.cartan._affine_families.cache_clear()  # its matrices are inputs too
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(gddkit.core, "_least_order", search)
         mp.setattr(gddkit.core, "least_form", recorded_if_searched)
-        mp.setattr(gddkit.cartan, "least_form", recorded_if_searched)
         assert main(["check", str(batch), "--db", str(DATA)]) == 0
     capsys.readouterr()
-    assert len(seen) - enumerated > 100
-    assert any(len(colours) == 9 for colours, _ in seen[enumerated:])
+    assert len(seen) - enumerated == 78
+    assert sum(len(colours) == 9 for colours, _ in seen[enumerated:]) == 4
     for colours, nbrs in seen:
         assert_matches_reference(colours, nbrs)

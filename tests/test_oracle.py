@@ -3,6 +3,8 @@ from pathlib import Path
 
 import pytest
 
+from brute import bf_canon, indep_cartan_finite, indep_is_classical
+from db_rows import parse_db_rows_independently
 from gddkit import cartan, classify, cli, core, search, tables
 from gddkit import oracle as oracle_module
 from gddkit.core import GDD, parse_blocks
@@ -190,6 +192,50 @@ def test_wrong_parameter_kills_quasi_affineness(oracle):
          (0, 5): q ** -1, (4, 5): q ** -1},
     )
     assert not oracle.is_quasi_affine(g)
+
+
+def _brute_not_arithmetic(g):
+    """brute.py's verdict that the connected g of rank 6 is not arithmetic:
+    not classical, not of finite Cartan type and not a stored row."""
+    diag = tuple(d.exponent for d in g.diag)
+    edges = {e: lab.exponent for e, lab in g.edges.items()}
+    n, m = g.rank, g.modulus
+    return (not indep_is_classical(n, m, diag, edges)
+            and indep_cartan_finite(n, m, diag, edges) is not True
+            and bf_canon(n, m, diag, edges) not in parse_db_rows_independently(n, m))
+
+
+def test_leaf_on_a_quasi_affine_fixture_exits_at_a_deletion(db, tmp_path, capsys, monkeypatch):
+    """is_quasi_affine's exit at a deletion that is not arithmetic, which no
+    benchmark input takes: fixture 11.1.1 (quasi-affine, rank 6) with a
+    leaf -1 on vertex 0.  The oracle and ``check`` both answer "not
+    arithmetic, not quasi-affine"; the one deletion the oracle denies is
+    the exit, and brute.py agrees that it, and the deletion of the leaf
+    (11.1.1 itself), are not arithmetic."""
+    g = next(g for g, meta, _ in parse_blocks((FIXTURES / "items_main.gdd").read_text())
+             if meta.get("item") == "11.1.1")
+    ext = g.add_vertex(minus_one(6), [(0, g.diag[0] ** -1)])
+    oracle = Oracle(db)
+    assert not oracle.is_arithmetic(ext).arithmetic
+    keyed, denied = Oracle._keyed, []
+
+    def recorded(self, h, finite_of):
+        verdict = keyed(self, h, finite_of)
+        if not verdict.arithmetic:
+            denied.append(h)
+        return verdict
+
+    monkeypatch.setattr(Oracle, "_keyed", recorded)
+    assert not oracle.is_quasi_affine(ext)
+    assert len(denied) == 1 and denied[0].rank == 6
+    assert _brute_not_arithmetic(denied[0])
+    assert _brute_not_arithmetic(g)
+    block = tmp_path / "leaf.gdd"
+    block.write_text(ext.to_text() + "\n")
+    monkeypatch.setattr(cli, "load", lambda path: db)
+    assert cli.main(["check", str(block), "--db", str(DATA)]) == 0
+    out = capsys.readouterr().out
+    assert "  arithmetic: no (witness: no-match)\n  quasi-affine: no\n" in out
 
 
 def test_quasi_affine_hereditary(oracle):
